@@ -5,8 +5,8 @@ linear canonical transformations."""
 from .model import (Lct, ModeParams, MomentState, PhysicalConstants,
                     TwoModeSystem, lct_from_position_block, symplectic_defect,
                     vacuum_state, validate_lct)
-from .analytic import (DampingMap, asymptotic_state, cross_covariance,
-                       evolve_state, uncertainty_product)
+from .analytic import (asymptotic_state, cross_covariance, evolve_state,
+                       evolve_trajectory, uncertainty_product)
 from .fock import (KrausSet, bh_identity_residual, build_mode_operators,
                    coherent_density, completeness_defect, evolve_density,
                    heisenberg_moment, kraus_operators, two_mode_moments)
@@ -18,11 +18,11 @@ from .structures import (SearchConfig, StructureReport,
 __all__ = [
     "Lct", "ModeParams", "MomentState", "PhysicalConstants", "TwoModeSystem",
     "lct_from_position_block", "symplectic_defect", "vacuum_state",
-    "validate_lct", "DampingMap", "asymptotic_state", "cross_covariance",
-    "evolve_state", "uncertainty_product", "KrausSet", "bh_identity_residual",
-    "build_mode_operators", "coherent_density", "completeness_defect",
-    "evolve_density", "heisenberg_moment", "kraus_operators",
-    "two_mode_moments", "SearchConfig", "StructureReport",
+    "validate_lct", "asymptotic_state", "cross_covariance", "evolve_state",
+    "evolve_trajectory", "uncertainty_product", "KrausSet",
+    "bh_identity_residual", "build_mode_operators", "coherent_density",
+    "completeness_defect", "evolve_density", "heisenberg_moment",
+    "kraus_operators", "two_mode_moments", "SearchConfig", "StructureReport",
     "asymptotic_cross_covariances", "asymptotic_products",
     "center_of_mass_lct", "classicality_residual",
     "search_classical_structure", "transform_state",

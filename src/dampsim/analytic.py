@@ -3,53 +3,38 @@ channels (interaction picture, zero temperature)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import MomentState, TwoModeSystem, vacuum_state
-
-_OBS_INDEX = {"x1": 0, "p1": 1, "x2": 2, "p2": 3}
+from .model import QUADRATURES, MomentState, TwoModeSystem, vacuum_state
 
 
-@dataclass(frozen=True)
-class DampingMap:
-    """Per-mode decay factors e^{-kappa t} at a fixed time."""
+def evolve_trajectory(state0: MomentState, system: TwoModeSystem,
+                      times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means (T, 4) and covariances (T, 4, 4) of a state at T times.
 
-    e1: float
-    e2: float
-    t: float
-
-    @classmethod
-    def at_time(cls, system: TwoModeSystem, t: float) -> "DampingMap":
-        if t < 0:
-            raise ValueError(f"time must be non-negative, got {t}")
-        return cls(e1=float(np.exp(-system.mode1.kappa * t)),
-                   e2=float(np.exp(-system.mode2.kappa * t)),
-                   t=float(t))
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        """The decay factors expanded over (x1, p1, x2, p2)."""
-        return np.array([self.e1, self.e1, self.e2, self.e2])
+    With the diagonal decay map X = e^{-kappa_i t}, the Gaussian channel is
+    mean -> X mean, cov -> X cov X + (I - X^2) C_vac. The cross blocks thus
+    decay by e^{-(kappa_1+kappa_2) t}, the closed-form covariance decay of
+    two independent channels; the intra-mode xp decay follows from the
+    uniform e^{-2 kappa t} scaling of all bilinears (a^2, a^dag^2, a^dag a)
+    in the Heisenberg picture.
+    """
+    times = np.asarray(times, dtype=float)
+    if not np.all(times >= 0):
+        raise ValueError(f"time must be non-negative, got {np.min(times)}")
+    kappa = np.repeat([system.mode1.kappa, system.mode2.kappa], 2)
+    e = np.exp(-kappa * times[:, None])
+    mean = e * state0.mean
+    cov = (e[:, :, None] * e[:, None, :] * state0.cov
+           + (1.0 - e ** 2)[:, :, None] * vacuum_state(system).cov)
+    return mean, cov
 
 
 def evolve_state(state0: MomentState, system: TwoModeSystem,
                  t: float) -> MomentState:
-    """Evolve a moment state for time t.
-
-    Means scale by e^{-kappa_i t}; the covariance relaxes toward the
-    vacuum covariance as E C E + (I - E^2) C_vac with E the diagonal decay
-    map. The cross blocks thereby decay by e^{-(kappa_1+kappa_2) t}, which
-    is the closed-form covariance decay of the two independent channels.
-    The intra-mode xp decay follows from the uniform e^{-2 kappa t} scaling
-    of all bilinears (a^2, a^dag^2, a^dag a) in the Heisenberg picture.
-    """
-    e = DampingMap.at_time(system, t).diagonal
-    cov_vac = vacuum_state(system).cov
-    mean = e * state0.mean
-    cov = np.outer(e, e) * state0.cov + np.diag((1.0 - e ** 2)) @ cov_vac
-    return MomentState(mean=mean, cov=cov)
+    """Evolve a moment state for time t: evolve_trajectory at one time."""
+    mean, cov = evolve_trajectory(state0, system, np.array([t]))
+    return MomentState(mean=mean[0], cov=cov[0])
 
 
 def asymptotic_state(system: TwoModeSystem) -> MomentState:
@@ -65,12 +50,18 @@ def asymptotic_state(system: TwoModeSystem) -> MomentState:
     return vacuum_state(system)
 
 
+def uncertainty_products(cov: np.ndarray) -> np.ndarray:
+    """Delta q * Delta p of the two sectors (quadrature pairs 0-1 and 2-3)
+    of a (..., 4, 4) covariance stack; shape (..., 2)."""
+    var = np.diagonal(cov, axis1=-2, axis2=-1)
+    return np.sqrt(var[..., 0::2] * var[..., 1::2])
+
+
 def uncertainty_product(state: MomentState, mode_index: int) -> float:
     """Delta x * Delta p for mode 1 or 2 from the covariance diagonal."""
     if mode_index not in (1, 2):
         raise ValueError(f"mode_index must be 1 or 2, got {mode_index}")
-    i = 2 * (mode_index - 1)
-    return float(np.sqrt(state.cov[i, i] * state.cov[i + 1, i + 1]))
+    return float(uncertainty_products(state.cov)[mode_index - 1])
 
 
 def cross_covariance(state: MomentState, obs1: str, obs2: str) -> float:
@@ -83,4 +74,5 @@ def cross_covariance(state: MomentState, obs1: str, obs2: str) -> float:
         raise ValueError(f"obs1 must be x1 or p1, got {obs1!r}")
     if obs2 not in ("x2", "p2"):
         raise ValueError(f"obs2 must be x2 or p2, got {obs2!r}")
-    return float(state.cov[_OBS_INDEX[obs1], _OBS_INDEX[obs2]])
+    return float(state.cov[QUADRATURES.index(obs1),
+                           QUADRATURES.index(obs2)])

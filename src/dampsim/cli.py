@@ -8,18 +8,20 @@ and writes CSV time series plus plain-text summary reports. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic, fock, structures
-from .model import (Lct, ModeParams, MomentState, PhysicalConstants,
-                    TwoModeSystem, assert_physical, lct_from_position_block,
-                    vacuum_state, validate_lct)
+from .model import (QUADRATURES, SYMMETRY_TOL, Lct, ModeParams, MomentState,
+                    PhysicalConstants, TwoModeSystem, assert_physical,
+                    lct_from_position_block, vacuum_state, vacuum_variances,
+                    validate_lct)
 
 
 class ParseError(Exception):
@@ -30,15 +32,11 @@ class ValidationError(Exception):
     """Well-formed scenario violating a physical or structural invariant."""
 
 
-_QUAD = ("x1", "p1", "x2", "p2")
-_COV_PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
-
-
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Scenario:
     system: TwoModeSystem
     initial: dict
@@ -96,10 +94,14 @@ def _parse_lct(d: dict) -> Lct:
         raise ValidationError(str(exc)) from exc
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"non-finite number {name} in scenario")
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -118,12 +120,11 @@ def load_scenario(path: str) -> Scenario:
     t_start = _get(grid, "t_start", float)
     t_end = _get(grid, "t_end", float)
     n_steps = _get(grid, "n_steps", int)
-    if t_start < 0 or t_end <= t_start or n_steps < 1:
+    if not 0 <= t_start < t_end < math.inf or n_steps < 1:
         raise ValidationError(
-            f"time grid requires 0 <= t_start < t_end and n_steps >= 1, "
+            f"time grid requires finite 0 <= t_start < t_end, n_steps >= 1; "
             f"got t_start={t_start}, t_end={t_end}, n_steps={n_steps}")
-    times = (np.array([t_start]) if n_steps == 1
-             else np.linspace(t_start, t_end, n_steps))
+    times = np.linspace(t_start, t_end, n_steps)
 
     engine = _get(raw, "engine", str, "analytic")
     if engine not in ("analytic", "fock", "both"):
@@ -163,12 +164,13 @@ def initial_moment_state(scenario: Scenario) -> MomentState:
     if kind == "vacuum":
         return vacuum_state(system)
     if kind == "coherent":
-        a1, a2 = _coherent_displacements(initial)
-        hbar = system.constants.hbar
+        # <x> = 2 sqrt(vx) Re(alpha), <p> = 2 sqrt(vp) Im(alpha)
         mean = []
-        for alpha, mode in zip((a1, a2), system.modes):
-            mean.append(np.sqrt(2.0 * hbar / (mode.mass * mode.omega)) * alpha.real)
-            mean.append(np.sqrt(2.0 * hbar * mode.mass * mode.omega) * alpha.imag)
+        for alpha, mode in zip(_coherent_displacements(initial),
+                               system.modes):
+            vx, vp = vacuum_variances(mode, system.constants.hbar)
+            mean += [2.0 * np.sqrt(vx) * alpha.real,
+                     2.0 * np.sqrt(vp) * alpha.imag]
         return MomentState(mean=np.array(mean), cov=vacuum_state(system).cov)
     if kind == "moments":
         try:
@@ -218,30 +220,39 @@ def initial_density(scenario: Scenario) -> np.ndarray:
         f"matrix; {kind!r} is not")
 
 
-def _state_columns(lct: Lct | None) -> list[str]:
-    cols = ["t"]
-    cols += [f"mean_{q}" for q in _QUAD]
-    cols += [f"cov_{_QUAD[i]}_{_QUAD[j]}" for i, j in _COV_PAIRS]
-    cols += ["uncertainty_mode1", "uncertainty_mode2"]
-    if lct is not None:
-        cols += ["mean_XA", "mean_PA", "mean_xiB", "mean_piB",
-                 "product_A", "product_B", "cov_XA_xiB", "cov_PA_piB"]
-    return cols
+def _check_trajectory(mean: np.ndarray, cov: np.ndarray) -> None:
+    """The MomentState invariants, plus finiteness, over a whole stack."""
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise ValueError("trajectory moments are not finite")
+    if np.max(np.abs(cov - cov.transpose(0, 2, 1))) > SYMMETRY_TOL:
+        raise ValueError("cov is not symmetric within 1e-12")
+    if np.any(np.diagonal(cov, axis1=1, axis2=2) <= 0):
+        raise ValueError("cov diagonal entries must be strictly positive")
 
 
-def _state_row(t: float, state: MomentState, lct: Lct | None) -> list[str]:
-    row = [_fmt(t)]
-    row += [_fmt(v) for v in state.mean]
-    row += [_fmt(state.cov[i, j]) for i, j in _COV_PAIRS]
-    row += [_fmt(analytic.uncertainty_product(state, 1)),
-            _fmt(analytic.uncertainty_product(state, 2))]
+def _trajectory_csv(times: np.ndarray, mean: np.ndarray, cov: np.ndarray,
+                    lct: Lct | None) -> str:
+    """CSV of (T, 4) means and (T, 4, 4) covariances, plus the LCT-frame
+    moments when an (already validated) LCT is given."""
+    _check_trajectory(mean, cov)
+    q = QUADRATURES
+    upper = np.triu_indices(4)
+    header = (["t"] + [f"mean_{a}" for a in q]
+              + [f"cov_{q[i]}_{q[j]}" for i, j in zip(*upper)]
+              + ["uncertainty_mode1", "uncertainty_mode2"])
+    columns = [times[:, None], mean, cov[:, upper[0], upper[1]],
+               analytic.uncertainty_products(cov)]
     if lct is not None:
-        ts = structures.transform_state(state, lct)
-        row += [_fmt(v) for v in ts.mean]
-        row += [_fmt(np.sqrt(ts.cov[0, 0] * ts.cov[1, 1])),
-                _fmt(np.sqrt(ts.cov[2, 2] * ts.cov[3, 3])),
-                _fmt(ts.cov[0, 2]), _fmt(ts.cov[1, 3])]
-    return row
+        s = structures.lct_matrix(lct)
+        ts_cov = s @ cov @ s.T
+        header += ["mean_XA", "mean_PA", "mean_xiB", "mean_piB",
+                   "product_A", "product_B", "cov_XA_xiB", "cov_PA_piB"]
+        columns += [(s @ mean[:, :, None])[:, :, 0],
+                    analytic.uncertainty_products(ts_cov),
+                    ts_cov[:, [0, 1], [2, 3]]]
+    rows = np.hstack(columns).tolist()
+    return "\n".join([",".join(header)]
+                     + [",".join(map(_fmt, row)) for row in rows]) + "\n"
 
 
 def _atomic_write(path: str, content: str) -> None:
@@ -257,80 +268,77 @@ def _atomic_write(path: str, content: str) -> None:
         raise
 
 
-def _decay_fit_slope(times: np.ndarray,
-                     trajectory: list[MomentState]) -> float | None:
+def _decay_fit_slope(times: np.ndarray, cov: np.ndarray) -> float | None:
     """Least-squares slope of log|cov(x1,x2)| vs t; None if degenerate."""
-    c = np.array([abs(s.cov[0, 2]) for s in trajectory])
+    c = np.abs(cov[:, 0, 2])
     mask = c > 1e-290
     if mask.sum() < 2 or np.ptp(times[mask]) == 0:
         return None
-    slope = np.polyfit(times[mask], np.log(c[mask]), 1)[0]
-    return float(slope)
+    return float(np.polyfit(times[mask], np.log(c[mask]), 1)[0])
+
+
+def _fock_trajectory(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    rho0 = initial_density(scenario)
+    states = [fock.two_mode_moments(rho0, scenario.system, t,
+                                    scenario.fock_dim)
+              for t in scenario.times]
+    return (np.stack([s.mean for s in states]),
+            np.stack([s.cov for s in states]))
+
+
+def _engine_deviation(a: tuple, f: tuple) -> np.ndarray:
+    """Per-time max-norm distance between two (mean, cov) trajectories."""
+    return np.maximum(np.max(np.abs(a[0] - f[0]), axis=1),
+                      np.max(np.abs(a[1] - f[1]), axis=(1, 2)))
 
 
 def run_evolve(scenario: Scenario, out_dir: str) -> None:
-    system, times, lct = scenario.system, scenario.times, scenario.lct
-    state0 = initial_moment_state(scenario)
-    trajectories: dict[str, list[MomentState]] = {}
+    system, times = scenario.system, scenario.times
+    trajectories = {}
     if scenario.engine in ("analytic", "both"):
-        trajectories["analytic"] = [analytic.evolve_state(state0, system, t)
-                                    for t in times]
+        trajectories["analytic"] = analytic.evolve_trajectory(
+            initial_moment_state(scenario), system, times)
     if scenario.engine in ("fock", "both"):
-        rho0 = initial_density(scenario)
-        trajectories["fock"] = [fock.two_mode_moments(rho0, system, t,
-                                                      scenario.fock_dim)
-                                for t in times]
+        trajectories["fock"] = _fock_trajectory(scenario)
 
-    primary = trajectories.get("analytic", trajectories.get("fock"))
-    lines = [",".join(_state_columns(lct))]
-    for t, state in zip(times, primary):
-        lines.append(",".join(_state_row(t, state, lct)))
+    mean, cov = trajectories.get("analytic", trajectories.get("fock"))
     _atomic_write(os.path.join(out_dir, "trajectory.csv"),
-                  "\n".join(lines) + "\n")
+                  _trajectory_csv(times, mean, cov, scenario.lct))
 
     summary = [f"engine: {scenario.engine}",
                f"samples: {len(times)}",
-               f"t_final: {_fmt(times[-1])}"]
-    final = primary[-1]
-    summary.append("final uncertainty products: "
-                   f"{_fmt(analytic.uncertainty_product(final, 1))} "
-                   f"{_fmt(analytic.uncertainty_product(final, 2))}")
+               f"t_final: {_fmt(times[-1])}",
+               "final uncertainty products: "
+               + " ".join(map(_fmt, analytic.uncertainty_products(cov[-1])))]
     if system.mode1.kappa > 0 and system.mode2.kappa > 0:
         asym = analytic.asymptotic_state(system)
         summary.append("asymptotic cov diagonal: "
                        + " ".join(_fmt(v) for v in np.diag(asym.cov)))
-    slope = _decay_fit_slope(times, primary)
+    slope = _decay_fit_slope(times, cov)
     summary.append("covariance decay fit slope (x1,x2): "
                    + (_fmt(slope) if slope is not None else "n/a"))
     if scenario.engine == "both":
-        dev = max(
-            max(np.max(np.abs(a.mean - f.mean)), np.max(np.abs(a.cov - f.cov)))
-            for a, f in zip(trajectories["analytic"], trajectories["fock"]))
-        summary.append(f"max analytic-vs-fock deviation: {_fmt(dev)}")
+        dev = _engine_deviation(trajectories["analytic"], trajectories["fock"])
+        summary.append(f"max analytic-vs-fock deviation: {_fmt(dev.max())}")
     _atomic_write(os.path.join(out_dir, "summary.txt"),
                   "\n".join(summary) + "\n")
 
 
 def run_oracle(scenario: Scenario, out_dir: str) -> None:
-    system, dim = scenario.system, scenario.fock_dim
-    rho0 = initial_density(scenario)
+    system, dim, times = scenario.system, scenario.fock_dim, scenario.times
     state0 = initial_moment_state(scenario)
+    dev = _engine_deviation(analytic.evolve_trajectory(state0, system, times),
+                            _fock_trajectory(scenario))
     lines = [f"fock_dim: {dim}"]
-    worst_dev = 0.0
-    for t in scenario.times:
+    for t, d in zip(times, dev):
         defects = [fock.completeness_defect(
             fock.kraus_operators(mode.kappa, t, dim)) for mode in system.modes]
         residuals = [fock.bh_identity_residual(mode.kappa, t, dim)
                      for mode in system.modes]
-        a = analytic.evolve_state(state0, system, t)
-        f = fock.two_mode_moments(rho0, system, t, dim)
-        dev = max(np.max(np.abs(a.mean - f.mean)),
-                  np.max(np.abs(a.cov - f.cov)))
-        worst_dev = max(worst_dev, dev)
         lines.append(f"t={_fmt(t)} completeness={_fmt(max(defects))} "
                      f"bh_residual={_fmt(max(residuals))} "
-                     f"engine_deviation={_fmt(dev)}")
-    lines.append(f"max engine deviation: {_fmt(worst_dev)}")
+                     f"engine_deviation={_fmt(d)}")
+    lines.append(f"max engine deviation: {_fmt(dev.max())}")
     _atomic_write(os.path.join(out_dir, "oracle_report.txt"),
                   "\n".join(lines) + "\n")
 
@@ -402,11 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.config)
         if args.seed is not None:
-            scenario = Scenario(system=scenario.system,
-                                initial=scenario.initial,
-                                times=scenario.times, engine=scenario.engine,
-                                fock_dim=scenario.fock_dim, lct=scenario.lct,
-                                seed=args.seed)
+            scenario = dataclasses.replace(scenario, seed=args.seed)
         os.makedirs(args.output, exist_ok=True)
         _COMMANDS[args.command](scenario, args.output)
     except ParseError as exc:

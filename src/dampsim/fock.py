@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import MomentState, ModeParams, PhysicalConstants, TwoModeSystem
+from .model import (MomentState, ModeParams, PhysicalConstants, TwoModeSystem,
+                    vacuum_variances)
 
 
 class ModeOperators(NamedTuple):
@@ -38,8 +39,7 @@ def build_mode_operators(dim: int, params: ModeParams,
     a = lowering(dim)
     a_dag = a.conj().T
     number = np.diag(np.arange(dim)).astype(complex)
-    sx = math.sqrt(constants.hbar / (2.0 * params.mass * params.omega))
-    sp = math.sqrt(params.mass * constants.hbar * params.omega / 2.0)
+    sx, sp = map(math.sqrt, vacuum_variances(params, constants.hbar))
     x = sx * (a + a_dag)
     p = 1j * sp * (a_dag - a)
     return ModeOperators(a=a, a_dag=a_dag, number=number, x=x, p=p)

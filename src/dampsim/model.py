@@ -3,6 +3,7 @@ linear canonical transformations (LCTs) of the two-mode phase space."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,8 @@ class PhysicalConstants:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if not 0 < self.hbar < math.inf:
+            raise ValueError(f"hbar must be finite and > 0, got {self.hbar}")
 
 
 @dataclass(frozen=True)
@@ -45,12 +46,12 @@ class ModeParams:
     kappa: float
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be non-negative, got {self.kappa}")
+        for name, value in (("mass", self.mass), ("omega", self.omega)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 0, "
+                             f"got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,16 @@ def assert_physical(state: MomentState, hbar: float = 1.0,
             f"state violates symplectic positivity: min eigenvalue {defect:g}")
 
 
+def vacuum_variances(mode: ModeParams, hbar: float) -> tuple[float, float]:
+    """Ground-state x and p variances hbar/(2 m omega), m hbar omega/2."""
+    return (hbar / (2.0 * mode.mass * mode.omega),
+            mode.mass * hbar * mode.omega / 2.0)
+
+
 def vacuum_state(system: TwoModeSystem) -> MomentState:
-    """Ground-state moments: zero mean, cov = diag(hbar/2mw, m hbar w/2)
-    per mode, no cross correlations."""
+    """Ground-state moments: zero mean, diagonal cov of vacuum_variances."""
     hbar = system.constants.hbar
-    diag = []
-    for mode in system.modes:
-        diag.append(hbar / (2.0 * mode.mass * mode.omega))
-        diag.append(mode.mass * hbar * mode.omega / 2.0)
+    diag = [v for mode in system.modes for v in vacuum_variances(mode, hbar)]
     return MomentState(mean=np.zeros(4), cov=np.diag(diag))
 
 

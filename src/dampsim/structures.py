@@ -7,10 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import (Lct, MomentState, TwoModeSystem, lct_from_position_block,
-                    validate_lct)
+                    vacuum_variances, validate_lct)
 
 
 def center_of_mass_lct() -> Lct:
@@ -41,17 +40,18 @@ def transform_state(state: MomentState, lct: Lct) -> MomentState:
     return MomentState(mean=s @ state.mean, cov=s @ state.cov @ s.T)
 
 
-def _vacuum_variances(system: TwoModeSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Asymptotic (vacuum) position and momentum variances of modes 1, 2."""
-    hbar = system.constants.hbar
-    vx = np.array([hbar / (2.0 * m.mass * m.omega) for m in system.modes])
-    vp = np.array([m.mass * hbar * m.omega / 2.0 for m in system.modes])
-    return vx, vp
-
-
 def _require_damped(system: TwoModeSystem) -> None:
     if system.mode1.kappa == 0 or system.mode2.kappa == 0:
         raise ValueError("asymptotic quantities need kappa > 0 on both modes")
+
+
+def _asymptotic_variances(
+        system: TwoModeSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Asymptotic (vacuum) position and momentum variances of modes 1, 2."""
+    _require_damped(system)
+    (vx1, vp1), (vx2, vp2) = (vacuum_variances(mode, system.constants.hbar)
+                              for mode in system.modes)
+    return np.array([vx1, vx2]), np.array([vp1, vp2])
 
 
 def asymptotic_products(lct: Lct, system: TwoModeSystem) -> tuple[float, float]:
@@ -61,8 +61,7 @@ def asymptotic_products(lct: Lct, system: TwoModeSystem) -> tuple[float, float]:
     the beta/delta analogue) and is bounded below by hbar/2 whenever the
     LCT is canonical.
     """
-    _require_damped(system)
-    vx, vp = _vacuum_variances(system)
+    vx, vp = _asymptotic_variances(system)
     prod_a = np.sqrt((lct.alpha ** 2 @ vx) * (lct.gamma ** 2 @ vp))
     prod_b = np.sqrt((lct.beta ** 2 @ vx) * (lct.delta ** 2 @ vp))
     return float(prod_a), float(prod_b)
@@ -76,8 +75,7 @@ def asymptotic_cross_covariances(lct: Lct,
     cov_pp = sum_i gamma_i delta_i vp_i is its momentum-sector analogue
     (the mixed x-p covariances vanish identically at the vacuum asymptote).
     """
-    _require_damped(system)
-    vx, vp = _vacuum_variances(system)
+    vx, vp = _asymptotic_variances(system)
     return (float((lct.alpha * lct.beta) @ vx),
             float((lct.gamma * lct.delta) @ vp))
 
@@ -155,6 +153,8 @@ def search_classical_structure(
     Deterministic for a fixed seed. Raises if every restart lands in the
     trivial family.
     """
+    from scipy.optimize import minimize  # heavy import, only needed here
+
     _require_damped(system)
     rng = np.random.default_rng(config.seed)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dampsim.analytic import (DampingMap, asymptotic_state, cross_covariance,
-                              evolve_state, uncertainty_product)
+from dampsim.analytic import (asymptotic_state, cross_covariance,
+                              evolve_state, evolve_trajectory,
+                              uncertainty_product)
 from dampsim.model import MomentState, symplectic_defect, vacuum_state
 
 from test_model import make_system
@@ -95,6 +96,23 @@ class TestEvolveState:
                 s = evolve_state(s0, system, t)
                 assert symplectic_defect(s, 1.0) >= -1e-10
 
+    def test_trajectory_equals_per_time_reference(self):
+        # the grid broadcast must reproduce the one-time-at-a-time
+        # arithmetic bit for bit, since the CLI output is byte-compared
+        system = make_system(m1=0.7, w1=1.3, k1=0.45, m2=1.9, w2=0.6, k2=0.17)
+        s0 = correlated_state(0.8)
+        times = np.linspace(0.0, 9.0, 57)
+        mean, cov = evolve_trajectory(s0, system, times)
+        cov_vac = vacuum_state(system).cov
+        for t, m, c in zip(times, mean, cov):
+            e = np.exp(-np.array([0.45, 0.45, 0.17, 0.17]) * t)
+            assert np.array_equal(m, e * s0.mean)
+            assert np.array_equal(c, np.outer(e, e) * s0.cov
+                                  + np.diag(1.0 - e ** 2) @ cov_vac)
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                evolve_trajectory(s0, system, np.array([0.0, bad]))
+
     def test_undamped_mode_accepted(self):
         system = make_system(k1=0.0, k2=0.5)
         s0 = MomentState(mean=np.array([1.0, 0.0, 1.0, 0.0]),
@@ -169,12 +187,3 @@ class TestMomentAccessors:
         with pytest.raises(ValueError):
             cross_covariance(v, "x2", "x1")
 
-
-def test_damping_map_factors():
-    system = make_system(k1=0.5, k2=0.2)
-    dm = DampingMap.at_time(system, 2.0)
-    assert dm.e1 == pytest.approx(np.exp(-1.0))
-    assert dm.e2 == pytest.approx(np.exp(-0.4))
-    assert np.allclose(dm.diagonal, [dm.e1, dm.e1, dm.e2, dm.e2])
-    with pytest.raises(ValueError):
-        DampingMap.at_time(system, -1.0)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dampsim
 from dampsim.cli import main
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -41,9 +44,14 @@ def read_csv(path):
 class TestExitCodes:
     def test_malformed_json_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert main(["evolve", "--config", str(path),
-                     "--output", str(tmp_path)]) == 1
+        nan_kappa = json.dumps(base_scenario()).replace('"kappa": 0.5',
+                                                        '"kappa": NaN')
+        inf_t_end = json.dumps(base_scenario()).replace('"t_end": 4.0',
+                                                        '"t_end": Infinity')
+        for text in ("{not json", nan_kappa, inf_t_end):
+            path.write_text(text)
+            assert main(["evolve", "--config", str(path),
+                         "--output", str(tmp_path)]) == 1
 
     def test_missing_key_exits_1(self, tmp_path):
         config = write_scenario(tmp_path, {"system": {}})
@@ -51,19 +59,26 @@ class TestExitCodes:
                      "--output", str(tmp_path)]) == 1
 
     def test_negative_kappa_exits_2(self, tmp_path, capsys):
-        scenario = base_scenario()
-        scenario["system"]["mode1"]["kappa"] = -0.5
-        config = write_scenario(tmp_path, scenario)
-        assert main(["evolve", "--config", config,
-                     "--output", str(tmp_path)]) == 2
-        assert "kappa" in capsys.readouterr().err
+        for kappa in ("-0.5", "1e400"):
+            text = json.dumps(base_scenario()).replace('"kappa": 0.5',
+                                                       f'"kappa": {kappa}')
+            path = tmp_path / "scenario.json"
+            path.write_text(text)
+            assert main(["evolve", "--config", str(path),
+                         "--output", str(tmp_path)]) == 2
+            assert "kappa" in capsys.readouterr().err
 
     def test_bad_time_grid_exits_2(self, tmp_path):
-        scenario = base_scenario(time_grid={"t_start": 2.0, "t_end": 1.0,
-                                            "n_steps": 5})
-        config = write_scenario(tmp_path, scenario)
-        assert main(["evolve", "--config", config,
-                     "--output", str(tmp_path)]) == 2
+        # 1e400 is a valid JSON number that parses to inf
+        for t_start, t_end in (("2.0", "1.0"), ("0.0", "1e400"),
+                               ("1e400", "1e400"), ("-1.0", "1.0")):
+            text = json.dumps(base_scenario()).replace(
+                '"t_start": 0.0, "t_end": 4.0',
+                f'"t_start": {t_start}, "t_end": {t_end}')
+            path = tmp_path / "scenario.json"
+            path.write_text(text)
+            assert main(["evolve", "--config", str(path),
+                         "--output", str(tmp_path)]) == 2
 
     def test_moments_initial_with_fock_engine_exits_2(self, tmp_path):
         scenario = base_scenario(engine="fock",
@@ -130,11 +145,17 @@ class TestEvolve:
         assert (out1 / "trajectory.csv").read_bytes() == \
             (out2 / "trajectory.csv").read_bytes()
 
-    def test_golden_trajectory(self, tmp_path):
-        config = os.path.join(DATA_DIR, "golden_scenario.json")
+    @pytest.mark.parametrize("scenario, csv", [
+        ("golden_scenario", "golden_trajectory"),
+        # unequal masses, squeezed correlated moments and a non-dyadic LCT,
+        # where the summation order of the LCT transform shows in the digits
+        ("golden_general_lct_scenario", "golden_general_lct_trajectory"),
+    ], ids=["center_of_mass", "general_lct"])
+    def test_golden_trajectory(self, tmp_path, scenario, csv):
+        config = os.path.join(DATA_DIR, f"{scenario}.json")
         assert main(["evolve", "--config", config,
                      "--output", str(tmp_path)]) == 0
-        golden = os.path.join(DATA_DIR, "golden_trajectory.csv")
+        golden = os.path.join(DATA_DIR, f"{csv}.csv")
         with open(golden, "rb") as fh:
             expected = fh.read()
         assert (tmp_path / "trajectory.csv").read_bytes() == expected
@@ -240,3 +261,12 @@ class TestInitialStates:
         # dim-6 truncation shifts the renormalized coherent moments a bit
         assert float(rows[0][idx]) == pytest.approx(np.sqrt(2) * 0.5,
                                                     abs=1e-4)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(dampsim.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, dampsim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -21,10 +21,17 @@ class TestParams:
             ModeParams(mass=1.0, omega=0.0, kappa=0.5)
         with pytest.raises(ValueError):
             ModeParams(mass=1.0, omega=1.0, kappa=-0.1)
+        for bad in (float("nan"), float("inf")):
+            for kwargs in ({"mass": bad, "omega": 1.0, "kappa": 0.5},
+                           {"mass": 1.0, "omega": bad, "kappa": 0.5},
+                           {"mass": 1.0, "omega": 1.0, "kappa": bad}):
+                with pytest.raises(ValueError, match="finite"):
+                    ModeParams(**kwargs)
 
     def test_invalid_hbar(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(hbar=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                PhysicalConstants(hbar=bad)
 
 
 class TestMomentState:

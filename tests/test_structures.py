@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
-from dampsim import structures
 from dampsim.analytic import asymptotic_state, evolve_state
 from dampsim.model import (Lct, MomentState, lct_from_position_block,
                            validate_lct, vacuum_state)
@@ -210,7 +210,8 @@ class TestSearch:
             fun = 0.0
             nit = 1
 
-        monkeypatch.setattr(structures, "minimize",
+        # the search imports minimize when it runs, so patch it at the source
+        monkeypatch.setattr(scipy.optimize, "minimize",
                             lambda *a, **k: FakeResult())
         with pytest.raises(RuntimeError, match="trivial"):
             search_classical_structure(make_system(),
