@@ -9,7 +9,8 @@ from .analytic import (asymptotic_state, cross_covariance, evolve_state,
                        evolve_trajectory, uncertainty_product)
 from .fock import (KrausSet, bh_identity_residual, build_mode_operators,
                    coherent_density, completeness_defect, evolve_density,
-                   heisenberg_moment, kraus_operators, two_mode_moments)
+                   heisenberg_moment, kraus_operators, moment_trajectory,
+                   two_mode_moments)
 from .structures import (SearchConfig, StructureReport,
                          asymptotic_cross_covariances, asymptotic_products,
                          center_of_mass_lct, classicality_residual,
@@ -22,7 +23,8 @@ __all__ = [
     "evolve_trajectory", "uncertainty_product", "KrausSet",
     "bh_identity_residual", "build_mode_operators", "coherent_density",
     "completeness_defect", "evolve_density", "heisenberg_moment",
-    "kraus_operators", "two_mode_moments", "SearchConfig", "StructureReport",
+    "kraus_operators", "moment_trajectory", "two_mode_moments",
+    "SearchConfig", "StructureReport",
     "asymptotic_cross_covariances", "asymptotic_products",
     "center_of_mass_lct", "classicality_residual",
     "search_classical_structure", "transform_state",

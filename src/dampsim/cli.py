@@ -2,7 +2,9 @@
 
 Reads a JSON scenario file, dispatches to the analytic and/or Fock engines,
 and writes CSV time series plus plain-text summary reports. Exit codes:
-0 success, 1 scenario parse error, 2 validation error, 3 I/O error.
+0 success, 1 scenario parse error, 2 validation error, 3 I/O error,
+4 computation failed (RuntimeError, e.g. a classicality search whose every
+restart converged to a trivial structure, or MemoryError).
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ class ParseError(Exception):
 
 class ValidationError(Exception):
     """Well-formed scenario violating a physical or structural invariant."""
+
+
+#: Largest two-mode density matrix the fock engine may allocate:
+#: fock_dim^4 complex entries of 16 bytes each, so fock_dim <= 90.
+_FOCK_BUDGET_BYTES = 2 ** 30
 
 
 def _fmt(v: float) -> str:
@@ -187,6 +194,10 @@ def initial_moment_state(scenario: Scenario) -> MomentState:
 
 def initial_density(scenario: Scenario) -> np.ndarray:
     initial, dim = scenario.initial, scenario.fock_dim
+    if dim ** 4 * 16 > _FOCK_BUDGET_BYTES:
+        raise ValidationError(
+            f"fock_dim {dim} needs a {dim ** 4 * 16 / 2 ** 30:.3g} GiB "
+            f"two-mode density matrix; the limit is 1 GiB (fock_dim <= 90)")
     kind = initial["type"]
     if kind == "vacuum":
         return np.kron(fock.fock_density(0, dim), fock.fock_density(0, dim))
@@ -277,15 +288,6 @@ def _decay_fit_slope(times: np.ndarray, cov: np.ndarray) -> float | None:
     return float(np.polyfit(times[mask], np.log(c[mask]), 1)[0])
 
 
-def _fock_trajectory(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    rho0 = initial_density(scenario)
-    states = [fock.two_mode_moments(rho0, scenario.system, t,
-                                    scenario.fock_dim)
-              for t in scenario.times]
-    return (np.stack([s.mean for s in states]),
-            np.stack([s.cov for s in states]))
-
-
 def _engine_deviation(a: tuple, f: tuple) -> np.ndarray:
     """Per-time max-norm distance between two (mean, cov) trajectories."""
     return np.maximum(np.max(np.abs(a[0] - f[0]), axis=1),
@@ -299,7 +301,8 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
         trajectories["analytic"] = analytic.evolve_trajectory(
             initial_moment_state(scenario), system, times)
     if scenario.engine in ("fock", "both"):
-        trajectories["fock"] = _fock_trajectory(scenario)
+        trajectories["fock"] = fock.moment_trajectory(
+            initial_density(scenario), system, times, scenario.fock_dim)
 
     mean, cov = trajectories.get("analytic", trajectories.get("fock"))
     _atomic_write(os.path.join(out_dir, "trajectory.csv"),
@@ -327,17 +330,23 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
 def run_oracle(scenario: Scenario, out_dir: str) -> None:
     system, dim, times = scenario.system, scenario.fock_dim, scenario.times
     state0 = initial_moment_state(scenario)
+    rho0 = initial_density(scenario)
     dev = _engine_deviation(analytic.evolve_trajectory(state0, system, times),
-                            _fock_trajectory(scenario))
+                            fock.moment_trajectory(rho0, system, times, dim))
+    reduced = fock.reduced_densities(rho0, dim)
     lines = [f"fock_dim: {dim}"]
     for t, d in zip(times, dev):
-        defects = [fock.completeness_defect(
-            fock.kraus_operators(mode.kappa, t, dim)) for mode in system.modes]
+        kraus = [fock.kraus_operators(mode.kappa, t, dim)
+                 for mode in system.modes]
+        defects = [fock.completeness_defect(ks) for ks in kraus]
         residuals = [fock.bh_identity_residual(mode.kappa, t, dim)
                      for mode in system.modes]
+        # population of |dim-1> in either mode: the truncation error's size
+        tail = max(fock.top_level_population(r, ks)
+                   for r, ks in zip(reduced, kraus))
         lines.append(f"t={_fmt(t)} completeness={_fmt(max(defects))} "
                      f"bh_residual={_fmt(max(residuals))} "
-                     f"engine_deviation={_fmt(d)}")
+                     f"engine_deviation={_fmt(d)} fock_tail={_fmt(tail)}")
     lines.append(f"max engine deviation: {_fmt(dev.max())}")
     _atomic_write(os.path.join(out_dir, "oracle_report.txt"),
                   "\n".join(lines) + "\n")
@@ -422,6 +431,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (RuntimeError, MemoryError) as exc:
+        print(f"error: computation failed: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -2,8 +2,14 @@
 damping channel and brute-force Schroedinger/Heisenberg evolution.
 
 The Kraus family is exactly finite on the truncated space (a^n = 0 for
-n >= D), so no extra truncation of the channel sum is needed. Two-mode
-operators are Kronecker products with mode-1-major index ordering.
+n >= D), so no extra truncation of the channel sum is needed. Each K_n is
+nonzero only on its n-th superdiagonal, so one private kernel applies the
+whole sum as D shifted, reweighted slices of the operand, in the
+Schroedinger and the Heisenberg picture alike. A two-mode density is a
+(D1 D2, D1 D2) matrix with mode-1-major index ordering, viewed as a
+(D1, D2, D1, D2) tensor; the product channel acts on it one mode at a time
+(axes (0, 2), then (1, 3)), O(D^5) elementwise work for D1 = D2 = D, and
+no two-mode operator is ever formed.
 """
 
 from __future__ import annotations
@@ -92,50 +98,84 @@ def _check_density(rho: np.ndarray, trace_tol: float = 1e-10,
         raise ValueError("density matrix is not positive semidefinite")
 
 
+def _kraus_sum(x: np.ndarray, ks: KrausSet, axes: tuple[int, int],
+               adjoint: bool) -> np.ndarray:
+    """sum_n K_n x K_n^dag, or sum_n K_n^dag x K_n when adjoint, acting on
+    the (row, column) axis pair `axes` of x.
+
+    K_n lives on its n-th superdiagonal w_n, so each term is a shifted
+    slice: (K_n x K_n^dag)_ij = w_n[i] x_{i+n,j+n} conj(w_n[j]) and
+    (K_n^dag x K_n)_ij = conj(w_n[i-n]) x_{i-n,j-n} w_n[j-n].
+    """
+    x = np.moveaxis(np.asarray(x, dtype=complex), axes, (0, 1))
+    out = np.zeros_like(x)
+    lead = (1,) * (x.ndim - 2)
+    for n, k in enumerate(ks.ops):
+        w = np.diagonal(k, offset=n)
+        if np.count_nonzero(k) != np.count_nonzero(w):
+            raise ValueError(f"Kraus operator {n} has entries off its "
+                             f"superdiagonal {n}")
+        if not w.any():
+            continue
+        m = ks.dim - n
+        if adjoint:
+            w, dst, src = w.conj(), slice(n, None), slice(None, m)
+        else:
+            dst, src = slice(None, m), slice(n, None)
+        out[dst, dst] += (np.outer(w, w.conj()).reshape((m, m) + lead)
+                          * x[src, src])
+    return np.moveaxis(out, (0, 1), axes)
+
+
+def _two_mode_tensor(rho: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """A (d1 d2, d1 d2) two-mode matrix as its (d1, d2, d1, d2) view."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (d1 * d2, d1 * d2):
+        raise ValueError(f"two-mode density shape {rho.shape} does not "
+                         f"match cutoffs ({d1}, {d2})")
+    return rho.reshape(d1, d2, d1, d2)
+
+
 def evolve_density(rho0: np.ndarray, ks1: KrausSet,
                    ks2: KrausSet | None = None) -> np.ndarray:
-    """Schroedinger-picture Kraus sum; single mode or two-mode product
-    channel (K1_m otimes K2_n)."""
+    """Schroedinger-picture Kraus sum; single mode, or the two-mode product
+    channel applied one mode at a time."""
     rho0 = np.asarray(rho0, dtype=complex)
     _check_density(rho0)
     if ks2 is None:
         if rho0.shape != (ks1.dim, ks1.dim):
             raise ValueError(f"density shape {rho0.shape} does not match "
                              f"cutoff {ks1.dim}")
-        out = np.zeros_like(rho0)
-        for k in ks1.ops:
-            out += k @ rho0 @ k.conj().T
-        return out
-    d = ks1.dim * ks2.dim
-    if rho0.shape != (d, d):
-        raise ValueError(f"two-mode density shape {rho0.shape} does not "
-                         f"match cutoffs ({ks1.dim}, {ks2.dim})")
-    out = np.zeros_like(rho0)
-    for k1 in ks1.ops:
-        for k2 in ks2.ops:
-            k = np.kron(k1, k2)
-            out += k @ rho0 @ k.conj().T
-    return out
+        return _kraus_sum(rho0, ks1, (0, 1), adjoint=False)
+    rho4 = _kraus_sum(_two_mode_tensor(rho0, ks1.dim, ks2.dim), ks1, (0, 2),
+                      adjoint=False)
+    return _kraus_sum(rho4, ks2, (1, 3), adjoint=False).reshape(rho0.shape)
 
 
 def heisenberg_evolve(A: np.ndarray, ks: KrausSet) -> np.ndarray:
-    """Heisenberg-picture observable map A -> sum_n K_n^dag A K_n."""
+    """Heisenberg-picture observable map A -> sum_n K_n^dag A K_n, on one
+    (dim, dim) observable or a stack of them."""
     A = np.asarray(A, dtype=complex)
-    if A.shape != (ks.dim, ks.dim):
+    if A.shape[-2:] != (ks.dim, ks.dim):
         raise ValueError(f"observable shape {A.shape} does not match "
                          f"cutoff {ks.dim}")
-    out = np.zeros_like(A)
-    for k in ks.ops:
-        out += k.conj().T @ A @ k
-    return out
+    return _kraus_sum(A, ks, (-2, -1), adjoint=True)
+
+
+def _cross_expectations(q1: np.ndarray, q2: np.ndarray,
+                        rho4: np.ndarray) -> np.ndarray:
+    """tr[(q1[a] otimes q2[b]) rho] for stacks q1 (A, d1, d1) and
+    q2 (B, d2, d2): mode 2 is traced out against each q2[b] first, reading
+    rho4 in place, then each q1[a] is contracted with the result."""
+    partial = np.einsum("bkl,jlik->bji", q2, rho4)
+    return np.einsum("aij,bji->ab", q1, partial)
 
 
 def product_expectation(A1: np.ndarray, A2: np.ndarray,
                         rho: np.ndarray) -> complex:
     """tr[(A1 otimes A2) rho] without materializing the Kronecker product."""
-    d1, d2 = A1.shape[0], A2.shape[0]
-    rho4 = np.asarray(rho, dtype=complex).reshape(d1, d2, d1, d2)
-    return complex(np.einsum("ij,kl,jlik->", A1, A2, rho4, optimize=True))
+    rho4 = _two_mode_tensor(rho, A1.shape[0], A2.shape[0])
+    return complex(_cross_expectations(A1[None], A2[None], rho4)[0, 0])
 
 
 def heisenberg_moment(A1: np.ndarray, A2: np.ndarray | None,
@@ -146,15 +186,24 @@ def heisenberg_moment(A1: np.ndarray, A2: np.ndarray | None,
     Each factor is evolved by its own mode's Kraus set; A2 = None means
     the identity on mode 2.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    d = ks1.dim * ks2.dim
-    if rho0.shape != (d, d):
-        raise ValueError(f"two-mode density shape {rho0.shape} does not "
-                         f"match cutoffs ({ks1.dim}, {ks2.dim})")
     a1 = heisenberg_evolve(A1, ks1)
     a2 = (np.eye(ks2.dim, dtype=complex) if A2 is None
           else heisenberg_evolve(A2, ks2))
     return product_expectation(a1, a2, rho0)
+
+
+def reduced_densities(rho: np.ndarray,
+                      dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one-mode reduced density matrices of a two-mode density."""
+    rho4 = _two_mode_tensor(rho, dim, dim)
+    return np.einsum("ikjk->ij", rho4), np.einsum("kikj->ij", rho4)
+
+
+def top_level_population(reduced: np.ndarray, ks: KrausSet) -> float:
+    """Population of the top level |dim-1> of a one-mode density after the
+    channel, tr[E^dag(|dim-1><dim-1|) rho]: the weight at the cutoff."""
+    evolved = heisenberg_evolve(fock_density(ks.dim - 1, ks.dim), ks)
+    return float(np.einsum("ij,ji->", evolved, reduced).real)
 
 
 def bh_identity_residual(kappa: float, t: float, dim: int) -> float:
@@ -200,46 +249,51 @@ def fock_density(level: int, dim: int) -> np.ndarray:
     return rho
 
 
+def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,
+                      times: np.ndarray, dim: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Means (T, 4) and symmetrized covariances (T, 4, 4) of a two-mode
+    density matrix after damping for each of T times, via per-mode
+    Heisenberg evolution of the quadrature observables.
+
+    This is the oracle counterpart of analytic.evolve_trajectory. The
+    intra-mode moments are read from the two reduced densities, taken once;
+    the four cross moments come from one contraction against the density.
+    """
+    times = np.asarray(times, dtype=float)
+    if not np.all(times >= 0):
+        raise ValueError(f"time must be non-negative, got {np.min(times)}")
+    rho4 = _two_mode_tensor(rho0, dim, dim)
+    reduced = reduced_densities(rho0, dim)
+    observables = []  # per mode: x, p, x^2, p^2, (xp + px)/2
+    for mode in system.modes:
+        ops = build_mode_operators(dim, mode, system.constants)
+        observables.append(np.stack([ops.x, ops.p, ops.x @ ops.x,
+                                     ops.p @ ops.p,
+                                     0.5 * (ops.x @ ops.p + ops.p @ ops.x)]))
+    mean = np.empty((len(times), 4))
+    cov = np.empty((len(times), 4, 4))
+    for k, t in enumerate(times):
+        evolved = [heisenberg_evolve(obs, kraus_operators(mode.kappa, t, dim))
+                   for obs, mode in zip(observables, system.modes)]
+        local = np.array([np.einsum("aij,ji->a", e, r).real
+                          for e, r in zip(evolved, reduced)])
+        m = mean[k] = local[:, :2].ravel()
+        c = cov[k]
+        for base, (_, _, x2, p2, xp) in zip((0, 2), local):
+            c[base, base] = x2 - m[base] ** 2
+            c[base + 1, base + 1] = p2 - m[base + 1] ** 2
+            c[base, base + 1] = c[base + 1, base] = xp - m[base] * m[base + 1]
+        # the factors commute, so the cross block needs no symmetrization
+        c[:2, 2:] = (_cross_expectations(evolved[0][:2], evolved[1][:2], rho4)
+                     .real - np.outer(m[:2], m[2:]))
+        c[2:, :2] = c[:2, 2:].T
+    return mean, cov
+
+
 def two_mode_moments(rho0: np.ndarray, system: TwoModeSystem, t: float,
                      dim: int) -> MomentState:
-    """All first and symmetrized second quadrature moments of a two-mode
-    density matrix after damping for time t, via per-mode Heisenberg
-    evolution of the quadrature observables.
-
-    This is the oracle counterpart of the analytic moment evolution.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (dim * dim, dim * dim):
-        raise ValueError(f"density shape {rho0.shape} does not match "
-                         f"cutoff {dim}")
-    ks = [kraus_operators(mode.kappa, t, dim) for mode in system.modes]
-    ident = np.eye(dim, dtype=complex)
-    evolved = []  # per mode: x(t), p(t), x2(t), p2(t), sym_xp(t)
-    for mode, k in zip(system.modes, ks):
-        ops = build_mode_operators(dim, mode, system.constants)
-        sym_xp = 0.5 * (ops.x @ ops.p + ops.p @ ops.x)
-        evolved.append([heisenberg_evolve(A, k) for A in
-                        (ops.x, ops.p, ops.x @ ops.x, ops.p @ ops.p, sym_xp)])
-
-    def expect(A1, A2):
-        return product_expectation(A1, A2, rho0).real
-
-    mean = np.array([expect(evolved[0][0], ident),
-                     expect(evolved[0][1], ident),
-                     expect(ident, evolved[1][0]),
-                     expect(ident, evolved[1][1])])
-    cov = np.zeros((4, 4))
-    # intra-mode blocks from the evolved bilinears
-    for m, base in ((0, 0), (1, 2)):
-        x2 = expect(evolved[m][2], ident) if m == 0 else expect(ident, evolved[m][2])
-        p2 = expect(evolved[m][3], ident) if m == 0 else expect(ident, evolved[m][3])
-        xp = expect(evolved[m][4], ident) if m == 0 else expect(ident, evolved[m][4])
-        cov[base, base] = x2 - mean[base] ** 2
-        cov[base + 1, base + 1] = p2 - mean[base + 1] ** 2
-        cov[base, base + 1] = cov[base + 1, base] = xp - mean[base] * mean[base + 1]
-    # cross blocks; the factors commute so no symmetrization is needed
-    for i in range(2):
-        for j in range(2):
-            c = expect(evolved[0][i], evolved[1][j]) - mean[i] * mean[2 + j]
-            cov[i, 2 + j] = cov[2 + j, i] = c
-    return MomentState(mean=mean, cov=0.5 * (cov + cov.T))
+    """Oracle moments of a two-mode density after damping for time t:
+    moment_trajectory at one time."""
+    mean, cov = moment_trajectory(rho0, system, np.array([t]), dim)
+    return MomentState(mean=mean[0], cov=cov[0])

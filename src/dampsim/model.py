@@ -86,6 +86,8 @@ class MomentState:
             raise ValueError(f"mean must be a 4-vector, got shape {mean.shape}")
         if cov.shape != (4, 4):
             raise ValueError(f"cov must be 4x4, got shape {cov.shape}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and cov must be finite")
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
             raise ValueError("cov is not symmetric within 1e-12")
         if np.any(np.diag(cov) <= 0):

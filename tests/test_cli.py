@@ -89,6 +89,36 @@ class TestExitCodes:
         assert main(["evolve", "--config", config,
                      "--output", str(tmp_path)]) == 2
 
+    def test_oversized_fock_dim_exits_2(self, tmp_path, capsys):
+        config = write_scenario(tmp_path, base_scenario(engine="fock",
+                                                        fock_dim=1000))
+        assert main(["evolve", "--config", config,
+                     "--output", str(tmp_path)]) == 2
+        assert "fock_dim <= 90" in capsys.readouterr().err
+        # analytic-only runs never allocate a density, so no limit applies
+        config = write_scenario(tmp_path, base_scenario(fock_dim=1000))
+        assert main(["evolve", "--config", config,
+                     "--output", str(tmp_path)]) == 0
+
+    def test_computation_failure_exits_4(self, tmp_path, capsys,
+                                         monkeypatch):
+        import scipy.optimize
+
+        class FakeResult:
+            x = np.array([1.0, 0.0, 0.0, 1.0])
+            fun = 0.0
+            nit = 1
+
+        monkeypatch.setattr(scipy.optimize, "minimize",
+                            lambda *a, **k: FakeResult())
+        config = write_scenario(tmp_path, base_scenario())
+        assert main(["classicality", "--config", config,
+                     "--output", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trivial" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "classicality.txt").exists()
+
     def test_io_error_exits_3(self, tmp_path):
         config = write_scenario(tmp_path, base_scenario())
         blocker = tmp_path / "blocker"
@@ -172,6 +202,32 @@ class TestOtherCommands:
         assert float(line.split(":")[1]) <= 1e-8
         assert "completeness=" in report
         assert "bh_residual=" in report
+
+    @pytest.mark.parametrize("dim, alpha, low, high", [
+        (32, 1.2, 0.0, 1e-20),   # Poisson tail at n = 31: ~2e-30
+        (8, 1.4, 1e-6, 1.0),     # |alpha|^2 = 1.96: ~3e-3 on |7> at t = 0
+    ])
+    def test_oracle_report_measures_fock_tail(self, tmp_path, dim, alpha,
+                                              low, high):
+        scenario = base_scenario(fock_dim=dim,
+                                 initial={"type": "coherent",
+                                          "alpha1": [alpha, 0.0],
+                                          "alpha2": [0.0, 0.3]},
+                                 time_grid={"t_start": 0.0, "t_end": 1.0,
+                                            "n_steps": 3})
+        config = write_scenario(tmp_path, scenario)
+        assert main(["oracle", "--config", config,
+                     "--output", str(tmp_path)]) == 0
+        lines = (tmp_path / "oracle_report.txt").read_text().splitlines()
+        assert len(lines) == 3 + 2 and lines[0] == f"fock_dim: {dim}"
+        per_t = [dict(item.split("=") for item in line.split())
+                 for line in lines[1:-1]]
+        assert all(set(r) == {"t", "completeness", "bh_residual",
+                              "engine_deviation", "fock_tail"}
+                   for r in per_t)
+        tails = [float(r["fock_tail"]) for r in per_t]
+        assert all(0.0 <= v for v in tails)
+        assert low < max(tails) < high
 
     def test_structure_command(self, tmp_path):
         scenario = base_scenario(lct={"M": [[0.5, 0.5], [1.0, -1.0]]})

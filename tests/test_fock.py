@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from dampsim import analytic
-from dampsim.fock import (bh_identity_residual, build_mode_operators,
-                          coherent_density, completeness_defect,
-                          evolve_density, fock_density, heisenberg_moment,
-                          kraus_operators, lowering,
+from dampsim.fock import (KrausSet, bh_identity_residual,
+                          build_mode_operators, coherent_density,
+                          completeness_defect, evolve_density, fock_density,
+                          heisenberg_evolve, heisenberg_moment,
+                          kraus_operators, lowering, moment_trajectory,
                           two_mode_moments)
 from dampsim.model import MomentState, PhysicalConstants
 
@@ -14,6 +15,34 @@ from test_model import make_system
 
 def coherent_pair_density(a1, a2, dim):
     return np.kron(coherent_density(a1, dim), coherent_density(a2, dim))
+
+
+def random_density(dim, rng):
+    """A full-rank random density matrix (non-product when dim is a
+    two-mode size)."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def phased(ks, rng):
+    """The same channel with complex bands: K_n -> U_n K_n for random
+    diagonal unitaries U_n, so a missing conjugate shows."""
+    ops = tuple(np.exp(2j * np.pi * rng.random(ks.dim))[:, None] * k
+                for k in ks.ops)
+    return KrausSet(kappa=ks.kappa, t=ks.t, dim=ks.dim, ops=ops)
+
+
+def kron_channel_reference(rho, ks1, ks2):
+    """The product channel as the explicit double sum over Kronecker
+    products, sum_mn (K1_m otimes K2_n) rho (K1_m otimes K2_n)^dag."""
+    out = np.zeros_like(rho)
+    for k1 in ks1.ops:
+        for k2 in ks2.ops:
+            k = np.kron(k1, k2)
+            out += k @ rho @ k.conj().T
+    return out
 
 
 def coherent_pair_moments(a1, a2, system):
@@ -86,6 +115,17 @@ class TestKrausOperators:
         full = kraus_operators(1.0, 1.0, 4)
         broken = KrausSet(kappa=1.0, t=1.0, dim=4, ops=full.ops[:-1])
         assert completeness_defect(broken) > 1e-3
+
+    def test_off_band_entry_rejected(self):
+        full = kraus_operators(1.0, 1.0, 4)
+        ops = list(full.ops)
+        ops[1] = ops[1].copy()
+        ops[1][2, 0] = 0.1
+        broken = KrausSet(kappa=1.0, t=1.0, dim=4, ops=tuple(ops))
+        with pytest.raises(ValueError, match="off its superdiagonal"):
+            evolve_density(fock_density(1, 4), broken)
+        with pytest.raises(ValueError, match="off its superdiagonal"):
+            heisenberg_evolve(np.eye(4), broken)
 
 
 class TestBakerHausdorffIdentity:
@@ -162,6 +202,30 @@ class TestEvolveDensity:
         assert np.allclose(schrodinger.mean, heisenberg.mean, atol=1e-10)
         assert np.allclose(schrodinger.cov, heisenberg.cov, atol=1e-10)
 
+    def test_two_mode_matches_kronecker_reference(self):
+        rng = np.random.default_rng(11)
+        rho0 = random_density(4 * 6, rng)
+        ks1 = kraus_operators(0.7, 0.9, 4)
+        ks2 = kraus_operators(0.3, 1.4, 6)
+        for k1, k2 in ((ks1, ks2), (phased(ks1, rng), phased(ks2, rng))):
+            got = evolve_density(rho0, k1, k2)
+            want = kron_channel_reference(rho0, k1, k2)
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_two_mode_duality(self):
+        rng = np.random.default_rng(12)
+        dim = 6
+        rho0 = random_density(dim * dim, rng)
+        A, B = (rng.normal(size=(2, dim, dim))
+                + 1j * rng.normal(size=(2, dim, dim)))
+        ks1 = kraus_operators(0.4, 1.1, dim)
+        ks2 = kraus_operators(0.9, 1.1, dim)
+        schroedinger = np.trace(evolve_density(rho0, ks1, ks2)
+                                @ np.kron(A, B))
+        heisenberg = np.trace(rho0 @ np.kron(heisenberg_evolve(A, ks1),
+                                             heisenberg_evolve(B, ks2)))
+        assert abs(schroedinger - heisenberg) <= 1e-13
+
     def test_rejects_non_density(self):
         with pytest.raises(ValueError, match="Hermitian"):
             evolve_density(np.array([[0, 1], [0, 0]], dtype=complex),
@@ -176,6 +240,17 @@ class TestEvolveDensity:
 
 
 class TestHeisenbergMoment:
+    def test_banded_map_matches_dense_sum(self):
+        rng = np.random.default_rng(13)
+        dim = 9
+        A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for ks in (kraus_operators(0.6, 0.7, dim),
+                   phased(kraus_operators(0.6, 0.7, dim), rng)):
+            dense = sum(k.conj().T @ A @ k for k in ks.ops)
+            assert np.max(np.abs(heisenberg_evolve(A, ks) - dense)) <= 1e-14
+        stacked = heisenberg_evolve(np.stack([A, A.T]), ks)
+        assert np.array_equal(stacked[0], heisenberg_evolve(A, ks))
+
     def test_annihilation_decay_on_coherent_state(self):
         dim, kappa, t = 20, 0.5, 1.2
         system = make_system(k1=kappa, k2=kappa)
@@ -240,6 +315,18 @@ class TestOracleMoments:
             closed = analytic.evolve_state(state0, system, t)
             assert np.max(np.abs(oracle.mean - closed.mean)) < 1e-8
             assert np.max(np.abs(oracle.cov - closed.cov)) < 1e-8
+
+    def test_trajectory_equals_per_time_moments(self):
+        system = make_system(m1=1.2, w2=0.8, k1=0.5, k2=0.25)
+        dim = 12
+        rho0 = random_density(dim * dim, np.random.default_rng(14))
+        times = np.linspace(0.0, 2.5, 6)
+        mean, cov = moment_trajectory(rho0, system, times, dim)
+        states = [two_mode_moments(rho0, system, t, dim) for t in times]
+        assert np.array_equal(mean, np.stack([s.mean for s in states]))
+        assert np.array_equal(cov, np.stack([s.cov for s in states]))
+        with pytest.raises(ValueError, match="non-negative"):
+            moment_trajectory(rho0, system, np.array([0.0, -1.0]), dim)
 
     def test_cutoff_convergence(self):
         system = make_system(k1=0.3, k2=0.7)

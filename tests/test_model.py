@@ -46,6 +46,17 @@ class TestMomentState:
         with pytest.raises(ValueError, match="diagonal"):
             MomentState(mean=np.zeros(4), cov=cov)
 
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            mean = np.zeros(4)
+            mean[1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                MomentState(mean=mean, cov=np.eye(4))
+            cov = np.eye(4)
+            cov[0, 2] = cov[2, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                MomentState(mean=np.zeros(4), cov=cov)
+
     def test_shape_checks(self):
         with pytest.raises(ValueError):
             MomentState(mean=np.zeros(3), cov=np.eye(4))
