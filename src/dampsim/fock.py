@@ -3,7 +3,8 @@ damping channel and brute-force Schroedinger/Heisenberg evolution.
 
 The Kraus family is exactly finite on the truncated space (a^n = 0 for
 n >= D), so no extra truncation of the channel sum is needed. Each K_n is
-nonzero only on its n-th superdiagonal, so one private kernel applies the
+nonzero only on its n-th superdiagonal, so a KrausSet holds only those D
+bands, built in closed form in O(D^2), and one private kernel applies the
 whole sum as D shifted, reweighted slices of the operand, in the
 Schroedinger and the Heisenberg picture alike. A two-mode density is a
 (D1 D2, D1 D2) matrix with mode-1-major index ordering, viewed as a
@@ -54,42 +55,49 @@ def build_mode_operators(dim: int, params: ModeParams,
 @dataclass(frozen=True)
 class KrausSet:
     """The family K_n(t) = sqrt((1-e^{-2kt})^n / n!) e^{-kt N} a^n,
-    n = 0 ... dim-1, of one amplitude damping channel at one time."""
+    n = 0 ... dim-1, of one amplitude damping channel at one time; K_n is
+    bands[n, :dim-n] on its n-th superdiagonal and zero elsewhere."""
 
     kappa: float
     t: float
-    dim: int
-    ops: tuple[np.ndarray, ...]
+    bands: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.bands.shape[1]
 
 
 def kraus_operators(kappa: float, t: float, dim: int) -> KrausSet:
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    if kappa < 0:
-        raise ValueError(f"kappa must be non-negative, got {kappa}")
-    a = lowering(dim)
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and non-negative, got {t}")
+    if not 0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
+    if dim < 2:
+        raise ValueError(f"Fock cutoff must be >= 2, got {dim}")
     # 1 - e^{-2kt}, computed without cancellation for small kt
     loss = -math.expm1(-2.0 * kappa * t)
-    decay = np.diag(np.exp(-kappa * t * np.arange(dim))).astype(complex)
-    ops = []
-    a_pow = np.eye(dim, dtype=complex)
-    for n in range(dim):
-        coeff = math.sqrt(loss ** n / math.factorial(n))
-        ops.append(coeff * (decay @ a_pow))
-        a_pow = a @ a_pow
-    return KrausSet(kappa=kappa, t=t, dim=dim, ops=tuple(ops))
+    i = np.arange(dim)
+    bands = np.zeros((dim, dim), dtype=complex)
+    # (e^{-kt N} a^n)_{i,i+n} = e^{-kt i} sqrt((i+1)...(i+n)). When kt
+    # overflows, e^{-kt N} is the ground-state projector (-kt * 0 is NaN).
+    bands[0] = np.exp(-kappa * t * i) if kappa * t < math.inf else i == 0
+    for n in range(1, dim):
+        bands[n, :-n] = bands[n - 1, :-n] * np.sqrt(loss * i[n:] / n)
+    return KrausSet(kappa=kappa, t=t, bands=bands)
 
 
 def completeness_defect(ks: KrausSet) -> float:
-    """Max-norm of I - sum_n K_n^dag K_n; the trace-preservation defect."""
-    acc = np.zeros((ks.dim, ks.dim), dtype=complex)
-    for k in ks.ops:
-        acc += k.conj().T @ k
-    return float(np.max(np.abs(np.eye(ks.dim) - acc)))
+    """Max-norm of the diagonal I - sum_n K_n^dag K_n: the trace defect."""
+    acc = np.zeros(ks.dim)
+    for n, band in enumerate(ks.bands):
+        acc[n:] += np.abs(band[:ks.dim - n]) ** 2
+    return float(np.max(np.abs(1.0 - acc)))
 
 
 def _check_density(rho: np.ndarray, trace_tol: float = 1e-10,
                    psd_floor: float = -1e-10) -> None:
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix is not finite")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > trace_tol:
@@ -103,21 +111,18 @@ def _kraus_sum(x: np.ndarray, ks: KrausSet, axes: tuple[int, int],
     """sum_n K_n x K_n^dag, or sum_n K_n^dag x K_n when adjoint, acting on
     the (row, column) axis pair `axes` of x.
 
-    K_n lives on its n-th superdiagonal w_n, so each term is a shifted
+    K_n is its band w_n = ks.bands[n, :dim-n], so each term is a shifted
     slice: (K_n x K_n^dag)_ij = w_n[i] x_{i+n,j+n} conj(w_n[j]) and
     (K_n^dag x K_n)_ij = conj(w_n[i-n]) x_{i-n,j-n} w_n[j-n].
     """
     x = np.moveaxis(np.asarray(x, dtype=complex), axes, (0, 1))
     out = np.zeros_like(x)
     lead = (1,) * (x.ndim - 2)
-    for n, k in enumerate(ks.ops):
-        w = np.diagonal(k, offset=n)
-        if np.count_nonzero(k) != np.count_nonzero(w):
-            raise ValueError(f"Kraus operator {n} has entries off its "
-                             f"superdiagonal {n}")
+    for n, band in enumerate(ks.bands):
+        m = ks.dim - n
+        w = band[:m]
         if not w.any():
             continue
-        m = ks.dim - n
         if adjoint:
             w, dst, src = w.conj(), slice(n, None), slice(None, m)
         else:
@@ -171,13 +176,6 @@ def _cross_expectations(q1: np.ndarray, q2: np.ndarray,
     return np.einsum("aij,bji->ab", q1, partial)
 
 
-def product_expectation(A1: np.ndarray, A2: np.ndarray,
-                        rho: np.ndarray) -> complex:
-    """tr[(A1 otimes A2) rho] without materializing the Kronecker product."""
-    rho4 = _two_mode_tensor(rho, A1.shape[0], A2.shape[0])
-    return complex(_cross_expectations(A1[None], A2[None], rho4)[0, 0])
-
-
 def heisenberg_moment(A1: np.ndarray, A2: np.ndarray | None,
                       ks1: KrausSet, ks2: KrausSet,
                       rho0: np.ndarray) -> complex:
@@ -189,7 +187,8 @@ def heisenberg_moment(A1: np.ndarray, A2: np.ndarray | None,
     a1 = heisenberg_evolve(A1, ks1)
     a2 = (np.eye(ks2.dim, dtype=complex) if A2 is None
           else heisenberg_evolve(A2, ks2))
-    return product_expectation(a1, a2, rho0)
+    rho4 = _two_mode_tensor(rho0, ks1.dim, ks2.dim)
+    return complex(_cross_expectations(a1[None], a2[None], rho4)[0, 0])
 
 
 def reduced_densities(rho: np.ndarray,
@@ -229,7 +228,7 @@ def coherent_density(displacement: complex, dim: int) -> np.ndarray:
     (|alpha|^2 > dim/4).
     """
     alpha = complex(displacement)
-    if abs(alpha) ** 2 > dim / 4.0:
+    if not abs(alpha) ** 2 <= dim / 4.0:
         raise ValueError(
             f"|displacement|^2 = {abs(alpha) ** 2:g} exceeds dim/4 = "
             f"{dim / 4.0:g}; increase the cutoff")
@@ -261,8 +260,6 @@ def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,
     the four cross moments come from one contraction against the density.
     """
     times = np.asarray(times, dtype=float)
-    if not np.all(times >= 0):
-        raise ValueError(f"time must be non-negative, got {np.min(times)}")
     rho4 = _two_mode_tensor(rho0, dim, dim)
     reduced = reduced_densities(rho0, dim)
     observables = []  # per mode: x, p, x^2, p^2, (xp + px)/2

@@ -4,12 +4,17 @@ classical-like alternate structures."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (Lct, MomentState, TwoModeSystem, lct_from_position_block,
                     vacuum_variances, validate_lct)
+
+# Nelder-Mead limits per restart, and the trivial-family exclusion margin
+MAX_ITER = 2000
+TOL = 1e-12
+EXCLUSION_MARGIN = 1e-3
 
 
 def center_of_mass_lct() -> Lct:
@@ -94,9 +99,6 @@ def classicality_residual(lct: Lct, system: TwoModeSystem) -> float:
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 32
-    max_iter: int = 2000
-    tol: float = 1e-12
-    exclusion_margin: float = 1e-3
     seed: int = 0
 
 
@@ -171,13 +173,13 @@ def search_classical_structure(
         while abs(start[0] * start[3] - start[1] * start[2]) < 0.1:
             start = rng.uniform(-2.0, 2.0, size=4)
         res = minimize(objective, start, method="Nelder-Mead",
-                       options={"maxiter": config.max_iter,
-                                "fatol": config.tol, "xatol": 1e-9})
+                       options={"maxiter": MAX_ITER, "fatol": TOL,
+                                "xatol": 1e-9})
         m = res.x.reshape(2, 2)
         trace.append(RestartResult(
             index=i, start=start.reshape(2, 2), position_block=m,
             residual=float(res.fun), iterations=int(res.nit),
-            trivial=trivial_mixing_distance(m) < config.exclusion_margin))
+            trivial=trivial_mixing_distance(m) < EXCLUSION_MARGIN))
 
     candidates = [r for r in trace if not r.trivial]
     if not candidates:

@@ -318,6 +318,28 @@ class TestInitialStates:
         assert float(rows[0][idx]) == pytest.approx(np.sqrt(2) * 0.5,
                                                     abs=1e-4)
 
+    def test_non_finite_density_exits_2(self, tmp_path):
+        dim = 2
+        rho = np.kron(np.eye(dim) / dim, np.eye(dim) / dim).tolist()
+        rho[0][1] = rho[1][0] = "OVERFLOW"
+        scenario = base_scenario(engine="fock", fock_dim=dim,
+                                 initial={"type": "density", "real": rho})
+        # 1e400 is valid JSON and parses to inf
+        text = json.dumps(scenario).replace('"OVERFLOW"', "1e400")
+        config = tmp_path / "scenario.json"
+        config.write_text(text)
+        src = os.path.dirname(os.path.dirname(dampsim.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "dampsim.cli", "evolve", "--config",
+             str(config), "--output", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True)
+        assert out.returncode == 2
+        errors = [line for line in out.stderr.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "finite" in errors[0]
+        assert "Warning" not in out.stderr
+
 
 def test_cli_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(dampsim.__file__))

@@ -1,7 +1,10 @@
+import ast
+import math
+
 import numpy as np
 import pytest
 
-from dampsim import analytic
+from dampsim import analytic, fock
 from dampsim.fock import (KrausSet, bh_identity_residual,
                           build_mode_operators, coherent_density,
                           completeness_defect, evolve_density, fock_density,
@@ -26,20 +29,37 @@ def random_density(dim, rng):
     return rho / np.trace(rho).real
 
 
+def dense_ops(ks):
+    """Each K_n as a dense (dim, dim) matrix, its band on the n-th
+    superdiagonal."""
+    return tuple(np.diag(band[:ks.dim - n], n)
+                 for n, band in enumerate(ks.bands))
+
+
+def literal_kraus_product(kappa, t, dim):
+    """The Kraus family as the literal dense product
+    sqrt(loss^n / n!) e^{-kt N} a^n."""
+    a = lowering(dim)
+    loss = -math.expm1(-2.0 * kappa * t)
+    decay = np.diag(np.exp(-kappa * t * np.arange(dim))).astype(complex)
+    return tuple(math.sqrt(loss ** n / math.factorial(n))
+                 * (decay @ np.linalg.matrix_power(a, n))
+                 for n in range(dim))
+
+
 def phased(ks, rng):
     """The same channel with complex bands: K_n -> U_n K_n for random
     diagonal unitaries U_n, so a missing conjugate shows."""
-    ops = tuple(np.exp(2j * np.pi * rng.random(ks.dim))[:, None] * k
-                for k in ks.ops)
-    return KrausSet(kappa=ks.kappa, t=ks.t, dim=ks.dim, ops=ops)
+    phases = np.exp(2j * np.pi * rng.random(ks.bands.shape))
+    return KrausSet(kappa=ks.kappa, t=ks.t, bands=phases * ks.bands)
 
 
 def kron_channel_reference(rho, ks1, ks2):
     """The product channel as the explicit double sum over Kronecker
     products, sum_mn (K1_m otimes K2_n) rho (K1_m otimes K2_n)^dag."""
     out = np.zeros_like(rho)
-    for k1 in ks1.ops:
-        for k2 in ks2.ops:
+    for k1 in dense_ops(ks1):
+        for k2 in dense_ops(ks2):
             k = np.kron(k1, k2)
             out += k @ rho @ k.conj().T
     return out
@@ -88,21 +108,38 @@ class TestModeOperators:
 
 class TestKrausOperators:
     def test_zero_time_is_identity_channel(self):
-        ks = kraus_operators(0.8, 0.0, 6)
-        assert np.allclose(ks.ops[0], np.eye(6))
-        for k in ks.ops[1:]:
+        ops = dense_ops(kraus_operators(0.8, 0.0, 6))
+        assert np.allclose(ops[0], np.eye(6))
+        for k in ops[1:]:
             assert np.allclose(k, 0.0)
 
     def test_long_time_projects_to_ground(self):
         kt = 30.0
         ks = kraus_operators(1.0, kt, 6)
-        diag = np.diag(ks.ops[0]).real
+        diag = np.diag(dense_ops(ks)[0]).real
         assert diag[0] == pytest.approx(1.0)
         assert np.allclose(diag[1:], np.exp(-kt * np.arange(1, 6)))
+        # kappa t overflows to inf: the exact ground-state limit, K_n = |0><n|
+        limit = kraus_operators(1e200, 1e200, 4)
+        assert np.all(np.isfinite(limit.bands))
+        for n, k in enumerate(dense_ops(limit)):
+            assert np.array_equal(k, np.outer(np.eye(4)[0], np.eye(4)[n]))
+        assert completeness_defect(limit) == 0.0
 
     def test_set_size_matches_cutoff(self):
         ks = kraus_operators(0.5, 1.0, 9)
-        assert len(ks.ops) == 9
+        assert len(dense_ops(ks)) == 9
+
+    @pytest.mark.parametrize("kappa, t", [(-0.1, 1.0), (1.0, -0.1),
+                                          (np.nan, 1.0), (1.0, np.nan),
+                                          (np.inf, 1.0), (1.0, np.inf)])
+    def test_invalid_parameters_rejected(self, kappa, t):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            kraus_operators(kappa, t, 4)
+
+    def test_cutoff_too_small(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            kraus_operators(1.0, 1.0, 1)
 
     @pytest.mark.parametrize("dim", [8, 20, 32])
     @pytest.mark.parametrize("kt", [0.0, 0.3, 1.0, 6.0])
@@ -111,21 +148,19 @@ class TestKrausOperators:
         assert completeness_defect(ks) <= 1e-13
 
     def test_dropping_last_operator_breaks_completeness(self):
-        from dampsim.fock import KrausSet
         full = kraus_operators(1.0, 1.0, 4)
-        broken = KrausSet(kappa=1.0, t=1.0, dim=4, ops=full.ops[:-1])
+        broken = KrausSet(kappa=1.0, t=1.0, bands=full.bands[:-1])
         assert completeness_defect(broken) > 1e-3
 
-    def test_off_band_entry_rejected(self):
-        full = kraus_operators(1.0, 1.0, 4)
-        ops = list(full.ops)
-        ops[1] = ops[1].copy()
-        ops[1][2, 0] = 0.1
-        broken = KrausSet(kappa=1.0, t=1.0, dim=4, ops=tuple(ops))
-        with pytest.raises(ValueError, match="off its superdiagonal"):
-            evolve_density(fock_density(1, 4), broken)
-        with pytest.raises(ValueError, match="off its superdiagonal"):
-            heisenberg_evolve(np.eye(4), broken)
+    @pytest.mark.parametrize("dim", [2, 9, 32])
+    @pytest.mark.parametrize("kappa, t", [(0.0, 1.0), (0.7, 0.2),
+                                          (1.0, 1.0), (1.3, 4.0)])
+    def test_bands_match_literal_product(self, kappa, t, dim):
+        ks = kraus_operators(kappa, t, dim)
+        assert ks.bands.shape == (dim, dim)
+        for got, want in zip(dense_ops(ks),
+                             literal_kraus_product(kappa, t, dim)):
+            assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestBakerHausdorffIdentity:
@@ -162,6 +197,9 @@ class TestCoherentDensity:
     def test_tail_mass_guard(self):
         with pytest.raises(ValueError, match="cutoff"):
             coherent_density(3.0, 8)
+        for bad in (np.nan, complex(0.5, np.nan), np.inf):
+            with pytest.raises(ValueError, match="cutoff"):
+                coherent_density(bad, 8)
 
 
 class TestEvolveDensity:
@@ -233,6 +271,10 @@ class TestEvolveDensity:
         with pytest.raises(ValueError, match="trace"):
             evolve_density(2.0 * fock_density(0, 4),
                            kraus_operators(1.0, 1.0, 4))
+        not_finite = fock_density(0, 4)
+        not_finite[1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            evolve_density(not_finite, kraus_operators(1.0, 1.0, 4))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -246,7 +288,7 @@ class TestHeisenbergMoment:
         A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         for ks in (kraus_operators(0.6, 0.7, dim),
                    phased(kraus_operators(0.6, 0.7, dim), rng)):
-            dense = sum(k.conj().T @ A @ k for k in ks.ops)
+            dense = sum(k.conj().T @ A @ k for k in dense_ops(ks))
             assert np.max(np.abs(heisenberg_evolve(A, ks) - dense)) <= 1e-14
         stacked = heisenberg_evolve(np.stack([A, A.T]), ks)
         assert np.array_equal(stacked[0], heisenberg_evolve(A, ks))
@@ -337,3 +379,18 @@ class TestOracleMoments:
                                  1.1, dim)
             results.append(np.concatenate([m.mean, m.cov.ravel()]))
         assert np.max(np.abs(results[0] - results[1])) < 1e-9
+
+
+def test_fock_imports_nothing_from_analytic():
+    """The oracle stays independent of the closed-form engine."""
+    with open(fock.__file__) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(part == "analytic" for name in names
+                       for part in name.split(".")), ast.dump(node)
