@@ -5,6 +5,11 @@ and writes CSV time series plus plain-text summary reports. Exit codes:
 0 success, 1 scenario parse error, 2 validation error, 3 I/O error,
 4 computation failed (RuntimeError, e.g. a classicality search whose every
 restart converged to a trivial structure, or MemoryError).
+
+Resource limits, checked before anything is allocated (exit 2): the time
+grid's (n_steps, 4, 4) covariance trajectory may take at most 128 MiB
+(n_steps <= 1048576), and the two-mode density at most 1 GiB
+(fock_dim <= 90).
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ class ValidationError(Exception):
 #: Largest two-mode density matrix the fock engine may allocate:
 #: fock_dim^4 complex entries of 16 bytes each, so fock_dim <= 90.
 _FOCK_BUDGET_BYTES = 2 ** 30
+
+#: Largest covariance trajectory a time grid may ask for: n_steps 4x4
+#: float64 matrices, so n_steps <= 2^20. A whole evolve run, CSV text
+#: included, takes about 20 times this per row, so the budget bounds it.
+_GRID_BUDGET_BYTES = 2 ** 27
 
 
 def _fmt(v: float) -> str:
@@ -131,6 +141,12 @@ def load_scenario(path: str) -> Scenario:
         raise ValidationError(
             f"time grid requires finite 0 <= t_start < t_end, n_steps >= 1; "
             f"got t_start={t_start}, t_end={t_end}, n_steps={n_steps}")
+    grid_bytes = n_steps * 4 * 4 * 8
+    if grid_bytes > _GRID_BUDGET_BYTES:
+        raise ValidationError(
+            f"n_steps {n_steps} needs a {grid_bytes / 2 ** 20:.3g} MiB "
+            f"covariance trajectory; the limit is 128 MiB "
+            f"(n_steps <= 1048576)")
     times = np.linspace(t_start, t_end, n_steps)
 
     engine = _get(raw, "engine", str, "analytic")

@@ -13,6 +13,12 @@ import numpy as np
 STRUCTURAL_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 
+#: Largest condition number accepted for an LCT position block M. Inverting
+#: M loses about cond(M) * eps of relative accuracy, so beyond
+#: STRUCTURAL_TOL / eps (~4.5e5) N = inv(M.T) cannot be trusted to the
+#: structural tolerance. Scale-free, unlike a bound on det(M).
+MAX_CONDITION = STRUCTURAL_TOL / np.finfo(float).eps
+
 #: Quadrature labels in canonical ordering.
 QUADRATURES = ("x1", "p1", "x2", "p2")
 
@@ -179,9 +185,10 @@ def validate_lct(lct: Lct, tol: float = STRUCTURAL_TOL) -> list[str]:
             r = residual[i, j]
             if abs(r) > tol:
                 violations.append(f"{labels[i][j]} = {r:.3e}")
-    det = float(np.linalg.det(lct.M))
-    if abs(det) <= 1e-12:
-        violations.append(f"det(M) = {det:.3e} is singular")
+    cond = float(np.linalg.cond(lct.M))
+    if not cond <= MAX_CONDITION:
+        violations.append(f"cond(M) = {cond:.3e} exceeds {MAX_CONDITION:.2e}: "
+                          f"singular or ill-conditioned")
     return violations
 
 
@@ -190,7 +197,10 @@ def lct_from_position_block(M: np.ndarray) -> Lct:
     m = np.asarray(M, dtype=float)
     if m.shape != (2, 2):
         raise ValueError("position block must be 2x2")
-    det = float(np.linalg.det(m))
-    if abs(det) <= 1e-12:
-        raise ValueError(f"position block is singular: det = {det:.3e}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("position block must be finite")
+    cond = float(np.linalg.cond(m))
+    if not cond <= MAX_CONDITION:
+        raise ValueError(f"position block is singular or ill-conditioned: "
+                         f"cond = {cond:.3e} exceeds {MAX_CONDITION:.2e}")
     return Lct(M=m, N=np.linalg.inv(m.T))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dampsim
+from dampsim import structures
 from dampsim.cli import main
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -68,7 +69,7 @@ class TestExitCodes:
                          "--output", str(tmp_path)]) == 2
             assert "kappa" in capsys.readouterr().err
 
-    def test_bad_time_grid_exits_2(self, tmp_path):
+    def test_bad_time_grid_exits_2(self, tmp_path, capsys):
         # 1e400 is a valid JSON number that parses to inf
         for t_start, t_end in (("2.0", "1.0"), ("0.0", "1e400"),
                                ("1e400", "1e400"), ("-1.0", "1.0")):
@@ -79,6 +80,17 @@ class TestExitCodes:
             path.write_text(text)
             assert main(["evolve", "--config", str(path),
                          "--output", str(tmp_path)]) == 2
+        # rejected before the grid is allocated, even where it is unused
+        scenario = base_scenario(lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
+        scenario["time_grid"]["n_steps"] = 10 ** 13
+        config = write_scenario(tmp_path, scenario)
+        capsys.readouterr()
+        for command in ("evolve", "structure"):
+            assert main([command, "--config", config,
+                         "--output", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert "n_steps" in err[0]
 
     def test_moments_initial_with_fock_engine_exits_2(self, tmp_path):
         scenario = base_scenario(engine="fock",
@@ -102,15 +114,9 @@ class TestExitCodes:
 
     def test_computation_failure_exits_4(self, tmp_path, capsys,
                                          monkeypatch):
-        import scipy.optimize
-
-        class FakeResult:
-            x = np.array([1.0, 0.0, 0.0, 1.0])
-            fun = 0.0
-            nit = 1
-
-        monkeypatch.setattr(scipy.optimize, "minimize",
-                            lambda *a, **k: FakeResult())
+        # every restart "converges" to the identity block in one iteration
+        monkeypatch.setattr(structures, "_nelder_mead",
+                            lambda *a, **k: ([1.0, 0.0, 0.0, 1.0], 0.0, 1))
         config = write_scenario(tmp_path, base_scenario())
         assert main(["classicality", "--config", config,
                      "--output", str(tmp_path)]) == 4
@@ -245,11 +251,13 @@ class TestOtherCommands:
                      "--output", str(tmp_path)]) == 2
 
     def test_invalid_lct_exits_2(self, tmp_path):
-        scenario = base_scenario(lct={"M": [[1.0, 0.0], [0.0, 1.0]],
-                                      "N": [[2.0, 0.0], [0.0, 1.0]]})
-        config = write_scenario(tmp_path, scenario)
-        assert main(["structure", "--config", config,
-                     "--output", str(tmp_path)]) == 2
+        # not canonical; ill-conditioned (cond ~ 4e10, det 1e-10)
+        for lct in ({"M": [[1.0, 0.0], [0.0, 1.0]],
+                     "N": [[2.0, 0.0], [0.0, 1.0]]},
+                    {"M": [[1.0, 1.0], [1.0, 1.0 + 1e-10]]}):
+            config = write_scenario(tmp_path, base_scenario(lct=lct))
+            assert main(["structure", "--config", config,
+                         "--output", str(tmp_path)]) == 2
 
     def test_classicality_resonant(self, tmp_path):
         config = write_scenario(tmp_path, base_scenario(seed=5))
@@ -341,10 +349,15 @@ class TestInitialStates:
         assert "Warning" not in out.stderr
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
     src = os.path.dirname(os.path.dirname(dampsim.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, dampsim.cli; print('scipy' in sys.modules)"
+    config = write_scenario(tmp_path, base_scenario())
+    # importing the CLI, and running the search, both leave scipy unloaded
+    argv = ["classicality", "--config", config, "--output", str(tmp_path)]
+    code = ("import sys, dampsim.cli; print('scipy' in sys.modules); "
+            f"code = dampsim.cli.main({argv!r}); "
+            "print(code, 'scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["False", "0 False"]

@@ -1,13 +1,17 @@
+import functools
+import math
+
 import numpy as np
 import pytest
-import scipy.optimize
 
+from dampsim import structures
 from dampsim.analytic import asymptotic_state, evolve_state
 from dampsim.model import (Lct, MomentState, lct_from_position_block,
                            validate_lct, vacuum_state)
 from dampsim.structures import (SearchConfig, asymptotic_cross_covariances,
                                 asymptotic_products, center_of_mass_lct,
-                                classicality_residual, evaluate_structure,
+                                classical_family, classicality_residual,
+                                evaluate_structure,
                                 search_classical_structure, transform_state,
                                 trivial_mixing_distance)
 
@@ -165,13 +169,118 @@ class TestClassicalityResidual:
             assert classicality_residual(lct, system) < 1e-12
 
     def test_nontrivial_zero_exists_even_for_unequal_masses(self):
-        # The asymptote is a pure product Gaussian, so mode-mixing
-        # transforms with momentum rows matched to 1/(m_i omega_i) also
-        # reach exact classicality; the center-of-mass family alone loses
-        # it when m_1 omega_1 != m_2 omega_2.
+        # The residual vanishes on the whole family classical_family, for
+        # any masses; the center-of-mass block alone loses it when
+        # m_1 omega_1 != m_2 omega_2. M = [[1, 1], [1, -2]] at masses
+        # (1, 2) has rescaled rows (1, 1/sqrt2) and (1, -sqrt2): orthogonal,
+        # with lengths sqrt(3/2) and sqrt(3).
+        system = make_system(m2=2.0)
+        m = classical_family(system, math.atan2(-1.0, math.sqrt(2.0)),
+                             (math.sqrt(1.5), -math.sqrt(3.0)))
+        assert np.allclose(m, [[1.0, 1.0], [1.0, -2.0]], rtol=0, atol=1e-15)
         lct = lct_from_position_block(np.array([[1.0, 1.0], [1.0, -2.0]]))
         assert trivial_mixing_distance(lct.M) > 0.1
-        assert classicality_residual(lct, make_system(m2=2.0)) < 1e-28
+        assert classicality_residual(lct, system) < 1e-28
+
+
+def random_system(rng):
+    return make_system(m1=rng.uniform(0.5, 3), w1=rng.uniform(0.5, 3),
+                       m2=rng.uniform(0.5, 3), w2=rng.uniform(0.5, 3),
+                       hbar=rng.uniform(0.2, 5.0))
+
+
+def seeded_starts(seed, restarts=32):
+    """The starting points search_classical_structure draws for a seed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        start = rng.uniform(-2.0, 2.0, size=4)
+        while abs(start[0] * start[3] - start[1] * start[2]) < 0.1:
+            start = rng.uniform(-2.0, 2.0, size=4)
+        yield start
+
+
+class TestClosedFormObjective:
+    def test_matches_classicality_residual(self):
+        # blocks with |det| >= 0.1 and entries within 3 have cond <= 360;
+        # the two computations differ by about cond * eps
+        rng = np.random.default_rng(61)
+        count = 0
+        while count < 400:
+            m = rng.uniform(-3.0, 3.0, size=(2, 2))
+            if abs(np.linalg.det(m)) < 0.1:
+                continue
+            system = random_system(rng)
+            expected = classicality_residual(lct_from_position_block(m),
+                                             system)
+            value = structures._position_residual(
+                m.ravel().tolist(), structures._mode_scales(system))
+            assert abs(value - expected) <= 1e-12 * (1.0 + abs(expected))
+            count += 1
+
+    def test_near_singular_penalty(self):
+        scales = structures._mode_scales(make_system())
+        assert structures._position_residual([1.0, 1.0, 1.0, 1.0],
+                                             scales) > 1e6
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize("system", [make_system(m2=2.0),
+                                        make_system(m1=1.3, w2=0.6)],
+                             ids=["unequal_mass", "detuned"])
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_matches_scipy_bit_for_bit(self, system, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        objective = functools.partial(structures._position_residual,
+                                      scales=structures._mode_scales(system))
+        for start in seeded_starts(seed):
+            ref = optimize.minimize(objective, start, method="Nelder-Mead",
+                                    options={"maxiter": structures.MAX_ITER,
+                                             "fatol": structures.TOL,
+                                             "xatol": structures.XATOL})
+            x, fun, nit = structures._nelder_mead(objective, start.tolist())
+            assert x == ref.x.tolist()
+            assert fun == float(ref.fun)
+            assert nit == ref.nit
+
+    def test_minimizes_a_quadratic(self):
+        x, fun, nit = structures._nelder_mead(
+            lambda v: (v[0] - 1.0) ** 2 + 3.0 * (v[1] + 2.0) ** 2, [0.0, 0.0])
+        assert x == pytest.approx([1.0, -2.0], abs=1e-8)
+        assert fun <= 1e-12
+        assert 1 < nit < structures.MAX_ITER
+
+
+class TestClassicalFamily:
+    def test_members_are_classical(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            system = random_system(rng)
+            theta = rng.uniform(-np.pi, np.pi)
+            scales = tuple(rng.choice([-1, 1], size=2)
+                           * rng.uniform(0.3, 3.0, size=2))
+            m = classical_family(system, theta, scales)
+            assert classicality_residual(lct_from_position_block(m),
+                                         system) <= 1e-28
+
+    @pytest.mark.parametrize("system", [make_system(m2=2.0),
+                                        make_system(w2=2.0)],
+                             ids=["unequal_mass", "detuned"])
+    def test_search_result_lies_in_family(self, system):
+        report, _ = search_classical_structure(system, SearchConfig(seed=6))
+        s = np.array([np.sqrt(m.mass * m.omega) for m in system.modes])
+        rows = report.lct.M / s
+        norms = np.linalg.norm(rows, axis=1)
+        # the residual is at least (rows[0] . rows[1])^2
+        cosine = rows[0] @ rows[1] / (norms[0] * norms[1])
+        assert abs(cosine) <= np.sqrt(report.residual) / norms.prod() + 1e-15
+        # the member with the same first row and row lengths is M itself
+        theta = math.atan2(-rows[0, 1], rows[0, 0])
+        sign = math.copysign(1.0, rows[1] @ [math.sin(theta),
+                                             math.cos(theta)])
+        member = classical_family(system, theta, (norms[0], sign * norms[1]))
+        assert np.allclose(member, report.lct.M, rtol=0,
+                           atol=2 * abs(cosine) * norms.max() * s.max()
+                           + 1e-14)
 
 
 class TestTrivialMixingDistance:
@@ -205,14 +314,9 @@ class TestSearch:
             search_classical_structure(make_system(k1=0.0))
 
     def test_all_trivial_restarts_raise(self, monkeypatch):
-        class FakeResult:
-            x = np.array([1.0, 0.0, 0.0, 1.0])
-            fun = 0.0
-            nit = 1
-
-        # the search imports minimize when it runs, so patch it at the source
-        monkeypatch.setattr(scipy.optimize, "minimize",
-                            lambda *a, **k: FakeResult())
+        # every restart "converges" to the identity block in one iteration
+        monkeypatch.setattr(structures, "_nelder_mead",
+                            lambda *a, **k: ([1.0, 0.0, 0.0, 1.0], 0.0, 1))
         with pytest.raises(RuntimeError, match="trivial"):
             search_classical_structure(make_system(),
                                        SearchConfig(restarts=4, seed=1))
