@@ -8,8 +8,8 @@ from .model import (Lct, ModeParams, MomentState, PhysicalConstants,
 from .analytic import (asymptotic_state, cross_covariance, evolve_state,
                        evolve_trajectory, uncertainty_product)
 from .fock import (KrausSet, bh_identity_residual, build_mode_operators,
-                   coherent_density, completeness_defect, evolve_density,
-                   heisenberg_moment, kraus_operators, moment_trajectory,
+                   check_density, coherent_density, completeness_defect,
+                   evolve_density, kraus_operators, moment_trajectory,
                    two_mode_moments)
 from .structures import (SearchConfig, StructureReport,
                          asymptotic_cross_covariances, asymptotic_products,
@@ -22,7 +22,7 @@ __all__ = [
     "validate_lct", "asymptotic_state", "cross_covariance", "evolve_state",
     "evolve_trajectory", "uncertainty_product", "KrausSet",
     "bh_identity_residual", "build_mode_operators", "coherent_density",
-    "completeness_defect", "evolve_density", "heisenberg_moment",
+    "check_density", "completeness_defect", "evolve_density",
     "kraus_operators", "moment_trajectory", "two_mode_moments",
     "SearchConfig", "StructureReport",
     "asymptotic_cross_covariances", "asymptotic_products",

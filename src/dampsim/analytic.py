@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import QUADRATURES, MomentState, TwoModeSystem, vacuum_state
+from .model import (QUADRATURES, MomentState, TwoModeSystem, check_damped,
+                    vacuum_state)
 
 
 def evolve_trajectory(state0: MomentState, system: TwoModeSystem,
@@ -38,15 +39,9 @@ def evolve_state(state0: MomentState, system: TwoModeSystem,
 
 
 def asymptotic_state(system: TwoModeSystem) -> MomentState:
-    """The t -> infinity fixed point: the two-mode vacuum.
-
-    Requires both damping rates strictly positive; an undamped mode keeps
-    its initial second moments forever and has no unique asymptote.
-    """
-    for label, mode in (("mode1", system.mode1), ("mode2", system.mode2)):
-        if mode.kappa == 0:
-            raise ValueError(f"{label} is undamped (kappa = 0): "
-                             "no unique asymptotic state")
+    """The t -> infinity fixed point of two damped modes: the two-mode
+    vacuum."""
+    check_damped(system)
     return vacuum_state(system)
 
 

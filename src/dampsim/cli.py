@@ -2,14 +2,22 @@
 
 Reads a JSON scenario file, dispatches to the analytic and/or Fock engines,
 and writes CSV time series plus plain-text summary reports. Exit codes:
-0 success, 1 scenario parse error, 2 validation error, 3 I/O error,
-4 computation failed (RuntimeError, e.g. a classicality search whose every
-restart converged to a trivial structure, or MemoryError).
+0 success, 1 scenario parse error, 2 validation error (ValueError), 3 I/O
+error, 4 computation failed (RuntimeError, e.g. a classicality search whose
+restarts all converged to trivial structures; MemoryError; ArithmeticError,
+a float overflow or division by zero on extreme but finite parameters).
 
 Resource limits, checked before anything is allocated (exit 2): the time
 grid's (n_steps, 4, 4) covariance trajectory may take at most 128 MiB
 (n_steps <= 1048576), and the two-mode density at most 1 GiB
 (fock_dim <= 90).
+
+Each value is checked once, where it enters; the engines trust what they
+get. load_scenario parses types and numbers (exit 1), then checks the
+parameters, time grid, LCT and seed (exit 2). Each command builds its
+initial state once, checking explicit moments with MomentState and
+assert_physical and an explicit density with fock.check_density. The CSV
+writer checks the trajectory with model.check_moments.
 """
 
 from __future__ import annotations
@@ -25,18 +33,14 @@ import tempfile
 import numpy as np
 
 from . import analytic, fock, structures
-from .model import (QUADRATURES, SYMMETRY_TOL, Lct, ModeParams, MomentState,
+from .model import (QUADRATURES, Lct, ModeParams, MomentState,
                     PhysicalConstants, TwoModeSystem, assert_physical,
-                    lct_from_position_block, vacuum_state, vacuum_variances,
-                    validate_lct)
+                    check_lct, check_moments, lct_from_position_block,
+                    vacuum_state, vacuum_variances)
 
 
 class ParseError(Exception):
     """Malformed scenario file (bad JSON, missing/unknown keys, bad types)."""
-
-
-class ValidationError(Exception):
-    """Well-formed scenario violating a physical or structural invariant."""
 
 
 #: Largest two-mode density matrix the fock engine may allocate:
@@ -63,8 +67,16 @@ class Scenario:
     lct: Lct | None
     seed: int
 
+    def __post_init__(self):  # dataclasses.replace runs it for --seed too
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 _MISSING = object()
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _get(d: dict, key: str, kind, default=_MISSING):
@@ -73,7 +85,7 @@ def _get(d: dict, key: str, kind, default=_MISSING):
             raise ParseError(f"missing scenario key: {key!r}")
         return default
     value = d[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+    if kind is float and _is_number(value):
         return float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ParseError(f"scenario key {key!r} has wrong type: "
@@ -82,53 +94,56 @@ def _get(d: dict, key: str, kind, default=_MISSING):
 
 
 def _parse_mode(d: dict, label: str) -> ModeParams:
-    if not isinstance(d, dict):
-        raise ParseError(f"scenario key {label!r} must be an object")
     try:
         return ModeParams(mass=_get(d, "mass", float),
                           omega=_get(d, "omega", float),
                           kappa=_get(d, "kappa", float))
     except ValueError as exc:
-        raise ValidationError(f"{label}: {exc}") from exc
+        raise ValueError(f"{label}: {exc}") from exc
+
+
+def _floats(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what} is not numeric: {exc}") from exc
 
 
 def _parse_lct(d: dict) -> Lct:
     if not isinstance(d, dict) or "M" not in d:
         raise ParseError("lct spec must be an object with key 'M'")
-    try:
-        m = np.asarray(d["M"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"lct position block is not numeric: {exc}") from exc
-    try:
-        if "N" in d:
-            lct = Lct(M=m, N=np.asarray(d["N"], dtype=float))
-            violations = validate_lct(lct)
-            if violations:
-                raise ValueError("invalid LCT: " + "; ".join(violations))
-            return lct
+    m = _floats(d["M"], "lct position block")
+    if "N" not in d:
         return lct_from_position_block(m)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    lct = Lct(M=m, N=_floats(d["N"], "lct momentum block"))
+    check_lct(lct)
+    return lct
 
 
 def _reject_constant(name: str):
     raise ParseError(f"non-finite number {name} in scenario")
 
 
+def _parse_int(text: str) -> int:
+    # any scenario number may be read as a float, so an integer must fit one
+    if len(text.lstrip("-")) > 308:
+        raise ParseError(f"{len(text)}-digit integer in scenario is out of "
+                         "float range")
+    return int(text)
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
-            raw = json.load(fh, parse_constant=_reject_constant)
+            raw = json.load(fh, parse_constant=_reject_constant,
+                            parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("scenario root must be a JSON object")
 
     sysd = _get(raw, "system", dict)
-    try:
-        constants = PhysicalConstants(hbar=_get(sysd, "hbar", float, 1.0))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    constants = PhysicalConstants(hbar=_get(sysd, "hbar", float, 1.0))
     system = TwoModeSystem(mode1=_parse_mode(_get(sysd, "mode1", dict), "mode1"),
                            mode2=_parse_mode(_get(sysd, "mode2", dict), "mode2"),
                            constants=constants)
@@ -138,12 +153,12 @@ def load_scenario(path: str) -> Scenario:
     t_end = _get(grid, "t_end", float)
     n_steps = _get(grid, "n_steps", int)
     if not 0 <= t_start < t_end < math.inf or n_steps < 1:
-        raise ValidationError(
+        raise ValueError(
             f"time grid requires finite 0 <= t_start < t_end, n_steps >= 1; "
             f"got t_start={t_start}, t_end={t_end}, n_steps={n_steps}")
     grid_bytes = n_steps * 4 * 4 * 8
     if grid_bytes > _GRID_BUDGET_BYTES:
-        raise ValidationError(
+        raise ValueError(
             f"n_steps {n_steps} needs a {grid_bytes / 2 ** 20:.3g} MiB "
             f"covariance trajectory; the limit is 128 MiB "
             f"(n_steps <= 1048576)")
@@ -151,15 +166,15 @@ def load_scenario(path: str) -> Scenario:
 
     engine = _get(raw, "engine", str, "analytic")
     if engine not in ("analytic", "fock", "both"):
-        raise ValidationError(f"unknown engine {engine!r}")
+        raise ValueError(f"unknown engine {engine!r}")
     fock_dim = _get(raw, "fock_dim", int, 32)
     if fock_dim < 2:
-        raise ValidationError(f"fock_dim must be >= 2, got {fock_dim}")
+        raise ValueError(f"fock_dim must be >= 2, got {fock_dim}")
 
     initial = _get(raw, "initial", dict, {"type": "vacuum"})
     if _get(initial, "type", str) not in ("vacuum", "coherent", "moments",
                                           "density"):
-        raise ValidationError(f"unknown initial state type "
+        raise ValueError(f"unknown initial state type "
                               f"{initial['type']!r}")
 
     lct = _parse_lct(raw["lct"]) if "lct" in raw else None
@@ -172,16 +187,16 @@ def _coherent_displacements(initial: dict) -> tuple[complex, complex]:
     out = []
     for key in ("alpha1", "alpha2"):
         v = initial.get(key, 0.0)
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            out.append(complex(v))
-        elif isinstance(v, list) and len(v) == 2:
-            out.append(complex(v[0], v[1]))
-        else:
+        parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+        if not all(map(_is_number, parts)):
             raise ParseError(f"{key} must be a number or [re, im] pair")
+        out.append(complex(*parts))
     return out[0], out[1]
 
 
-def initial_moment_state(scenario: Scenario) -> MomentState:
+def initial_moment_state(scenario: Scenario,
+                         rho: np.ndarray | None = None) -> MomentState:
+    """The initial moments; a density state is read from rho, or built."""
     system, initial = scenario.system, scenario.initial
     kind = initial["type"]
     if kind == "vacuum":
@@ -196,22 +211,24 @@ def initial_moment_state(scenario: Scenario) -> MomentState:
                      2.0 * np.sqrt(vp) * alpha.imag]
         return MomentState(mean=np.array(mean), cov=vacuum_state(system).cov)
     if kind == "moments":
+        mean = _floats(_get(initial, "mean", list), "initial mean")
+        cov = _floats(_get(initial, "cov", list), "initial cov")
         try:
-            state = MomentState(mean=np.asarray(_get(initial, "mean", list), dtype=float),
-                                cov=np.asarray(_get(initial, "cov", list), dtype=float))
+            state = MomentState(mean=mean, cov=cov)
             assert_physical(state, system.constants.hbar)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"initial moments: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"initial moments: {exc}") from exc
         return state
     # density: extract the moments through the Fock engine at t = 0
-    rho = initial_density(scenario)
+    if rho is None:
+        rho = initial_density(scenario)
     return fock.two_mode_moments(rho, system, 0.0, scenario.fock_dim)
 
 
 def initial_density(scenario: Scenario) -> np.ndarray:
     initial, dim = scenario.initial, scenario.fock_dim
     if dim ** 4 * 16 > _FOCK_BUDGET_BYTES:
-        raise ValidationError(
+        raise ValueError(
             f"fock_dim {dim} needs a {dim ** 4 * 16 / 2 ** 30:.3g} GiB "
             f"two-mode density matrix; the limit is 1 GiB (fock_dim <= 90)")
     kind = initial["type"]
@@ -219,49 +236,28 @@ def initial_density(scenario: Scenario) -> np.ndarray:
         return np.kron(fock.fock_density(0, dim), fock.fock_density(0, dim))
     if kind == "coherent":
         a1, a2 = _coherent_displacements(initial)
-        try:
-            return np.kron(fock.coherent_density(a1, dim),
-                           fock.coherent_density(a2, dim))
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        return np.kron(fock.coherent_density(a1, dim),
+                       fock.coherent_density(a2, dim))
     if kind == "density":
-        real = initial.get("real")
-        imag = initial.get("imag")
-        try:
-            rho = np.asarray(real, dtype=float).astype(complex)
-            if imag is not None:
-                rho = rho + 1j * np.asarray(imag, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"density matrix is not numeric: {exc}") from exc
+        rho = _floats(initial.get("real"), "density matrix").astype(complex)
+        if initial.get("imag") is not None:
+            rho = rho + 1j * _floats(initial["imag"], "density matrix")
         if rho.shape != (dim * dim, dim * dim):
-            raise ValidationError(
+            raise ValueError(
                 f"density matrix shape {rho.shape} does not match "
                 f"fock_dim^2 = {dim * dim}")
-        try:
-            fock._check_density(rho)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        fock.check_density(rho)
         return rho
-    raise ValidationError(
+    raise ValueError(
         "the fock engine needs an initial state expressible as a density "
         f"matrix; {kind!r} is not")
-
-
-def _check_trajectory(mean: np.ndarray, cov: np.ndarray) -> None:
-    """The MomentState invariants, plus finiteness, over a whole stack."""
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise ValueError("trajectory moments are not finite")
-    if np.max(np.abs(cov - cov.transpose(0, 2, 1))) > SYMMETRY_TOL:
-        raise ValueError("cov is not symmetric within 1e-12")
-    if np.any(np.diagonal(cov, axis1=1, axis2=2) <= 0):
-        raise ValueError("cov diagonal entries must be strictly positive")
 
 
 def _trajectory_csv(times: np.ndarray, mean: np.ndarray, cov: np.ndarray,
                     lct: Lct | None) -> str:
     """CSV of (T, 4) means and (T, 4, 4) covariances, plus the LCT-frame
     moments when an (already validated) LCT is given."""
-    _check_trajectory(mean, cov)
+    check_moments(mean, cov)
     q = QUADRATURES
     upper = np.triu_indices(4)
     header = (["t"] + [f"mean_{a}" for a in q]
@@ -312,13 +308,15 @@ def _engine_deviation(a: tuple, f: tuple) -> np.ndarray:
 
 def run_evolve(scenario: Scenario, out_dir: str) -> None:
     system, times = scenario.system, scenario.times
+    rho0 = (initial_density(scenario) if scenario.engine in ("fock", "both")
+            else None)
     trajectories = {}
     if scenario.engine in ("analytic", "both"):
         trajectories["analytic"] = analytic.evolve_trajectory(
-            initial_moment_state(scenario), system, times)
-    if scenario.engine in ("fock", "both"):
+            initial_moment_state(scenario, rho0), system, times)
+    if rho0 is not None:
         trajectories["fock"] = fock.moment_trajectory(
-            initial_density(scenario), system, times, scenario.fock_dim)
+            rho0, system, times, scenario.fock_dim)
 
     mean, cov = trajectories.get("analytic", trajectories.get("fock"))
     _atomic_write(os.path.join(out_dir, "trajectory.csv"),
@@ -345,8 +343,8 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
 
 def run_oracle(scenario: Scenario, out_dir: str) -> None:
     system, dim, times = scenario.system, scenario.fock_dim, scenario.times
-    state0 = initial_moment_state(scenario)
     rho0 = initial_density(scenario)
+    state0 = initial_moment_state(scenario, rho0)
     dev = _engine_deviation(analytic.evolve_trajectory(state0, system, times),
                             fock.moment_trajectory(rho0, system, times, dim))
     reduced = fock.reduced_densities(rho0, dim)
@@ -370,7 +368,7 @@ def run_oracle(scenario: Scenario, out_dir: str) -> None:
 
 def run_structure(scenario: Scenario, out_dir: str) -> None:
     if scenario.lct is None:
-        raise ValidationError("the structure command needs an 'lct' entry "
+        raise ValueError("the structure command needs an 'lct' entry "
                               "in the scenario")
     report = structures.evaluate_structure(scenario.lct.M, scenario.system)
     lines = ["position block M: "
@@ -441,13 +439,13 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RuntimeError, MemoryError) as exc:
+    except (RuntimeError, MemoryError, ArithmeticError) as exc:
         print(f"error: computation failed: {exc}", file=sys.stderr)
         return 4
     return 0

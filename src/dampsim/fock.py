@@ -11,6 +11,10 @@ Schroedinger and the Heisenberg picture alike. A two-mode density is a
 (D1, D2, D1, D2) tensor; the product channel acts on it one mode at a time
 (axes (0, 2), then (1, 3)), O(D^5) elementwise work for D1 = D2 = D, and
 no two-mode operator is ever formed.
+
+A CPTP channel keeps a valid density valid, so the evolution functions check
+only shapes; check_density (an O(D^6) eigvalsh for two modes) runs once on
+each density a caller supplies.
 """
 
 from __future__ import annotations
@@ -94,15 +98,16 @@ def completeness_defect(ks: KrausSet) -> float:
     return float(np.max(np.abs(1.0 - acc)))
 
 
-def _check_density(rho: np.ndarray, trace_tol: float = 1e-10,
-                   psd_floor: float = -1e-10) -> None:
+def check_density(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho is a finite, Hermitian, unit-trace,
+    positive semidefinite matrix, each within 1e-10."""
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix is not finite")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValueError(f"density matrix trace {np.trace(rho).real} != 1")
-    if np.min(np.linalg.eigvalsh(rho)) < psd_floor:
+    if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
         raise ValueError("density matrix is not positive semidefinite")
 
 
@@ -146,7 +151,6 @@ def evolve_density(rho0: np.ndarray, ks1: KrausSet,
     """Schroedinger-picture Kraus sum; single mode, or the two-mode product
     channel applied one mode at a time."""
     rho0 = np.asarray(rho0, dtype=complex)
-    _check_density(rho0)
     if ks2 is None:
         if rho0.shape != (ks1.dim, ks1.dim):
             raise ValueError(f"density shape {rho0.shape} does not match "
@@ -176,21 +180,6 @@ def _cross_expectations(q1: np.ndarray, q2: np.ndarray,
     return np.einsum("aij,bji->ab", q1, partial)
 
 
-def heisenberg_moment(A1: np.ndarray, A2: np.ndarray | None,
-                      ks1: KrausSet, ks2: KrausSet,
-                      rho0: np.ndarray) -> complex:
-    """Heisenberg expectation <A1(t) A2(t)> on a two-mode density matrix.
-
-    Each factor is evolved by its own mode's Kraus set; A2 = None means
-    the identity on mode 2.
-    """
-    a1 = heisenberg_evolve(A1, ks1)
-    a2 = (np.eye(ks2.dim, dtype=complex) if A2 is None
-          else heisenberg_evolve(A2, ks2))
-    rho4 = _two_mode_tensor(rho0, ks1.dim, ks2.dim)
-    return complex(_cross_expectations(a1[None], a2[None], rho4)[0, 0])
-
-
 def reduced_densities(rho: np.ndarray,
                       dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The one-mode reduced density matrices of a two-mode density."""
@@ -200,9 +189,9 @@ def reduced_densities(rho: np.ndarray,
 
 def top_level_population(reduced: np.ndarray, ks: KrausSet) -> float:
     """Population of the top level |dim-1> of a one-mode density after the
-    channel, tr[E^dag(|dim-1><dim-1|) rho]: the weight at the cutoff."""
-    evolved = heisenberg_evolve(fock_density(ks.dim - 1, ks.dim), ks)
-    return float(np.einsum("ij,ji->", evolved, reduced).real)
+    channel, tr[E^dag(|dim-1><dim-1|) rho]: the weight at the cutoff. Only
+    K_0 reaches |dim-1>, so it is |K_0[dim-1, dim-1]|^2 rho[dim-1, dim-1]."""
+    return float(abs(ks.bands[0, -1]) ** 2 * reduced[-1, -1].real)
 
 
 def bh_identity_residual(kappa: float, t: float, dim: int) -> float:

@@ -92,14 +92,20 @@ class MomentState:
             raise ValueError(f"mean must be a 4-vector, got shape {mean.shape}")
         if cov.shape != (4, 4):
             raise ValueError(f"cov must be 4x4, got shape {cov.shape}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("mean and cov must be finite")
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
-            raise ValueError("cov is not symmetric within 1e-12")
-        if np.any(np.diag(cov) <= 0):
-            raise ValueError("cov diagonal entries must be strictly positive")
+        check_moments(mean, cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+
+def check_moments(mean: np.ndarray, cov: np.ndarray) -> None:
+    """Raise ValueError unless (..., 4) means and (..., 4, 4) covariances
+    are finite, symmetric within SYMMETRY_TOL and of positive diagonal."""
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise ValueError("mean and cov must be finite")
+    if np.max(np.abs(cov - np.swapaxes(cov, -1, -2))) > SYMMETRY_TOL:
+        raise ValueError("cov is not symmetric within 1e-12")
+    if np.any(np.diagonal(cov, axis1=-2, axis2=-1) <= 0):
+        raise ValueError("cov diagonal entries must be strictly positive")
 
 
 def symplectic_defect(state: MomentState, hbar: float = 1.0) -> float:
@@ -111,11 +117,10 @@ def symplectic_defect(state: MomentState, hbar: float = 1.0) -> float:
     return float(np.min(np.linalg.eigvalsh(m)))
 
 
-def assert_physical(state: MomentState, hbar: float = 1.0,
-                    floor: float = -STRUCTURAL_TOL) -> None:
+def assert_physical(state: MomentState, hbar: float = 1.0) -> None:
     """Raise ValueError if the state violates symplectic positivity."""
     defect = symplectic_defect(state, hbar)
-    if defect < floor:
+    if defect < -STRUCTURAL_TOL:
         raise ValueError(
             f"state violates symplectic positivity: min eigenvalue {defect:g}")
 
@@ -124,6 +129,15 @@ def vacuum_variances(mode: ModeParams, hbar: float) -> tuple[float, float]:
     """Ground-state x and p variances hbar/(2 m omega), m hbar omega/2."""
     return (hbar / (2.0 * mode.mass * mode.omega),
             mode.mass * hbar * mode.omega / 2.0)
+
+
+def check_damped(system: TwoModeSystem) -> None:
+    """Raise ValueError unless kappa > 0 on both modes: an undamped mode
+    keeps its initial moments, so it has no asymptotic state."""
+    for label, mode in (("mode1", system.mode1), ("mode2", system.mode2)):
+        if mode.kappa == 0:
+            raise ValueError(f"{label} is undamped (kappa = 0): "
+                             "no unique asymptotic state")
 
 
 def vacuum_state(system: TwoModeSystem) -> MomentState:
@@ -173,9 +187,18 @@ class Lct:
         return self.N[1]
 
 
+def _condition_violation(m: np.ndarray) -> str | None:
+    """Why a position block is too ill-conditioned to invert, if it is."""
+    cond = float(np.linalg.cond(m))
+    if not cond <= MAX_CONDITION:
+        return (f"cond(M) = {cond:.3e} exceeds {MAX_CONDITION:.2e}: "
+                f"singular or ill-conditioned")
+    return None
+
+
 def validate_lct(lct: Lct, tol: float = STRUCTURAL_TOL) -> list[str]:
-    """Check the four canonicity constraints; returns a list of violation
-    messages with residuals (empty when the transform is valid)."""
+    """Check the four canonicity constraints and cond(M); returns a list of
+    violation messages with residuals (empty when the transform is valid)."""
     violations = []
     residual = lct.M @ lct.N.T - np.eye(2)
     labels = (("sum alpha_i gamma_i - 1", "sum alpha_i delta_i"),
@@ -185,22 +208,23 @@ def validate_lct(lct: Lct, tol: float = STRUCTURAL_TOL) -> list[str]:
             r = residual[i, j]
             if abs(r) > tol:
                 violations.append(f"{labels[i][j]} = {r:.3e}")
-    cond = float(np.linalg.cond(lct.M))
-    if not cond <= MAX_CONDITION:
-        violations.append(f"cond(M) = {cond:.3e} exceeds {MAX_CONDITION:.2e}: "
-                          f"singular or ill-conditioned")
+    if conditioning := _condition_violation(lct.M):
+        violations.append(conditioning)
     return violations
+
+
+def check_lct(lct: Lct) -> None:
+    """Raise ValueError("invalid LCT: ...") with validate_lct's list."""
+    violations = validate_lct(lct)
+    if violations:
+        raise ValueError("invalid LCT: " + "; ".join(violations))
 
 
 def lct_from_position_block(M: np.ndarray) -> Lct:
     """Build a valid Lct from its position block alone, with N = inv(M.T)."""
     m = np.asarray(M, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError("position block must be 2x2")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("position block must be finite")
-    cond = float(np.linalg.cond(m))
-    if not cond <= MAX_CONDITION:
-        raise ValueError(f"position block is singular or ill-conditioned: "
-                         f"cond = {cond:.3e} exceeds {MAX_CONDITION:.2e}")
+    if m.shape != (2, 2) or not np.all(np.isfinite(m)):
+        raise ValueError("position block must be a finite 2x2 matrix")
+    if conditioning := _condition_violation(m):
+        raise ValueError(f"position block: {conditioning}")
     return Lct(M=m, N=np.linalg.inv(m.T))

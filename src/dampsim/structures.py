@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Lct, MomentState, TwoModeSystem, lct_from_position_block,
-                    validate_lct)
+from .model import (Lct, MomentState, TwoModeSystem, check_damped, check_lct,
+                    lct_from_position_block)
 
 # Nelder-Mead limits per restart (iterations, function and simplex
 # tolerances), and the trivial-family exclusion margin
@@ -62,22 +62,15 @@ def lct_matrix(lct: Lct) -> np.ndarray:
 def transform_state(state: MomentState, lct: Lct) -> MomentState:
     """Moments of the alternate degrees of freedom, ordering
     (X_A, P_A, xi_B, pi_B)."""
-    violations = validate_lct(lct)
-    if violations:
-        raise ValueError("invalid LCT: " + "; ".join(violations))
+    check_lct(lct)
     s = lct_matrix(lct)
     return MomentState(mean=s @ state.mean, cov=s @ state.cov @ s.T)
-
-
-def _require_damped(system: TwoModeSystem) -> None:
-    if system.mode1.kappa == 0 or system.mode2.kappa == 0:
-        raise ValueError("asymptotic quantities need kappa > 0 on both modes")
 
 
 def _mode_scales(system: TwoModeSystem) -> tuple[float, float]:
     """sqrt(m_i omega_i), the factors that map each mode's vacuum onto the
     isotropic one; asymptotic quantities need both modes damped."""
-    _require_damped(system)
+    check_damped(system)
     return tuple(math.sqrt(mode.mass * mode.omega) for mode in system.modes)
 
 

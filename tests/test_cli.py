@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dampsim
 from dampsim import structures
@@ -43,16 +46,31 @@ def read_csv(path):
 
 
 class TestExitCodes:
-    def test_malformed_json_exits_1(self, tmp_path):
+    def test_malformed_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         nan_kappa = json.dumps(base_scenario()).replace('"kappa": 0.5',
                                                         '"kappa": NaN')
         inf_t_end = json.dumps(base_scenario()).replace('"t_end": 4.0',
                                                         '"t_end": Infinity')
-        for text in ("{not json", nan_kappa, inf_t_end):
+        # an integer past float range, unlike 1e400, is not read as inf
+        huge_kappa = json.dumps(base_scenario()).replace(
+            '"kappa": 0.5', '"kappa": 1' + "0" * 400)
+        ragged = [[1.0, 0.0], [0.0]]
+        malformed_values = [
+            base_scenario(initial={"type": "coherent", "alpha1": ["a", 1]}),
+            base_scenario(initial={"type": "coherent", "alpha1": [None, 1]}),
+            base_scenario(lct={"M": [[1.0, 0.0], [0.0, 1.0]], "N": {}}),
+            base_scenario(lct={"M": [[1.0, 0.0], [0.0, 1.0]], "N": ragged}),
+            base_scenario(lct={"M": ragged}),
+        ]
+        for text in ("{not json", nan_kappa, inf_t_end, huge_kappa,
+                     *map(json.dumps, malformed_values)):
             path.write_text(text)
+            capsys.readouterr()
             assert main(["evolve", "--config", str(path),
                          "--output", str(tmp_path)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_missing_key_exits_1(self, tmp_path):
         config = write_scenario(tmp_path, {"system": {}})
@@ -124,6 +142,28 @@ class TestExitCodes:
         assert err.startswith("error: ") and "trivial" in err
         assert "Traceback" not in err
         assert not (tmp_path / "classicality.txt").exists()
+        # finite parameters whose vacuum scales overflow or underflow
+        monkeypatch.undo()
+        tiny = base_scenario()
+        tiny["system"]["mode1"].update(mass=1e-200, omega=1e-200)
+        huge = base_scenario()
+        huge["system"]["mode1"]["mass"] = 1e308
+        for scenario, command in ((tiny, "evolve"), (huge, "classicality")):
+            config = write_scenario(tmp_path, scenario)
+            assert main([command, "--config", config,
+                         "--output", str(tmp_path)]) == 4
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("error: computation failed")
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        for seed, flag in ((-1, []), (5, ["--seed", "-1"])):
+            config = write_scenario(tmp_path, base_scenario(seed=seed))
+            for command in ("evolve", "classicality"):
+                assert main([command, "--config", config, *flag,
+                             "--output", str(tmp_path)]) == 2
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and "seed" in err[0]
 
     def test_io_error_exits_3(self, tmp_path):
         config = write_scenario(tmp_path, base_scenario())
@@ -326,6 +366,27 @@ class TestInitialStates:
         assert float(rows[0][idx]) == pytest.approx(np.sqrt(2) * 0.5,
                                                     abs=1e-4)
 
+    def test_density_is_checked_once_per_command(self, tmp_path,
+                                                 monkeypatch):
+        from dampsim import fock
+        check, calls = fock.check_density, []
+        monkeypatch.setattr(fock, "check_density",
+                            lambda rho: calls.append(1) or check(rho))
+        dim = 4
+        rho = np.kron(fock.coherent_density(0.5, dim),
+                      fock.coherent_density(0.3j, dim))
+        for command, engine in (("evolve", "analytic"), ("evolve", "fock"),
+                                ("evolve", "both"), ("oracle", "analytic")):
+            scenario = base_scenario(engine=engine, fock_dim=dim,
+                                     initial={"type": "density",
+                                              "real": rho.real.tolist(),
+                                              "imag": rho.imag.tolist()})
+            config = write_scenario(tmp_path, scenario)
+            calls.clear()
+            assert main([command, "--config", config,
+                         "--output", str(tmp_path)]) == 0
+            assert len(calls) == 1, (command, engine)
+
     def test_non_finite_density_exits_2(self, tmp_path):
         dim = 2
         rho = np.kron(np.eye(dim) / dim, np.eye(dim) / dim).tolist()
@@ -347,6 +408,78 @@ class TestInitialStates:
                   if line.startswith("error:")]
         assert len(errors) == 1 and "finite" in errors[0]
         assert "Warning" not in out.stderr
+
+
+def json_paths(value, prefix=()):
+    """Every path (a tuple of keys and indices) into a JSON value, the root
+    path () included."""
+    yield prefix
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+# Integers stay small so fock_dim and n_steps stay cheap; the huge ones lie
+# beyond the resource limits (or past float range) and must be rejected.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.sampled_from([2 ** 63, 10 ** 400, -10 ** 400])
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+
+def fuzz_bases():
+    """Valid scenarios, one per initial state type, small enough that every
+    command finishes in milliseconds."""
+    from dampsim.fock import coherent_density
+    rho = np.kron(coherent_density(0.3, 2), coherent_density(0.2j, 2))
+    small = dict(engine="both", seed=3,
+                 time_grid={"t_start": 0.0, "t_end": 2.0, "n_steps": 3},
+                 lct={"M": [[0.5, 0.5], [1.0, -1.0]],
+                      "N": [[1.0, 1.0], [0.5, -0.5]]})
+    initials = [{"type": "coherent", "alpha1": [0.5, 0.1], "alpha2": 0.3},
+                {"type": "vacuum"},
+                {"type": "moments", "mean": [0.1, 0.0, 0.0, -0.2],
+                 "cov": np.diag([0.6, 0.5, 0.5, 0.7]).tolist()},
+                {"type": "density", "real": rho.real.tolist(),
+                 "imag": rho.imag.tolist()}]
+    return [base_scenario(initial=initial, **small,
+                          fock_dim=2 if initial["type"] == "density" else 4)
+            for initial in initials]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A valid base scenario with one to three of its values, at any depth,
+    replaced by arbitrary JSON."""
+    scenario = draw(st.sampled_from(fuzz_bases()))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(json_paths(scenario))))
+        value = draw(JSON_VALUES)
+        if not path:
+            scenario = value
+            continue
+        parent = scenario
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return scenario
+
+
+@given(mutated_scenarios())
+def test_any_scenario_exits_with_a_documented_code(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "scenario.json")
+        with open(config, "w") as fh:
+            json.dump(scenario, fh)
+        for command in ("evolve", "oracle", "structure", "classicality"):
+            code = main([command, "--config", config,
+                         "--output", os.path.join(tmp, "out")])
+            assert code in (0, 1, 2, 3, 4)
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

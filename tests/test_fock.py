@@ -6,9 +6,9 @@ import pytest
 
 from dampsim import analytic, fock
 from dampsim.fock import (KrausSet, bh_identity_residual,
-                          build_mode_operators, coherent_density,
-                          completeness_defect, evolve_density, fock_density,
-                          heisenberg_evolve, heisenberg_moment,
+                          build_mode_operators, check_density,
+                          coherent_density, completeness_defect,
+                          evolve_density, fock_density, heisenberg_evolve,
                           kraus_operators, lowering, moment_trajectory,
                           two_mode_moments)
 from dampsim.model import MomentState, PhysicalConstants
@@ -266,15 +266,17 @@ class TestEvolveDensity:
 
     def test_rejects_non_density(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            evolve_density(np.array([[0, 1], [0, 0]], dtype=complex),
-                           kraus_operators(1.0, 1.0, 2))
+            check_density(np.array([[0, 1], [0, 0]], dtype=complex))
         with pytest.raises(ValueError, match="trace"):
-            evolve_density(2.0 * fock_density(0, 4),
-                           kraus_operators(1.0, 1.0, 4))
+            check_density(2.0 * fock_density(0, 4))
         not_finite = fock_density(0, 4)
         not_finite[1, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            evolve_density(not_finite, kraus_operators(1.0, 1.0, 4))
+            check_density(not_finite)
+        # the channel trusts its input: a linear map of twice a density
+        doubled = evolve_density(2.0 * fock_density(0, 4),
+                                 kraus_operators(1.0, 1.0, 4))
+        assert np.trace(doubled).real == pytest.approx(2.0, abs=1e-12)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -299,7 +301,8 @@ class TestHeisenbergMoment:
         ops = build_mode_operators(dim, system.mode1, system.constants)
         rho0 = coherent_pair_density(1.0, 0.0, dim)
         ks = kraus_operators(kappa, t, dim)
-        val = heisenberg_moment(ops.a, None, ks, ks, rho0)
+        val = np.trace(np.kron(heisenberg_evolve(ops.a, ks), np.eye(dim))
+                       @ rho0)
         assert val.real == pytest.approx(np.exp(-kappa * t), abs=1e-9)
         assert val.imag == pytest.approx(0.0, abs=1e-9)
 
@@ -309,7 +312,8 @@ class TestHeisenbergMoment:
         ops = build_mode_operators(dim, system.mode1, system.constants)
         rho0 = np.kron(fock_density(1, dim), fock_density(0, dim))
         ks = kraus_operators(kappa, t, dim)
-        val = heisenberg_moment(ops.number, None, ks, ks, rho0)
+        val = np.trace(np.kron(heisenberg_evolve(ops.number, ks),
+                               np.eye(dim)) @ rho0)
         assert val.real == pytest.approx(np.exp(-2 * kappa * t), abs=1e-12)
 
     def test_identity_traces_to_one(self):
@@ -318,7 +322,8 @@ class TestHeisenbergMoment:
         ks1 = kraus_operators(0.4, 2.0, dim)
         ks2 = kraus_operators(0.9, 2.0, dim)
         ident = np.eye(dim, dtype=complex)
-        val = heisenberg_moment(ident, ident, ks1, ks2, rho0)
+        val = np.trace(np.kron(heisenberg_evolve(ident, ks1),
+                               heisenberg_evolve(ident, ks2)) @ rho0)
         assert val.real == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_moment_factorizes_for_product_input(self):
@@ -330,10 +335,23 @@ class TestHeisenbergMoment:
         ops1 = build_mode_operators(dim, system.mode1, system.constants)
         ops2 = build_mode_operators(dim, system.mode2, system.constants)
         ident = np.eye(dim, dtype=complex)
-        joint = heisenberg_moment(ops1.x, ops2.x, ks1, ks2, rho0)
-        m1 = heisenberg_moment(ops1.x, ident, ks1, ks2, rho0)
-        m2 = heisenberg_moment(ident, ops2.x, ks1, ks2, rho0)
+        x1, x2 = heisenberg_evolve(ops1.x, ks1), heisenberg_evolve(ops2.x, ks2)
+        joint = np.trace(np.kron(x1, x2) @ rho0)
+        m1 = np.trace(np.kron(x1, heisenberg_evolve(ident, ks2)) @ rho0)
+        m2 = np.trace(np.kron(heisenberg_evolve(ident, ks1), x2) @ rho0)
         assert abs(joint - m1 * m2) < 1e-9
+
+    def test_top_level_population_is_the_heisenberg_projector(self):
+        # the closed form against tr[E^dag(|D-1><D-1|) rho] through the
+        # kernel, bit for bit
+        rng = np.random.default_rng(17)
+        for dim in (2, 5, 16, 32):
+            reduced = random_density(dim, rng)
+            for kt in (0.0, 0.05, 0.7, 3.0):
+                ks = kraus_operators(1.0, kt, dim)
+                evolved = heisenberg_evolve(fock_density(dim - 1, dim), ks)
+                expected = float(np.einsum("ij,ji->", evolved, reduced).real)
+                assert fock.top_level_population(reduced, ks) == expected
 
 
 class TestOracleMoments:
