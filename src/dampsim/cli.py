@@ -13,11 +13,12 @@ grid's (n_steps, 4, 4) covariance trajectory may take at most 128 MiB
 (fock_dim <= 90).
 
 Each value is checked once, where it enters; the engines trust what they
-get. load_scenario parses types and numbers (exit 1), then checks the
-parameters, time grid, LCT and seed (exit 2). Each command builds its
-initial state once, checking explicit moments with MomentState and
-assert_physical and an explicit density with fock.check_density. The CSV
-writer checks the trajectory with model.check_moments.
+get. load_scenario, for every command, parses types and numbers (exit 1),
+then checks the parameters, time grid, initial state, LCT and seed
+(exit 2): explicit moments with MomentState and assert_physical, an
+explicit density with its shape and fock.check_density. Each command then
+builds the density it needs once. The CSV writer checks the trajectory
+with model.check_moments.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ def _fmt(v: float) -> str:
 @dataclasses.dataclass(frozen=True)
 class Scenario:
     system: TwoModeSystem
-    initial: dict
+    # coherent displacements (the vacuum is (0, 0)), a physical MomentState,
+    # or a checked (fock_dim^2, fock_dim^2) density matrix
+    initial: tuple[complex, complex] | MomentState | np.ndarray
     times: np.ndarray
     engine: str
     fock_dim: int
@@ -171,86 +174,82 @@ def load_scenario(path: str) -> Scenario:
     if fock_dim < 2:
         raise ValueError(f"fock_dim must be >= 2, got {fock_dim}")
 
-    initial = _get(raw, "initial", dict, {"type": "vacuum"})
-    if _get(initial, "type", str) not in ("vacuum", "coherent", "moments",
-                                          "density"):
-        raise ValueError(f"unknown initial state type "
-                              f"{initial['type']!r}")
-
+    initial = _parse_initial(_get(raw, "initial", dict, {"type": "vacuum"}),
+                             system, fock_dim)
     lct = _parse_lct(raw["lct"]) if "lct" in raw else None
     seed = _get(raw, "seed", int, 0)
     return Scenario(system=system, initial=initial, times=times,
                     engine=engine, fock_dim=fock_dim, lct=lct, seed=seed)
 
 
-def _coherent_displacements(initial: dict) -> tuple[complex, complex]:
-    out = []
-    for key in ("alpha1", "alpha2"):
-        v = initial.get(key, 0.0)
-        parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
-        if not all(map(_is_number, parts)):
-            raise ParseError(f"{key} must be a number or [re, im] pair")
-        out.append(complex(*parts))
-    return out[0], out[1]
-
-
-def initial_moment_state(scenario: Scenario,
-                         rho: np.ndarray | None = None) -> MomentState:
-    """The initial moments; a density state is read from rho, or built."""
-    system, initial = scenario.system, scenario.initial
-    kind = initial["type"]
+def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
+    """The checked initial state, as Scenario.initial holds it."""
+    kind = _get(d, "type", str)
     if kind == "vacuum":
-        return vacuum_state(system)
+        return 0j, 0j
     if kind == "coherent":
-        # <x> = 2 sqrt(vx) Re(alpha), <p> = 2 sqrt(vp) Im(alpha)
-        mean = []
-        for alpha, mode in zip(_coherent_displacements(initial),
-                               system.modes):
-            vx, vp = vacuum_variances(mode, system.constants.hbar)
-            mean += [2.0 * np.sqrt(vx) * alpha.real,
-                     2.0 * np.sqrt(vp) * alpha.imag]
-        return MomentState(mean=np.array(mean), cov=vacuum_state(system).cov)
+        pair = []
+        for key in ("alpha1", "alpha2"):
+            v = d.get(key, 0.0)
+            parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+            if not all(map(_is_number, parts)):
+                raise ParseError(f"{key} must be a number or [re, im] pair")
+            pair.append(complex(*parts))
+        return tuple(pair)
     if kind == "moments":
-        mean = _floats(_get(initial, "mean", list), "initial mean")
-        cov = _floats(_get(initial, "cov", list), "initial cov")
+        mean = _floats(_get(d, "mean", list), "initial mean")
+        cov = _floats(_get(d, "cov", list), "initial cov")
         try:
             state = MomentState(mean=mean, cov=cov)
             assert_physical(state, system.constants.hbar)
         except ValueError as exc:
             raise ValueError(f"initial moments: {exc}") from exc
         return state
-    # density: extract the moments through the Fock engine at t = 0
-    if rho is None:
-        rho = initial_density(scenario)
-    return fock.two_mode_moments(rho, system, 0.0, scenario.fock_dim)
-
-
-def initial_density(scenario: Scenario) -> np.ndarray:
-    initial, dim = scenario.initial, scenario.fock_dim
-    if dim ** 4 * 16 > _FOCK_BUDGET_BYTES:
-        raise ValueError(
-            f"fock_dim {dim} needs a {dim ** 4 * 16 / 2 ** 30:.3g} GiB "
-            f"two-mode density matrix; the limit is 1 GiB (fock_dim <= 90)")
-    kind = initial["type"]
-    if kind == "vacuum":
-        return np.kron(fock.fock_density(0, dim), fock.fock_density(0, dim))
-    if kind == "coherent":
-        a1, a2 = _coherent_displacements(initial)
-        return np.kron(fock.coherent_density(a1, dim),
-                       fock.coherent_density(a2, dim))
     if kind == "density":
-        rho = _floats(initial.get("real"), "density matrix").astype(complex)
-        if initial.get("imag") is not None:
-            rho = rho + 1j * _floats(initial["imag"], "density matrix")
+        rho = _floats(_get(d, "real", list), "density matrix").astype(complex)
+        if d.get("imag") is not None:
+            rho = rho + 1j * _floats(d["imag"], "density matrix")
         if rho.shape != (dim * dim, dim * dim):
             raise ValueError(
                 f"density matrix shape {rho.shape} does not match "
                 f"fock_dim^2 = {dim * dim}")
         fock.check_density(rho)
         return rho
-    raise ValueError(
-        "the fock engine needs an initial state expressible as a density "
-        f"matrix; {kind!r} is not")
+    raise ValueError(f"unknown initial state type {kind!r}")
+
+
+def initial_moment_state(scenario: Scenario) -> MomentState:
+    """The initial moments; a density's come from the Fock engine at t = 0."""
+    system, initial = scenario.system, scenario.initial
+    if isinstance(initial, MomentState):
+        return initial
+    if isinstance(initial, np.ndarray):
+        return fock.two_mode_moments(initial, system, 0.0, scenario.fock_dim)
+    # coherent: <x> = 2 sqrt(vx) Re(alpha), <p> = 2 sqrt(vp) Im(alpha)
+    mean = []
+    for alpha, mode in zip(initial, system.modes):
+        vx, vp = vacuum_variances(mode, system.constants.hbar)
+        mean += [2.0 * np.sqrt(vx) * alpha.real,
+                 2.0 * np.sqrt(vp) * alpha.imag]
+    return MomentState(mean=np.array(mean), cov=vacuum_state(system).cov)
+
+
+def initial_density(scenario: Scenario) -> np.ndarray:
+    """The initial two-mode density; a coherent pair's is built here."""
+    initial, dim = scenario.initial, scenario.fock_dim
+    if dim ** 4 * 16 > _FOCK_BUDGET_BYTES:
+        raise ValueError(
+            f"fock_dim {dim} needs a {dim ** 4 * 16 / 2 ** 30:.3g} GiB "
+            f"two-mode density matrix; the limit is 1 GiB (fock_dim <= 90)")
+    if isinstance(initial, np.ndarray):
+        return initial
+    if isinstance(initial, MomentState):
+        raise ValueError(
+            "the fock engine needs an initial state expressible as a "
+            "density matrix; 'moments' is not")
+    a1, a2 = initial
+    return np.kron(fock.coherent_density(a1, dim),
+                   fock.coherent_density(a2, dim))
 
 
 def _trajectory_csv(times: np.ndarray, mean: np.ndarray, cov: np.ndarray,
@@ -313,7 +312,7 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
     trajectories = {}
     if scenario.engine in ("analytic", "both"):
         trajectories["analytic"] = analytic.evolve_trajectory(
-            initial_moment_state(scenario, rho0), system, times)
+            initial_moment_state(scenario), system, times)
     if rho0 is not None:
         trajectories["fock"] = fock.moment_trajectory(
             rho0, system, times, scenario.fock_dim)
@@ -344,7 +343,7 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
 def run_oracle(scenario: Scenario, out_dir: str) -> None:
     system, dim, times = scenario.system, scenario.fock_dim, scenario.times
     rho0 = initial_density(scenario)
-    state0 = initial_moment_state(scenario, rho0)
+    state0 = initial_moment_state(scenario)
     dev = _engine_deviation(analytic.evolve_trajectory(state0, system, times),
                             fock.moment_trajectory(rho0, system, times, dim))
     reduced = fock.reduced_densities(rho0, dim)

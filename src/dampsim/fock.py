@@ -217,13 +217,16 @@ def coherent_density(displacement: complex, dim: int) -> np.ndarray:
     (|alpha|^2 > dim/4).
     """
     alpha = complex(displacement)
-    if not abs(alpha) ** 2 <= dim / 4.0:
+    # |alpha| > dim fails the guard anyway, and squaring it could overflow
+    norm2 = (math.inf if math.hypot(alpha.real, alpha.imag) > dim
+             else abs(alpha) ** 2)
+    if not norm2 <= dim / 4.0:
         raise ValueError(
-            f"|displacement|^2 = {abs(alpha) ** 2:g} exceeds dim/4 = "
+            f"|displacement|^2 = {norm2:g} exceeds dim/4 = "
             f"{dim / 4.0:g}; increase the cutoff")
     n = np.arange(dim)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1.0, dim)))))
-    amps = np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * log_fact) * alpha ** n
+    amps = np.exp(-0.5 * norm2 - 0.5 * log_fact) * alpha ** n
     amps /= np.linalg.norm(amps)
     return np.outer(amps, amps.conj())
 

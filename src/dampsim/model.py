@@ -68,6 +68,21 @@ class TwoModeSystem:
     mode2: ModeParams
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
+    def __post_init__(self):
+        # finite masses and frequencies can still put hbar/(2 m omega) or
+        # m hbar omega/2 past float range, and every engine scales by them
+        hbar = self.constants.hbar
+        for label, mode in (("mode1", self.mode1), ("mode2", self.mode2)):
+            try:
+                variances = vacuum_variances(mode, hbar)
+            except ZeroDivisionError:  # m omega underflowed to zero
+                variances = (math.inf,)
+            if not all(0 < v < math.inf for v in variances):
+                raise ValueError(
+                    f"{label}: vacuum variances hbar/(2 m omega) and "
+                    f"m hbar omega/2 must be finite and > 0 (mass "
+                    f"{mode.mass:g}, omega {mode.omega:g}, hbar {hbar:g})")
+
     @property
     def modes(self) -> tuple[ModeParams, ModeParams]:
         return (self.mode1, self.mode2)
@@ -196,7 +211,7 @@ def _condition_violation(m: np.ndarray) -> str | None:
     return None
 
 
-def validate_lct(lct: Lct, tol: float = STRUCTURAL_TOL) -> list[str]:
+def validate_lct(lct: Lct) -> list[str]:
     """Check the four canonicity constraints and cond(M); returns a list of
     violation messages with residuals (empty when the transform is valid)."""
     violations = []
@@ -206,7 +221,7 @@ def validate_lct(lct: Lct, tol: float = STRUCTURAL_TOL) -> list[str]:
     for i in range(2):
         for j in range(2):
             r = residual[i, j]
-            if abs(r) > tol:
+            if abs(r) > STRUCTURAL_TOL:
                 violations.append(f"{labels[i][j]} = {r:.3e}")
     if conditioning := _condition_violation(lct.M):
         violations.append(conditioning)

@@ -218,7 +218,6 @@ class StructureReport:
 @dataclass(frozen=True)
 class RestartResult:
     index: int
-    start: np.ndarray
     position_block: np.ndarray
     residual: float
     iterations: int
@@ -270,8 +269,7 @@ def search_classical_structure(
         x, fun, nit = _nelder_mead(objective, start.tolist())
         m = np.array(x).reshape(2, 2)
         trace.append(RestartResult(
-            index=i, start=start.reshape(2, 2), position_block=m,
-            residual=fun, iterations=nit,
+            index=i, position_block=m, residual=fun, iterations=nit,
             trivial=trivial_mixing_distance(m) < EXCLUSION_MARGIN))
 
     candidates = [r for r in trace if not r.trivial]

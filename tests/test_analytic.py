@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dampsim.analytic import (asymptotic_state, cross_covariance,
                               evolve_state, evolve_trajectory,
                               uncertainty_product)
 from dampsim.model import MomentState, symplectic_defect, vacuum_state
 
-from test_model import make_system
+from test_model import make_system, systems
 
 
 def correlated_state(c=0.8):
@@ -64,6 +66,20 @@ class TestEvolveState:
             direct = evolve_state(s0, system, t1 + t2)
             assert np.allclose(via_two.mean, direct.mean, atol=1e-12)
             assert np.allclose(via_two.cov, direct.cov, atol=1e-12)
+
+    @given(systems(), st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+           st.floats(0.0, 5.0), st.lists(st.floats(0.0, 5.0), min_size=1,
+                                         max_size=3))
+    def test_semigroup_law(self, system, draws, t1, t2):
+        # evolving for t1 and then for each t2 is evolving for t1 + t2
+        r = np.array(draws[4:])
+        s0 = MomentState(mean=np.array(draws[:4]),
+                         cov=vacuum_state(system).cov + np.outer(r, r))
+        t2 = np.array(t2)
+        via_two = evolve_trajectory(evolve_state(s0, system, t1), system, t2)
+        direct = evolve_trajectory(s0, system, t1 + t2)
+        for a, b in zip(via_two, direct):
+            assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)))
 
     def test_mean_decay_is_exact_exponential(self):
         system = make_system(k1=0.6, k2=0.25)

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dampsim
-from dampsim import structures
+from dampsim import cli, fock, structures
 from dampsim.cli import main
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -110,6 +110,21 @@ class TestExitCodes:
             assert len(err) == 1 and err[0].startswith("error: ")
             assert "n_steps" in err[0]
 
+    def test_coherent_displacement_past_float_range_exits_2(self, tmp_path,
+                                                            capsys):
+        # |alpha|^2 overflows a float; the cutoff guard still rejects it
+        for alpha in ([1e300, 0.0], [1.7e308, 1.7e308]):
+            scenario = base_scenario(initial={"type": "coherent",
+                                              "alpha1": alpha})
+            for engine, command in (("fock", "evolve"), ("both", "evolve"),
+                                    ("analytic", "oracle")):
+                scenario["engine"] = engine
+                config = write_scenario(tmp_path, scenario)
+                assert main([command, "--config", config,
+                             "--output", str(tmp_path)]) == 2
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and "increase the cutoff" in err[0]
+
     def test_moments_initial_with_fock_engine_exits_2(self, tmp_path):
         scenario = base_scenario(engine="fock",
                                  initial={"type": "moments",
@@ -142,19 +157,33 @@ class TestExitCodes:
         assert err.startswith("error: ") and "trivial" in err
         assert "Traceback" not in err
         assert not (tmp_path / "classicality.txt").exists()
-        # finite parameters whose vacuum scales overflow or underflow
+        # representable vacuum scales, but m omega so large that the search
+        # objective divides by an underflowed det^4
         monkeypatch.undo()
-        tiny = base_scenario()
-        tiny["system"]["mode1"].update(mass=1e-200, omega=1e-200)
         huge = base_scenario()
-        huge["system"]["mode1"]["mass"] = 1e308
-        for scenario, command in ((tiny, "evolve"), (huge, "classicality")):
+        huge["system"]["mode1"]["mass"] = 1e200
+        config = write_scenario(tmp_path, huge)
+        assert main(["classicality", "--config", config,
+                     "--output", str(tmp_path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: computation failed")
+
+    def test_unrepresentable_vacuum_variances_exit_2(self, tmp_path, capsys):
+        # m omega underflows to 0 (1e-200 squared), or 2 m omega overflows
+        # so that hbar/(2 m omega) is 0: finite parameters, no vacuum scale
+        for label, params in (("mode1", {"mass": 1e-200, "omega": 1e-200}),
+                              ("mode2", {"mass": 1e308}),
+                              ("mode2", {"mass": 1e200, "omega": 1e200})):
+            scenario = base_scenario(lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
+            scenario["system"][label].update(params)
             config = write_scenario(tmp_path, scenario)
-            assert main([command, "--config", config,
-                         "--output", str(tmp_path)]) == 4
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1
-            assert err[0].startswith("error: computation failed")
+            for command in ("evolve", "oracle", "structure", "classicality"):
+                assert main([command, "--config", config,
+                             "--output", str(tmp_path / "out")]) == 2
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith("error: ")
+                assert label in err[0] and "vacuum variances" in err[0]
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         for seed, flag in ((-1, []), (5, ["--seed", "-1"])):
@@ -368,7 +397,6 @@ class TestInitialStates:
 
     def test_density_is_checked_once_per_command(self, tmp_path,
                                                  monkeypatch):
-        from dampsim import fock
         check, calls = fock.check_density, []
         monkeypatch.setattr(fock, "check_density",
                             lambda rho: calls.append(1) or check(rho))
@@ -376,16 +404,91 @@ class TestInitialStates:
         rho = np.kron(fock.coherent_density(0.5, dim),
                       fock.coherent_density(0.3j, dim))
         for command, engine in (("evolve", "analytic"), ("evolve", "fock"),
-                                ("evolve", "both"), ("oracle", "analytic")):
+                                ("evolve", "both"), ("oracle", "analytic"),
+                                ("structure", "analytic"),
+                                ("classicality", "analytic")):
             scenario = base_scenario(engine=engine, fock_dim=dim,
                                      initial={"type": "density",
                                               "real": rho.real.tolist(),
-                                              "imag": rho.imag.tolist()})
+                                              "imag": rho.imag.tolist()},
+                                     lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
             config = write_scenario(tmp_path, scenario)
             calls.clear()
             assert main([command, "--config", config,
                          "--output", str(tmp_path)]) == 0
             assert len(calls) == 1, (command, engine)
+
+    @pytest.mark.parametrize("command", ["evolve", "oracle", "structure",
+                                         "classicality"])
+    def test_initial_state_is_checked_for_every_command(self, tmp_path,
+                                                        capsys, command):
+        dim = 2
+        rho = np.kron(np.eye(dim) / dim, np.eye(dim) / dim)
+        asymmetric = rho.copy()
+        asymmetric[0, 1] = 0.1
+        unphysical = np.diag([0.1, 0.1, 0.1, 0.1]).tolist()
+        malformed = [{"type": "moments", "mean": [0.0] * 4},
+                     {"type": "moments", "mean": [0.0] * 4,
+                      "cov": [[1.0, 0.0], [0.0]]},
+                     {"type": "density"},
+                     {"type": "density", "real": [[0.5, 0.5], ["a", 0.5]]},
+                     {"type": "coherent", "alpha1": ["a", 1]}]
+        invalid = [{"type": "moments", "mean": [0.0] * 4, "cov": unphysical},
+                   {"type": "moments", "mean": [0.0, 0.0, 0.0, "INF"],
+                    "cov": np.eye(4).tolist()},
+                   {"type": "density", "real": [[1.0]]},
+                   {"type": "density", "real": asymmetric.tolist()},
+                   {"type": "density", "real": (2 * rho).tolist()},
+                   {"type": "squeezed"}]
+        for code, initials in ((1, malformed), (2, invalid)):
+            for initial in initials:
+                scenario = base_scenario(
+                    initial=initial, fock_dim=dim,
+                    lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
+                # 1e400 is valid JSON and parses to inf
+                config = tmp_path / "scenario.json"
+                config.write_text(json.dumps(scenario).replace('"INF"',
+                                                               "1e400"))
+                assert main([command, "--config", str(config),
+                             "--output", str(tmp_path / "out")]) == code, \
+                    initial
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_vacuum_is_the_zero_displacement(self, tmp_path):
+        zero = {"type": "coherent", "alpha1": 0, "alpha2": [0, 0.0]}
+        for engine in ("analytic", "fock", "both"):
+            outputs = []
+            for initial in ({"type": "vacuum"}, zero, None):
+                scenario = base_scenario(
+                    engine=engine, fock_dim=4, initial=initial,
+                    lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
+                if initial is None:
+                    del scenario["initial"]
+                config = write_scenario(tmp_path, scenario)
+                out = tmp_path / f"{engine}-{len(outputs)}"
+                for command in ("evolve", "oracle", "structure",
+                                "classicality"):
+                    assert main([command, "--config", config,
+                                 "--output", str(out)]) == 0
+                outputs.append({name: (out / name).read_bytes()
+                                for name in sorted(os.listdir(out))})
+            assert len(outputs[0]) == 6
+            assert outputs[0] == outputs[1] == outputs[2], engine
+        # the folded vacuum is the number state |0, 0>, bit for bit, and
+        # its mean is +0.0
+        for dim in (2, 4, 32):
+            config = write_scenario(tmp_path, base_scenario(
+                fock_dim=dim, initial={"type": "vacuum"}))
+            scenario = cli.load_scenario(config)
+            rho = cli.initial_density(scenario)
+            ground = fock.fock_density(0, dim)
+            assert np.array_equal(rho, np.kron(ground, ground))
+            assert not np.signbit(rho.view(float)).any()
+            mean = cli.initial_moment_state(scenario).mean
+            assert np.array_equal(mean, np.zeros(4))
+            assert not np.signbit(mean).any()
 
     def test_non_finite_density_exits_2(self, tmp_path):
         dim = 2

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dampsim import analytic, fock
 from dampsim.fock import (KrausSet, bh_identity_residual,
@@ -13,7 +15,7 @@ from dampsim.fock import (KrausSet, bh_identity_residual,
                           two_mode_moments)
 from dampsim.model import MomentState, PhysicalConstants
 
-from test_model import make_system
+from test_model import make_system, systems
 
 
 def coherent_pair_density(a1, a2, dim):
@@ -197,9 +199,15 @@ class TestCoherentDensity:
     def test_tail_mass_guard(self):
         with pytest.raises(ValueError, match="cutoff"):
             coherent_density(3.0, 8)
-        for bad in (np.nan, complex(0.5, np.nan), np.inf):
-            with pytest.raises(ValueError, match="cutoff"):
+        # |alpha|^2 past float range meets the same guard, not an overflow
+        for bad in (np.nan, complex(0.5, np.nan), np.inf, 1e300,
+                    complex(0.0, 1e200), complex(1.7e308, 1.7e308)):
+            with pytest.raises(ValueError, match="increase the cutoff"):
                 coherent_density(bad, 8)
+        # the boundary |alpha|^2 = dim/4 is accepted, and just past it not
+        assert np.trace(coherent_density(1.0, 4)).real == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="cutoff"):
+            coherent_density(math.nextafter(1.0, 2.0), 4)
 
 
 class TestEvolveDensity:
@@ -375,6 +383,20 @@ class TestOracleMoments:
             closed = analytic.evolve_state(state0, system, t)
             assert np.max(np.abs(oracle.mean - closed.mean)) < 1e-8
             assert np.max(np.abs(oracle.cov - closed.cov)) < 1e-8
+
+    @given(systems(),
+           *[st.complex_numbers(max_magnitude=1.0, allow_nan=False)] * 2,
+           st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
+    def test_agrees_with_analytic_engine_on_random_systems(self, system, a1,
+                                                           a2, times):
+        dim = 16
+        times = np.array(times)
+        mean, cov = moment_trajectory(coherent_pair_density(a1, a2, dim),
+                                      system, times, dim)
+        closed = analytic.evolve_trajectory(
+            coherent_pair_moments(a1, a2, system), system, times)
+        assert np.max(np.abs(mean - closed[0])) <= 1e-8
+        assert np.max(np.abs(cov - closed[1])) <= 1e-8
 
     def test_trajectory_equals_per_time_moments(self):
         system = make_system(m1=1.2, w2=0.8, k1=0.5, k2=0.25)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dampsim.model import (Lct, ModeParams, MomentState, PhysicalConstants,
                            TwoModeSystem, lct_from_position_block,
@@ -11,6 +12,15 @@ def make_system(m1=1.0, w1=1.0, k1=0.5, m2=1.0, w2=1.0, k2=0.5, hbar=1.0):
     return TwoModeSystem(mode1=ModeParams(m1, w1, k1),
                          mode2=ModeParams(m2, w2, k2),
                          constants=PhysicalConstants(hbar=hbar))
+
+
+def systems():
+    """Random two-mode systems: masses and frequencies in [0.5, 2], damping
+    rates in [0, 2] and hbar in [0.2, 5]."""
+    scale = st.floats(0.5, 2.0)
+    mode = st.builds(ModeParams, scale, scale, st.floats(0.0, 2.0))
+    return st.builds(TwoModeSystem, mode, mode,
+                     st.builds(PhysicalConstants, st.floats(0.2, 5.0)))
 
 
 class TestParams:
@@ -27,6 +37,19 @@ class TestParams:
                            {"mass": 1.0, "omega": 1.0, "kappa": bad}):
                 with pytest.raises(ValueError, match="finite"):
                     ModeParams(**kwargs)
+
+    def test_unrepresentable_vacuum_variances(self):
+        # hbar/(2 m omega) divides by an underflowed m omega, or is 0
+        # because 2 m omega overflows; m hbar omega/2 overflows
+        for m1, w1, m2, w2, hbar, label in (
+                (1e-200, 1e-200, 1.0, 1.0, 1.0, "mode1"),
+                (1.0, 1.0, 1e308, 1.0, 1.0, "mode2"),
+                (1.0, 1.0, 1e200, 1e200, 1.0, "mode2"),
+                (1e-160, 1e-160, 1.0, 1.0, 1e-10, "mode1")):
+            with pytest.raises(ValueError, match=f"{label}: vacuum"):
+                make_system(m1=m1, w1=w1, m2=m2, w2=w2, hbar=hbar)
+        # extreme but representable scales are accepted
+        make_system(m1=1e-100, w1=1e-100, m2=1e150, w2=1e150)
 
     def test_invalid_hbar(self):
         for bad in (0.0, float("nan"), float("inf")):
