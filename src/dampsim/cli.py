@@ -273,8 +273,9 @@ def _trajectory_csv(times: np.ndarray, mean: np.ndarray, cov: np.ndarray,
                     analytic.uncertainty_products(ts_cov),
                     ts_cov[:, [0, 1], [2, 3]]]
     rows = np.hstack(columns).tolist()
+    fmt = ",".join(["%.17g"] * len(header))  # _fmt's format, per row
     return "\n".join([",".join(header)]
-                     + [",".join(map(_fmt, row)) for row in rows]) + "\n"
+                     + [fmt % tuple(row) for row in rows]) + "\n"
 
 
 def _atomic_write(path: str, content: str) -> None:
@@ -343,23 +344,27 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
 def run_oracle(scenario: Scenario, out_dir: str) -> None:
     system, dim, times = scenario.system, scenario.fock_dim, scenario.times
     rho0 = initial_density(scenario)
-    state0 = initial_moment_state(scenario)
-    dev = _engine_deviation(analytic.evolve_trajectory(state0, system, times),
-                            fock.moment_trajectory(rho0, system, times, dim))
+    mean, cov = analytic.evolve_trajectory(initial_moment_state(scenario),
+                                           system, times)
     reduced = fock.reduced_densities(rho0, dim)
+    dev = np.empty(len(times))
     lines = [f"fock_dim: {dim}"]
-    for t, d in zip(times, dev):
-        kraus = [fock.kraus_operators(mode.kappa, t, dim)
-                 for mode in system.modes]
-        defects = [fock.completeness_defect(ks) for ks in kraus]
-        residuals = [fock.bh_identity_residual(mode.kappa, t, dim)
-                     for mode in system.modes]
+    # the report reads the Kraus sets each chunk of moments was built from
+    for chunk in fock.moment_chunks(rho0, system, times, dim):
+        i = chunk.index
+        dev[i] = _engine_deviation((mean[i], cov[i]), (chunk.mean, chunk.cov))
+        defect = np.max([fock.completeness_defect(ks) for ks in chunk.kraus],
+                        axis=0)
+        residual = np.max([fock.bh_identity_residual(ks.kappa, ks.t, dim)
+                           for ks in chunk.kraus], axis=0)
         # population of |dim-1> in either mode: the truncation error's size
-        tail = max(fock.top_level_population(r, ks)
-                   for r, ks in zip(reduced, kraus))
-        lines.append(f"t={_fmt(t)} completeness={_fmt(max(defects))} "
-                     f"bh_residual={_fmt(max(residuals))} "
-                     f"engine_deviation={_fmt(d)} fock_tail={_fmt(tail)}")
+        tail = np.max([fock.top_level_population(r, ks)
+                       for r, ks in zip(reduced, chunk.kraus)], axis=0)
+        lines += [f"t={_fmt(t)} completeness={_fmt(c)} "
+                  f"bh_residual={_fmt(b)} engine_deviation={_fmt(d)} "
+                  f"fock_tail={_fmt(f)}"
+                  for t, c, b, d, f in zip(times[i], defect, residual, dev[i],
+                                           tail)]
     lines.append(f"max engine deviation: {_fmt(dev.max())}")
     _atomic_write(os.path.join(out_dir, "oracle_report.txt"),
                   "\n".join(lines) + "\n")

@@ -278,6 +278,29 @@ class TestOtherCommands:
         assert "completeness=" in report
         assert "bh_residual=" in report
 
+    def test_oracle_builds_each_kraus_set_once_per_chunk(self, tmp_path,
+                                                         monkeypatch):
+        calls = {"kraus_operators": [], "heisenberg_evolve": []}
+        for name, record in calls.items():
+            fn = getattr(fock, name)
+            monkeypatch.setattr(fock, name,
+                                lambda *a, fn=fn, record=record:
+                                record.append(1) or fn(*a))
+        dim, n_times = 32, 16
+        scenario = base_scenario(fock_dim=dim,
+                                 time_grid={"t_start": 0.0, "t_end": 3.0,
+                                            "n_steps": n_times})
+        config = write_scenario(tmp_path, scenario)
+        assert main(["oracle", "--config", config,
+                     "--output", str(tmp_path)]) == 0
+        chunks = -(-n_times // fock._chunk_size(dim))
+        assert 1 < chunks < n_times
+        # per mode and chunk, for the moments and the report alike
+        assert len(calls["kraus_operators"]) == 2 * chunks
+        assert len(calls["heisenberg_evolve"]) == 2 * chunks
+        lines = (tmp_path / "oracle_report.txt").read_text().splitlines()
+        assert len(lines) == n_times + 2
+
     @pytest.mark.parametrize("dim, alpha, low, high", [
         (32, 1.2, 0.0, 1e-20),   # Poisson tail at n = 31: ~2e-30
         (8, 1.4, 1e-6, 1.0),     # |alpha|^2 = 1.96: ~3e-3 on |7> at t = 0

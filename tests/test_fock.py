@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,43 @@ def kron_channel_reference(rho, ks1, ks2):
             k = np.kron(k1, k2)
             out += k @ rho @ k.conj().T
     return out
+
+
+def dense_kraus_sum(x, ks, adjoint):
+    """sum_n K_n x K_n^dag, or sum_n K_n^dag x K_n when adjoint, as dense
+    matrix products of one time's Kraus operators."""
+    if adjoint:
+        return sum(k.conj().T @ x @ k for k in dense_ops(ks))
+    return sum(k @ x @ k.conj().T for k in dense_ops(ks))
+
+
+def per_time_moments(rho, system, t, dim):
+    """Means and covariance at one time, each moment a trace of the
+    Kronecker product of the two modes' Heisenberg images against rho."""
+    ident = np.eye(dim, dtype=complex)
+    images = []  # per mode: I, x, p, x^2, p^2, (xp + px)/2
+    for mode in system.modes:
+        ops = build_mode_operators(dim, mode, system.constants)
+        obs = [ident, ops.x, ops.p, ops.x @ ops.x, ops.p @ ops.p,
+               0.5 * (ops.x @ ops.p + ops.p @ ops.x)]
+        ks = kraus_operators(mode.kappa, t, dim)
+        images.append([heisenberg_evolve(a, ks) for a in obs])
+
+    def expect(a1, a2):
+        return np.trace(np.kron(a1, a2) @ rho).real
+
+    (i1, x1, p1, xx1, pp1, xp1), (i2, x2, p2, xx2, pp2, xp2) = images
+    mean = np.array([expect(x1, i2), expect(p1, i2),
+                     expect(i1, x2), expect(i1, p2)])
+    second = np.empty((4, 4))
+    second[:2, :2] = [[expect(xx1, i2), expect(xp1, i2)],
+                      [expect(xp1, i2), expect(pp1, i2)]]
+    second[2:, 2:] = [[expect(i1, xx2), expect(i1, xp2)],
+                      [expect(i1, xp2), expect(i1, pp2)]]
+    second[:2, 2:] = [[expect(x1, x2), expect(x1, p2)],
+                      [expect(p1, x2), expect(p1, p2)]]
+    second[2:, :2] = second[:2, 2:].T
+    return mean, second - np.outer(mean, mean)
 
 
 def coherent_pair_moments(a1, a2, system):
@@ -163,6 +201,36 @@ class TestKrausOperators:
         for got, want in zip(dense_ops(ks),
                              literal_kraus_product(kappa, t, dim)):
             assert np.max(np.abs(got - want)) <= 1e-14
+
+
+    def test_time_batch_rows_are_the_one_time_sets(self):
+        times = np.array([0.0, 0.3, 2.0, 40.0])
+        batch = kraus_operators(0.7, times, 9)
+        assert batch.bands.shape == (4, 9, 9)
+        assert np.array_equal(batch.t, times)
+        defects = completeness_defect(batch)
+        residuals = bh_identity_residual(0.7, times, 9)
+        reduced = random_density(9, np.random.default_rng(19))
+        tails = fock.top_level_population(reduced, batch)
+        for k, t in enumerate(times):
+            ks = kraus_operators(0.7, t, 9)
+            assert np.array_equal(batch.bands[k], ks.bands)
+            assert defects[k] == completeness_defect(ks)
+            assert residuals[k] == bh_identity_residual(0.7, t, 9)
+            assert tails[k] == fock.top_level_population(reduced, ks)
+        # kappa t overflowing in one row leaves the others alone
+        mixed = kraus_operators(1e200, np.array([0.0, 1e200]), 4)
+        assert np.array_equal(mixed.bands[0], kraus_operators(1e200, 0.0,
+                                                              4).bands)
+        assert np.array_equal(mixed.bands[1], kraus_operators(1e200, 1e200,
+                                                              4).bands)
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_bad_time_anywhere_in_a_batch_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            kraus_operators(1.0, np.array([0.0, 1.0, bad, 2.0]), 4)
+        with pytest.raises(ValueError, match="1-D"):
+            kraus_operators(1.0, np.zeros((2, 2)), 4)
 
 
 class TestBakerHausdorffIdentity:
@@ -303,6 +371,37 @@ class TestHeisenbergMoment:
         stacked = heisenberg_evolve(np.stack([A, A.T]), ks)
         assert np.array_equal(stacked[0], heisenberg_evolve(A, ks))
 
+    @given(st.integers(2, 8), st.floats(0.0, 3.0),
+           st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_kernel_matches_dense_sum_at_every_time(self, dim, kappa, times,
+                                                    seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density(dim, rng)
+        A = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim,
+                                                                    dim))
+        batch = kraus_operators(kappa, np.array(times), dim)
+        rho_t, A_t = evolve_density(rho, batch), heisenberg_evolve(A, batch)
+        assert rho_t.shape == (len(times), dim, dim)
+        assert A_t.shape == (len(times), 3, dim, dim)
+        for k, t in enumerate(times):
+            ks = kraus_operators(kappa, t, dim)
+            one_rho, one_A = evolve_density(rho, ks), heisenberg_evolve(A, ks)
+            # a batch row is the one-time call, bit for bit
+            assert np.array_equal(batch.bands[k], ks.bands)
+            assert np.array_equal(rho_t[k], one_rho)
+            assert np.array_equal(A_t[k], one_A)
+            assert np.max(np.abs(one_rho - dense_kraus_sum(rho, ks, False))
+                          ) <= 1e-13
+            for a, image in zip(A, one_A):
+                assert np.max(np.abs(image - dense_kraus_sum(a, ks, True))
+                              ) <= 1e-13
+
+    def test_two_mode_channel_takes_one_time(self):
+        batch = kraus_operators(0.5, np.array([0.1, 0.2]), 3)
+        with pytest.raises(ValueError, match="one time"):
+            evolve_density(np.eye(9) / 9, batch, batch)
+
     def test_annihilation_decay_on_coherent_state(self):
         dim, kappa, t = 20, 0.5, 1.2
         system = make_system(k1=kappa, k2=kappa)
@@ -409,6 +508,51 @@ class TestOracleMoments:
         assert np.array_equal(cov, np.stack([s.cov for s in states]))
         with pytest.raises(ValueError, match="non-negative"):
             moment_trajectory(rho0, system, np.array([0.0, -1.0]), dim)
+
+    def test_chunked_grid_matches_per_time_reference(self):
+        system = make_system(m1=1.3, w1=0.7, w2=1.4, k1=0.6, k2=0.2,
+                             hbar=0.8)
+        dim = 12
+        rho0 = random_density(dim * dim, np.random.default_rng(21))
+        # two full chunks and a partial one
+        times = np.linspace(0.0, 3.0, 2 * fock._chunk_size(dim) + 3)
+        mean, cov = moment_trajectory(rho0, system, times, dim)
+        for k, t in enumerate(times):
+            want_mean, want_cov = per_time_moments(rho0, system, t, dim)
+            assert np.max(np.abs(mean[k] - want_mean)) <= 1e-13
+            assert np.max(np.abs(cov[k] - want_cov)) <= 1e-13
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_bad_time_mid_grid_raises_before_any_work(self, monkeypatch,
+                                                      bad):
+        calls = []
+        build = fock.kraus_operators
+        monkeypatch.setattr(fock, "kraus_operators",
+                            lambda *args: calls.append(1) or build(*args))
+        dim = 6
+        rho0 = coherent_pair_density(0.5, 0.2j, dim)
+        times = np.linspace(0.0, 2.0, 4 * fock._chunk_size(dim))
+        times[len(times) // 2] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            moment_trajectory(rho0, make_system(), times, dim)
+        assert calls == []
+
+    def test_working_set_does_not_grow_with_the_grid(self):
+        system = make_system(k1=0.4, k2=0.9)
+        dim = 16
+        rho0 = random_density(dim * dim, np.random.default_rng(22))
+        bound = 2 * fock._CHUNK_BYTES
+        # a fraction of one (T, D, D) complex array of the long grid
+        assert 4 * bound < 5000 * dim * dim * 16
+        for n_times in (1, 5000):
+            times = np.linspace(0.0, 4.0, n_times)
+            tracemalloc.start()
+            try:
+                mean, cov = moment_trajectory(rho0, system, times, dim)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - mean.nbytes - cov.nbytes <= bound, n_times
 
     def test_cutoff_convergence(self):
         system = make_system(k1=0.3, k2=0.7)
