@@ -24,7 +24,8 @@ def evolve_trajectory(state0: MomentState, system: TwoModeSystem,
     if not np.all(times >= 0):
         raise ValueError(f"time must be non-negative, got {np.min(times)}")
     kappa = np.repeat([system.mode1.kappa, system.mode2.kappa], 2)
-    e = np.exp(-kappa * times[:, None])
+    with np.errstate(over="ignore"):  # kappa t past float range: e = 0
+        e = np.exp(-kappa * times[:, None])
     mean = e * state0.mean
     cov = (e[:, :, None] * e[:, None, :] * state0.cov
            + (1.0 - e ** 2)[:, :, None] * vacuum_state(system).cov)

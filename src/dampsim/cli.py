@@ -383,7 +383,8 @@ def run_structure(scenario: Scenario, out_dir: str) -> None:
              f"product_B: {_fmt(report.product_B)}",
              f"cov_xx: {_fmt(report.cov_xx)}",
              f"cov_pp: {_fmt(report.cov_pp)}",
-             f"residual: {_fmt(report.residual)}"]
+             f"residual: {_fmt(report.residual)}",
+             f"family_distance: {_fmt(report.family_distance)}"]
     _atomic_write(os.path.join(out_dir, "structure.txt"),
                   "\n".join(lines) + "\n")
 
@@ -400,7 +401,8 @@ def run_classicality(scenario: Scenario, out_dir: str) -> None:
              f"product_A: {_fmt(report.product_A)}",
              f"product_B: {_fmt(report.product_B)}",
              f"cov_xx: {_fmt(report.cov_xx)}",
-             f"cov_pp: {_fmt(report.cov_pp)}"]
+             f"cov_pp: {_fmt(report.cov_pp)}",
+             f"family_distance: {_fmt(report.family_distance)}"]
     _atomic_write(os.path.join(out_dir, "classicality.txt"),
                   "\n".join(lines) + "\n")
     rows = ["restart,residual,iterations,trivial"]

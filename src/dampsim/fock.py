@@ -275,7 +275,10 @@ def bh_identity_residual(kappa: float, t: float | np.ndarray,
     on the right. (Equivalently e^{+kt} a e^{-2ktN}; the conjugate identity
     for a^dag carries e^{-kt} with a^dag on the left.)
     """
-    kt = kappa * np.asarray(t, dtype=float)[..., None]
+    # e^{-kt} is 0.0 from kt ~ 745 on, so a cap at 1e3 changes no value but
+    # keeps an overflowed kt (inf, and -inf * 0 is NaN) and -2 kt n finite
+    with np.errstate(over="ignore"):
+        kt = np.minimum(kappa * np.asarray(t, dtype=float), 1e3)[..., None]
     n = np.arange(dim)
     decay = np.exp(-kt * n)
     root = np.sqrt(n[1:])

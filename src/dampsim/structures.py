@@ -2,36 +2,36 @@
 uncertainty products and cross covariances, and a numerical search for
 classical-like alternate structures.
 
-At the vacuum asymptote everything reduces to rescaled blocks. With
-s_i = sqrt(m_i omega_i), M' = M diag(1/s) and N' = N diag(s) = inv(M'.T)
-act on an isotropic vacuum whose variances are all hbar/2, so the
-uncertainty products are (hbar/2)|alpha'||gamma'| and
-(hbar/2)|beta'||delta'|, and the cross covariances (hbar/2) alpha'.beta'
-and (hbar/2) gamma'.delta'. For a canonical LCT, with d = det M', both
-products equal (hbar/2)|alpha'||beta'|/|d|, and the classicality residual
-is the hbar-free scalar
-
-    2 (|alpha'||beta'|/|d| - 1)^2 + (alpha'.beta')^2 (1 + 1/d^4).
+At the vacuum asymptote all of these are functions of the rescaled block
+M' = M diag(1/s), s_i = sqrt(m_i omega_i), acting on an isotropic vacuum
+of variances hbar/2 (N' = N diag(s) = inv(M'.T) for a canonical LCT).
+With rows alpha', beta' and d = det M', ``_rescaled`` is the one
+definition of ratio = |alpha'||beta'|/|d|, dot = alpha'.beta' and the
+hbar-free classicality residual 2 (ratio - 1)^2 + dot^2 + (dot/d^2)^2:
+both products are (hbar/2) ratio, cov_xx = (hbar/2) dot and
+cov_pp = -cov_xx/d^2. It takes no powers, so a value past float range is
+inf, never an exception.
 
 By Hadamard's inequality |alpha'||beta'| >= |d|, with equality exactly
-when the rows of M' are orthogonal. The residual is therefore zero on the
-whole family M = diag(scales) R(theta) diag(s) (``classical_family``), for
-any masses and frequencies, and positive off it.
+when the rows of M' are orthogonal. So the residual and the family
+distance |dot|/(|alpha'||beta'|) both vanish exactly on the family
+M = diag(scales) R(theta) diag(s) (``classical_family``), for any masses
+and frequencies.
 
-The search minimizes that scalar with ``_nelder_mead``, a pure-Python port
-of scipy's fixed-coefficient Nelder-Mead, so the package needs no scipy.
+The search runs ``_nelder_mead`` (a pure-Python port of scipy's
+Nelder-Mead) on the residual over M', where no mass, frequency or hbar
+enters, and maps the best block back once, M = M' diag(s). So the search
+and its trace depend on the seed alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Lct, MomentState, TwoModeSystem, check_damped, check_lct,
-                    lct_from_position_block)
+from .model import Lct, MomentState, TwoModeSystem, check_damped, check_lct
 
 # Nelder-Mead limits per restart (iterations, function and simplex
 # tolerances), and the trivial-family exclusion margin
@@ -74,48 +74,39 @@ def _mode_scales(system: TwoModeSystem) -> tuple[float, float]:
     return tuple(math.sqrt(mode.mass * mode.omega) for mode in system.modes)
 
 
-def _rescaled_blocks(lct: Lct,
-                     system: TwoModeSystem) -> tuple[np.ndarray, np.ndarray]:
-    """M' = M diag(1/s) and N' = N diag(s), s_i = sqrt(m_i omega_i)."""
-    s = np.array(_mode_scales(system))
-    return lct.M / s, lct.N * s
+def _rescaled(a: float, b: float, c: float, e: float) -> tuple[float, ...]:
+    """d, dot, ratio, family distance and residual of the rescaled block
+    M' = [[a, b], [c, e]] (module docstring), for d != 0."""
+    d = a * e - b * c
+    dot = a * c + b * e
+    norms = math.hypot(a, b) * math.hypot(c, e)
+    ratio = norms / abs(d)
+    q = dot / d / d
+    residual = 2.0 * (ratio - 1.0) * (ratio - 1.0) + dot * dot + q * q
+    return d, dot, ratio, abs(dot) / norms, residual
 
 
 def asymptotic_products(lct: Lct, system: TwoModeSystem) -> tuple[float, float]:
-    """Asymptotic Delta X_A * Delta P_A and Delta xi_B * Delta pi_B.
-
-    In rescaled blocks these are (hbar/2)|alpha'||gamma'| and
-    (hbar/2)|beta'||delta'|, each bounded below by hbar/2 whenever the LCT
-    is canonical.
-    """
-    m, n = _rescaled_blocks(lct, system)
-    half = system.constants.hbar / 2.0
-    prod = half * np.linalg.norm(m, axis=1) * np.linalg.norm(n, axis=1)
-    return float(prod[0]), float(prod[1])
+    """Asymptotic Delta X_A * Delta P_A and Delta xi_B * Delta pi_B, both
+    (hbar/2)|alpha'||beta'|/|d| >= hbar/2 for a canonical LCT."""
+    report = evaluate_structure(lct.M, system)
+    return report.product_A, report.product_B
 
 
 def asymptotic_cross_covariances(lct: Lct,
                                  system: TwoModeSystem) -> tuple[float, float]:
-    """Asymptotic covariances between the A and B sectors.
-
-    cov_xx = (hbar/2) alpha'.beta' is the position-sector covariance;
-    cov_pp = (hbar/2) gamma'.delta' is its momentum-sector analogue (the
-    mixed x-p covariances vanish identically at the vacuum asymptote).
-    """
-    m, n = _rescaled_blocks(lct, system)
-    half = system.constants.hbar / 2.0
-    return float(half * (m[0] @ m[1])), float(half * (n[0] @ n[1]))
+    """Asymptotic A-B covariances cov_xx = (hbar/2) alpha'.beta' and
+    cov_pp = (hbar/2) gamma'.delta' = -cov_xx/d^2; the mixed x-p ones
+    vanish identically at the vacuum asymptote."""
+    report = evaluate_structure(lct.M, system)
+    return report.cov_xx, report.cov_pp
 
 
 def classicality_residual(lct: Lct, system: TwoModeSystem) -> float:
-    """Scalar defect of the classicality criterion for the A+B structure:
-    zero iff both uncertainty products sit at hbar/2 and both cross
-    covariances vanish. Normalized by (hbar/2)^2."""
-    half = system.constants.hbar / 2.0
-    prod_a, prod_b = asymptotic_products(lct, system)
-    cov_xx, cov_pp = asymptotic_cross_covariances(lct, system)
-    return float(((prod_a - half) ** 2 + (prod_b - half) ** 2
-                  + cov_xx ** 2 + cov_pp ** 2) / half ** 2)
+    """Scalar defect of the classicality criterion, ((prod_A - hbar/2)^2 +
+    (prod_B - hbar/2)^2 + cov_xx^2 + cov_pp^2) / (hbar/2)^2: zero iff both
+    products sit at hbar/2 and both cross covariances vanish."""
+    return evaluate_structure(lct.M, system).residual
 
 
 def classical_family(system: TwoModeSystem, theta: float,
@@ -132,19 +123,14 @@ def classical_family(system: TwoModeSystem, theta: float,
             @ np.diag(_mode_scales(system)))
 
 
-def _position_residual(v: list[float], scales: tuple[float, float]) -> float:
-    """Classicality residual of the position block [[v0, v1], [v2, v3]] in
-    closed form, with a steep penalty near singular blocks."""
+def _objective(v: list[float]) -> float:
+    """The search's objective: the residual of the rescaled block
+    [[v0, v1], [v2, v3]], with a steep penalty near singular blocks."""
     a, b, c, e = v
     det = a * e - b * c
     if abs(det) < 1e-8:
         return 1e6 + 1.0 / (abs(det) + 1e-12)
-    s1, s2 = scales
-    a, b, c, e = a / s1, b / s2, c / s1, e / s2
-    d = a * e - b * c
-    dot = a * c + b * e
-    ratio = math.hypot(a, b) * math.hypot(c, e) / abs(d)
-    return 2.0 * (ratio - 1.0) ** 2 + dot * dot * (1.0 + 1.0 / d ** 4)
+    return _rescaled(a, b, c, e)[-1]
 
 
 def _nelder_mead(f, x0: list[float]) -> tuple[list[float], float, int]:
@@ -213,12 +199,13 @@ class StructureReport:
     cov_xx: float
     cov_pp: float
     residual: float
+    family_distance: float
 
 
 @dataclass(frozen=True)
 class RestartResult:
     index: int
-    position_block: np.ndarray
+    rescaled_block: np.ndarray  # M' = M diag(1/s), where the search runs
     residual: float
     iterations: int
     trivial: bool
@@ -236,13 +223,19 @@ def trivial_mixing_distance(M: np.ndarray) -> float:
 
 
 def evaluate_structure(M: np.ndarray, system: TwoModeSystem) -> StructureReport:
-    """Full report for the structure defined by a position block."""
-    lct = lct_from_position_block(M)
-    prod_a, prod_b = asymptotic_products(lct, system)
-    cov_xx, cov_pp = asymptotic_cross_covariances(lct, system)
-    return StructureReport(lct=lct, product_A=prod_a, product_B=prod_b,
-                           cov_xx=cov_xx, cov_pp=cov_pp,
-                           residual=classicality_residual(lct, system))
+    """Full report for the canonical LCT with position block M, read from
+    ``_rescaled`` of M' = M diag(1/s). M is taken as checked: the momentum
+    block is N = N' diag(1/s), N' = inv(M'.T) = adj(M')^T / d."""
+    s1, s2 = _mode_scales(system)
+    (a, b), (c, e) = np.asarray(M, dtype=float).tolist()
+    a, b, c, e = a / s1, b / s2, c / s1, e / s2
+    d, dot, ratio, distance, residual = _rescaled(a, b, c, e)
+    half = system.constants.hbar / 2.0
+    n = [[e / s1 / d, -c / s2 / d], [-b / s1 / d, a / s2 / d]]
+    return StructureReport(lct=Lct(M=M, N=n), product_A=half * ratio,
+                           product_B=half * ratio, cov_xx=half * dot,
+                           cov_pp=-(half * dot) / d / d, residual=residual,
+                           family_distance=distance)
 
 
 def search_classical_structure(
@@ -251,14 +244,13 @@ def search_classical_structure(
                                                         list[RestartResult]]:
     """Minimize the classicality residual over nontrivial position blocks.
 
-    Nelder-Mead on the closed-form residual from seeded random starts;
-    restarts that converge into the excluded trivial family (scaled
-    permutations, within the exclusion margin) are recorded but not
-    eligible as the result. Deterministic for a fixed seed. Raises if every
-    restart lands in the trivial family.
+    Nelder-Mead on the residual of M' from seeded random starts, so the
+    same for every system; restarts converging into the excluded trivial
+    family (scaled permutations of M', within the exclusion margin) are
+    recorded but not eligible. The best M' maps back to M = M' diag(s).
+    Raises if every restart lands in the trivial family.
     """
-    objective = functools.partial(_position_residual,
-                                  scales=_mode_scales(system))
+    scales = _mode_scales(system)
     rng = np.random.default_rng(config.seed)
 
     trace: list[RestartResult] = []
@@ -266,10 +258,10 @@ def search_classical_structure(
         start = rng.uniform(-2.0, 2.0, size=4)
         while abs(start[0] * start[3] - start[1] * start[2]) < 0.1:
             start = rng.uniform(-2.0, 2.0, size=4)
-        x, fun, nit = _nelder_mead(objective, start.tolist())
+        x, fun, nit = _nelder_mead(_objective, start.tolist())
         m = np.array(x).reshape(2, 2)
         trace.append(RestartResult(
-            index=i, position_block=m, residual=fun, iterations=nit,
+            index=i, rescaled_block=m, residual=fun, iterations=nit,
             trivial=trivial_mixing_distance(m) < EXCLUSION_MARGIN))
 
     candidates = [r for r in trace if not r.trivial]
@@ -278,6 +270,6 @@ def search_classical_structure(
                            "(mode-relabeling) structure")
     best = min(candidates,
                key=lambda r: (r.residual,
-                              np.linalg.norm(r.position_block - np.eye(2)),
+                              np.linalg.norm(r.rescaled_block - np.eye(2)),
                               r.index))
-    return evaluate_structure(best.position_block, system), trace
+    return evaluate_structure(best.rescaled_block * scales, system), trace

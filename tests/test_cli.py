@@ -1,8 +1,12 @@
+import decimal
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -36,6 +40,46 @@ def write_scenario(tmp_path, scenario, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(scenario))
     return str(path)
+
+
+def report_values(path):
+    """The single-number lines of a structure or classicality report."""
+    lines = (line.split(": ") for line in path.read_text().splitlines())
+    return {key: float(value) for key, value in lines if " " not in value}
+
+
+def decimal_structure(scenario):
+    """structure.txt's products, covariances and residual, composed from
+    the vacuum variances and N = inv(M.T) in 40-digit decimals, where no
+    value overflows."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        hbar = Decimal(scenario["system"]["hbar"])
+        vx, vp = [], []
+        for label in ("mode1", "mode2"):
+            mode = scenario["system"][label]
+            m_omega = Decimal(mode["mass"]) * Decimal(mode["omega"])
+            vx.append(hbar / (2 * m_omega))
+            vp.append(m_omega * hbar / 2)
+        (a, b), (c, e) = [[Decimal(v) for v in row]
+                          for row in scenario["lct"]["M"]]
+        det = a * e - b * c
+        n = [[e / det, -c / det], [-b / det, a / det]]
+        m = [[a, b], [c, e]]
+
+        def moment(u, w, var):
+            return u[0] * w[0] * var[0] + u[1] * w[1] * var[1]
+
+        out = {"product_A": (moment(m[0], m[0], vx)
+                             * moment(n[0], n[0], vp)).sqrt(),
+               "product_B": (moment(m[1], m[1], vx)
+                             * moment(n[1], n[1], vp)).sqrt(),
+               "cov_xx": moment(m[0], m[1], vx),
+               "cov_pp": moment(n[0], n[1], vp)}
+        half = hbar / 2
+        out["residual"] = ((out["product_A"] - half) ** 2
+                           + (out["product_B"] - half) ** 2
+                           + out["cov_xx"] ** 2 + out["cov_pp"] ** 2) / half ** 2
+        return out
 
 
 def read_csv(path):
@@ -157,17 +201,45 @@ class TestExitCodes:
         assert err.startswith("error: ") and "trivial" in err
         assert "Traceback" not in err
         assert not (tmp_path / "classicality.txt").exists()
-        # representable vacuum scales, but m omega so large that the search
-        # objective divides by an underflowed det^4
-        monkeypatch.undo()
-        huge = base_scenario()
-        huge["system"]["mode1"]["mass"] = 1e200
-        config = write_scenario(tmp_path, huge)
-        assert main(["classicality", "--config", config,
-                     "--output", str(tmp_path)]) == 4
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: computation failed")
+
+    def test_extreme_masses_exit_0(self, tmp_path):
+        # m omega from 1e-150 to 1e200: no float error escapes, as a
+        # warning or as exit 4, and only a value past float range reads inf
+        with open(os.path.join(DATA_DIR,
+                               "golden_general_lct_scenario.json")) as fh:
+            scenario = json.load(fh)
+        masses = list(itertools.product((1e-150, 1.0, 1e150, 1e200),
+                                        repeat=2))
+        args, wants = [], []
+        for i, (m1, m2) in enumerate(masses):
+            scenario["system"]["mode1"]["mass"] = m1
+            scenario["system"]["mode2"]["mass"] = m2
+            args += [write_scenario(tmp_path, scenario, f"s{i}.json"),
+                     str(tmp_path / f"out{i}")]
+            wants.append(decimal_structure(scenario))
+        code = ("import sys; from dampsim.cli import main; "
+                "print(*[main([c, '--config', f, '--output', o]) "
+                "for f, o in zip(sys.argv[1::2], sys.argv[2::2]) "
+                "for c in ('structure', 'classicality')])")
+        src = os.path.dirname(os.path.dirname(dampsim.__file__))
+        out = subprocess.run([sys.executable, "-W", "error", "-c", code,
+                              *args], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True)
+        assert out.stderr == ""
+        assert out.stdout.split() == ["0"] * 2 * len(masses)
+        for i, want in enumerate(wants):
+            got = report_values(tmp_path / f"out{i}" / "structure.txt")
+            for key, value in want.items():
+                if key == "residual" and value > sys.float_info.max:
+                    assert got[key] == math.inf
+                else:
+                    assert math.isfinite(got[key])
+                    assert abs(got[key] - float(value)) <= \
+                        1e-12 * abs(float(value)), (masses[i], key)
+            got = report_values(tmp_path / f"out{i}" / "classicality.txt")
+            assert got["best residual"] <= 1e-10
+            assert all(math.isfinite(got[key]) for key in
+                       ("product_A", "product_B", "cov_xx", "cov_pp"))
 
     def test_unrepresentable_vacuum_variances_exit_2(self, tmp_path, capsys):
         # m omega underflows to 0 (1e-200 squared), or 2 m omega overflows
@@ -336,6 +408,8 @@ class TestOtherCommands:
         values = dict(line.split(": ") for line in report.splitlines())
         assert float(values["product_A"]) == pytest.approx(0.5)
         assert float(values["residual"]) == pytest.approx(0.0, abs=1e-12)
+        assert float(values["family_distance"]) == pytest.approx(0.0,
+                                                                 abs=1e-15)
 
     def test_structure_without_lct_exits_2(self, tmp_path):
         config = write_scenario(tmp_path, base_scenario())
@@ -362,6 +436,46 @@ class TestOtherCommands:
         trace = (tmp_path / "search_trace.csv").read_text().splitlines()
         assert trace[0] == "restart,residual,iterations,trivial"
         assert len(trace) == 33
+
+    def test_search_trace_depends_on_seed_alone(self, tmp_path):
+        other = base_scenario(seed=5)
+        other["system"] = {"hbar": 0.3,
+                           "mode1": {"mass": 2.5, "omega": 0.7, "kappa": 0.2},
+                           "mode2": {"mass": 1e-3, "omega": 40.0,
+                                     "kappa": 1.1}}
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for i, scenario in enumerate((base_scenario(seed=5), other)):
+            config = write_scenario(tmp_path, scenario, f"s{i}.json")
+            assert main(["classicality", "--config", config,
+                         "--output", str(outs[i])]) == 0
+        trace_a, trace_b = (out / "search_trace.csv" for out in outs)
+        assert trace_a.read_bytes() == trace_b.read_bytes()
+        # the systems differ only in the map back, M = M' diag(s)
+        blocks = [line for out in outs
+                  for line in (out / "classicality.txt").read_text()
+                  .splitlines() if line.startswith("best position block M")]
+        assert len(blocks) == 2 and blocks[0] != blocks[1]
+
+    def test_overflowing_decay_exponent_exits_0(self, tmp_path):
+        # kappa t = 1e400 is past float range; e^{-kappa t} = 0 is exact
+        scenario = base_scenario(engine="both", fock_dim=8,
+                                 time_grid={"t_start": 0.0, "t_end": 1e200,
+                                            "n_steps": 5})
+        for label in ("mode1", "mode2"):
+            scenario["system"][label]["kappa"] = 1e200
+        config = write_scenario(tmp_path, scenario)
+        src = os.path.dirname(os.path.dirname(dampsim.__file__))
+        for command in ("oracle", "evolve"):
+            out = subprocess.run(
+                [sys.executable, "-m", "dampsim.cli", command, "--config",
+                 config, "--output", str(tmp_path)],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                text=True)
+            assert (out.returncode, out.stderr) == (0, "")
+        lines = (tmp_path / "oracle_report.txt").read_text().splitlines()
+        residuals = [field for line in lines for field in line.split()
+                     if field.startswith("bh_residual=")]
+        assert residuals == ["bh_residual=0"] * 5
 
     def test_seed_flag_overrides_scenario(self, tmp_path):
         config = write_scenario(tmp_path, base_scenario(seed=5))

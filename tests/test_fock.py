@@ -240,6 +240,14 @@ class TestBakerHausdorffIdentity:
     def test_generic_parameters(self):
         assert bh_identity_residual(0.7, 2.3, 15) <= 1e-13
 
+    def test_overflowing_kappa_t_is_the_exact_limit(self):
+        # kappa t = 1e400 overflows and 2 kappa t = 2e308 too; both sides
+        # of the identity vanish there, so the residual is exactly 0
+        times = np.array([0.0, 1e108, 1e200])
+        assert np.array_equal(bh_identity_residual(1e200, times, 8),
+                              [0.0, 0.0, 0.0])
+        assert bh_identity_residual(1e200, 1e200, 8) == 0.0
+
     def test_raising_version_by_adjoint(self):
         dim, s = 12, 0.9
         a_dag = lowering(dim).conj().T

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -161,6 +160,9 @@ class TestClassicalityResidual:
         value = classicality_residual(lct, system)
         assert value == pytest.approx(expected, rel=1e-12)
         assert value > 1e-2
+        # rescaled rows (1/2, 1/(2 sqrt2)) and (1, -1/sqrt2): cosine 1/3
+        assert evaluate_structure(lct.M, system).family_distance == \
+            pytest.approx(1.0 / 3.0, rel=1e-15)
 
     def test_scaling_leaves_zero_set_unchanged(self):
         system = make_system()
@@ -181,6 +183,7 @@ class TestClassicalityResidual:
         lct = lct_from_position_block(np.array([[1.0, 1.0], [1.0, -2.0]]))
         assert trivial_mixing_distance(lct.M) > 0.1
         assert classicality_residual(lct, system) < 1e-28
+        assert evaluate_structure(lct.M, system).family_distance < 1e-15
 
 
 def random_system(rng):
@@ -199,6 +202,17 @@ def seeded_starts(seed, restarts=32):
         yield start
 
 
+def composed_residual(lct, system):
+    """The classicality residual composed from the transformed asymptotic
+    covariance: products, cross covariances, then the normalized sum."""
+    cov = transform_state(asymptotic_state(system), lct).cov
+    half = system.constants.hbar / 2.0
+    prod_a = np.sqrt(cov[0, 0] * cov[1, 1])
+    prod_b = np.sqrt(cov[2, 2] * cov[3, 3])
+    return float(((prod_a - half) ** 2 + (prod_b - half) ** 2
+                  + cov[0, 2] ** 2 + cov[1, 3] ** 2) / half ** 2)
+
+
 class TestClosedFormObjective:
     def test_matches_classicality_residual(self):
         # blocks with |det| >= 0.1 and entries within 3 have cond <= 360;
@@ -210,17 +224,19 @@ class TestClosedFormObjective:
             if abs(np.linalg.det(m)) < 0.1:
                 continue
             system = random_system(rng)
-            expected = classicality_residual(lct_from_position_block(m),
-                                             system)
-            value = structures._position_residual(
-                m.ravel().tolist(), structures._mode_scales(system))
+            lct = lct_from_position_block(m)
+            expected = composed_residual(lct, system)
+            value = classicality_residual(lct, system)
             assert abs(value - expected) <= 1e-12 * (1.0 + abs(expected))
             count += 1
 
     def test_near_singular_penalty(self):
-        scales = structures._mode_scales(make_system())
-        assert structures._position_residual([1.0, 1.0, 1.0, 1.0],
-                                             scales) > 1e6
+        assert structures._objective([1.0, 1.0, 1.0, 1.0]) > 1e6
+        # the penalty is the search's alone: a well-conditioned block with
+        # det M' = 1e-10 reports its closed-form residual, here exactly 0
+        assert structures._objective([1e-5, 0.0, 0.0, 1e-5]) > 1e6
+        report = evaluate_structure(1e-5 * np.eye(2), make_system())
+        assert report.residual == 0.0
 
 
 class TestNelderMead:
@@ -230,17 +246,21 @@ class TestNelderMead:
     @pytest.mark.parametrize("seed", [3, 41])
     def test_matches_scipy_bit_for_bit(self, system, seed):
         optimize = pytest.importorskip("scipy.optimize")
-        objective = functools.partial(structures._position_residual,
-                                      scales=structures._mode_scales(system))
-        for start in seeded_starts(seed):
-            ref = optimize.minimize(objective, start, method="Nelder-Mead",
+        _, trace = search_classical_structure(system, SearchConfig(seed=seed))
+        for start, restart in zip(seeded_starts(seed), trace, strict=True):
+            ref = optimize.minimize(structures._objective, start,
+                                    method="Nelder-Mead",
                                     options={"maxiter": structures.MAX_ITER,
                                              "fatol": structures.TOL,
                                              "xatol": structures.XATOL})
-            x, fun, nit = structures._nelder_mead(objective, start.tolist())
+            x, fun, nit = structures._nelder_mead(structures._objective,
+                                                  start.tolist())
             assert x == ref.x.tolist()
             assert fun == float(ref.fun)
             assert nit == ref.nit
+            # the search runs this very minimization, whatever the system
+            assert restart.rescaled_block.ravel().tolist() == x
+            assert (restart.residual, restart.iterations) == (fun, nit)
 
     def test_minimizes_a_quadratic(self):
         x, fun, nit = structures._nelder_mead(
@@ -259,8 +279,9 @@ class TestClassicalFamily:
             scales = tuple(rng.choice([-1, 1], size=2)
                            * rng.uniform(0.3, 3.0, size=2))
             m = classical_family(system, theta, scales)
-            assert classicality_residual(lct_from_position_block(m),
-                                         system) <= 1e-28
+            report = evaluate_structure(m, system)
+            assert report.residual <= 1e-28
+            assert report.family_distance <= 1e-14
 
     @pytest.mark.parametrize("system", [make_system(m2=2.0),
                                         make_system(w2=2.0)],
@@ -273,6 +294,11 @@ class TestClassicalFamily:
         # the residual is at least (rows[0] . rows[1])^2
         cosine = rows[0] @ rows[1] / (norms[0] * norms[1])
         assert abs(cosine) <= np.sqrt(report.residual) / norms.prod() + 1e-15
+        # the reported family distance is the same cosine, from one dot
+        # product with the residual
+        assert report.family_distance == pytest.approx(abs(cosine), abs=1e-15)
+        assert report.family_distance <= (np.sqrt(report.residual)
+                                          / norms.prod() * (1 + 1e-12))
         # the member with the same first row and row lengths is M itself
         theta = math.atan2(-rows[0, 1], rows[0, 0])
         sign = math.copysign(1.0, rows[1] @ [math.sin(theta),
