@@ -12,19 +12,15 @@ Schroedinger and the Heisenberg picture alike. A two-mode density is a
 (axes (0, 2), then (1, 3)), O(D^5) elementwise work for D1 = D2 = D, and
 no two-mode operator is ever formed.
 
-Every Kraus-set function also takes a time axis: given a (T,) array of
-times, kraus_operators returns bands of shape (T, D, D) by the same
-recurrence, broadcast over T, and the kernel maps a stack of observables
-(K, D, D) to their images at every time, (T, K, D, D). Row k of a batch is
-bit for bit the one-time result at times[k]. moment_chunks walks a time
-grid in chunks sized so that the chunk's working set (bands, Heisenberg
-images, kernel temporaries and partial traces) stays near _CHUNK_BYTES;
-no array grows with the grid but the (T, 4) and (T, 4, 4) moments
-themselves. Per chunk and mode there is one band build and one
-Heisenberg call. The cross moments trace mode 1 out first as BLAS matrix
-products, rho4[j] against column j of every mode-1 image in the chunk,
-so the D^4 density is read once per chunk, in place, and never copied or
-permuted.
+That kernel takes a Kraus set of one time; kraus_operators also builds a
+(T,) grid of them as bands (T, D, D), row k bit for bit the set at
+times[k]. The channel maps each diagonal of an operator to itself, and the
+moments read five: x and p sit on diagonals -1 and 1, x^2, p^2 and
+(xp + px)/2 on -2, 0 and 2. _heisenberg_diagonal maps one diagonal at every
+time of such a grid, O(D^2) per time, bit for bit the dense image's
+diagonal. moment_chunks walks the grid in chunks whose working set stays
+near _CHUNK_BYTES, with one band build per mode and chunk; the cross
+moments meet only 4 (D-1)^2 density entries, gathered once per grid.
 
 A CPTP channel keeps a valid density valid, so the evolution functions check
 only shapes; check_density (an O(D^6) eigvalsh for two modes) runs once on
@@ -157,24 +153,18 @@ def check_density(rho: np.ndarray) -> None:
 def _kraus_sum(x: np.ndarray, ks: KrausSet, axes: tuple[int, int],
                adjoint: bool) -> np.ndarray:
     """sum_n K_n x K_n^dag, or sum_n K_n^dag x K_n when adjoint, acting on
-    the (row, column) axis pair `axes` of x. Batched bands (B..., n, dim)
-    apply one channel per batch entry, and their axes B lead the result.
+    the (row, column) axis pair `axes` of x, for a Kraus set of one time.
 
-    K_n is its band w_n = ks.bands[..., n, :dim-n], so each term is a
-    shifted slice: (K_n x K_n^dag)_ij = w_n[i] x_{i+n,j+n} conj(w_n[j]) and
+    K_n is its band w_n = ks.bands[n, :dim-n], so each term is a shifted
+    slice: (K_n x K_n^dag)_ij = w_n[i] x_{i+n,j+n} conj(w_n[j]) and
     (K_n^dag x K_n)_ij = conj(w_n[i-n]) x_{i-n,j-n} w_n[j-n].
     """
-    x = np.asarray(x, dtype=complex)
-    batch = ks.bands.shape[:-2]
-    result = np.zeros(batch + x.shape, dtype=complex)
-    out = np.moveaxis(result, tuple(a % x.ndim + len(batch) for a in axes),
-                      (0, 1))
-    x = np.moveaxis(x, axes, (0, 1))
-    rest = x.shape[2:]
-    x = x.reshape(x.shape[:2] + (1,) * len(batch) + rest)
-    lead = (1,) * len(rest)
-    # band n as an (m, B...) array, so its outer product broadcasts over x
-    for n, band in enumerate(np.moveaxis(ks.bands, (-2, -1), (0, 1))):
+    if ks.bands.ndim != 2:
+        raise ValueError("the channel takes a Kraus set of one time")
+    x = np.moveaxis(np.asarray(x, dtype=complex), axes, (0, 1))
+    out = np.zeros_like(x)  # the layout of x, so the result is contiguous
+    lead = (1,) * (x.ndim - 2)
+    for n, band in enumerate(ks.bands):
         m = ks.dim - n
         w = band[:m]
         if not w.any():
@@ -184,8 +174,28 @@ def _kraus_sum(x: np.ndarray, ks: KrausSet, axes: tuple[int, int],
         else:
             dst, src = slice(None, m), slice(n, None)
         out[dst, dst] += ((w[:, None] * w.conj()[None, :])
-                          .reshape((m, m) + batch + lead) * x[src, src])
-    return result
+                          .reshape((m, m) + lead) * x[src, src])
+    return np.moveaxis(out, (0, 1), axes)
+
+
+def _heisenberg_diagonal(x: np.ndarray, k: int, ks: KrausSet) -> np.ndarray:
+    """Diagonal k of sum_n K_n^dag X K_n for operators X on their diagonal
+    k only, given as x = np.diagonal(X, k) (..., dim - |k|); batched bands
+    prepend their time axis. Term n adds conj(w_n[i+lo]) w_n[i+hi] x[i] at
+    n+i, lo, hi = max(-k, 0), max(k, 0): _kraus_sum's adjoint products in
+    its order, so the result is bit for bit the dense image's diagonal."""
+    x = np.asarray(x, dtype=complex)
+    batch = ks.bands.shape[:-2]
+    lo, hi = max(-k, 0), max(k, 0)
+    size = ks.dim - abs(k)
+    out = np.zeros(batch + x.shape, dtype=complex)
+    shape = batch + (1,) * (x.ndim - 1) + (-1,)
+    for n in range(size):
+        m = size - n
+        w = ks.bands[..., n, :]
+        out[..., n:] += ((w[..., lo:lo + m].conj() * w[..., hi:hi + m])
+                         .reshape(shape) * x[..., :m])
+    return out
 
 
 def _two_mode_tensor(rho: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -199,52 +209,27 @@ def _two_mode_tensor(rho: np.ndarray, d1: int, d2: int) -> np.ndarray:
 
 def evolve_density(rho0: np.ndarray, ks1: KrausSet,
                    ks2: KrausSet | None = None) -> np.ndarray:
-    """Schroedinger-picture Kraus sum; single mode (at one time, or at each
-    time of a batched set), or the two-mode product channel at one time,
-    applied one mode at a time."""
+    """Schroedinger-picture Kraus sum at one time; single mode, or the
+    two-mode product channel applied one mode at a time."""
     rho0 = np.asarray(rho0, dtype=complex)
     if ks2 is None:
         if rho0.shape != (ks1.dim, ks1.dim):
             raise ValueError(f"density shape {rho0.shape} does not match "
                              f"cutoff {ks1.dim}")
         return _kraus_sum(rho0, ks1, (0, 1), adjoint=False)
-    if ks1.bands.ndim + ks2.bands.ndim > 4:
-        raise ValueError("the two-mode channel takes Kraus sets of one time")
     rho4 = _kraus_sum(_two_mode_tensor(rho0, ks1.dim, ks2.dim), ks1, (0, 2),
                       adjoint=False)
     return _kraus_sum(rho4, ks2, (1, 3), adjoint=False).reshape(rho0.shape)
 
 
 def heisenberg_evolve(A: np.ndarray, ks: KrausSet) -> np.ndarray:
-    """Heisenberg-picture observable map A -> sum_n K_n^dag A K_n, on one
-    (dim, dim) observable or a stack of them; a batched set of T times
-    prepends a time axis, (K, dim, dim) -> (T, K, dim, dim)."""
+    """Heisenberg-picture observable map A -> sum_n K_n^dag A K_n at one
+    time, on one (dim, dim) observable or a stack of them."""
     A = np.asarray(A, dtype=complex)
     if A.shape[-2:] != (ks.dim, ks.dim):
         raise ValueError(f"observable shape {A.shape} does not match "
                          f"cutoff {ks.dim}")
     return _kraus_sum(A, ks, (-2, -1), adjoint=True)
-
-
-def _trace_out_mode1(q1: np.ndarray, rho4: np.ndarray) -> np.ndarray:
-    """sigma[l, t, a, k] = (tr_1[(q1[t, a] otimes I) rho])_{lk}, the mode-2
-    operators left by tracing mode 1 out against a stack q1 (T, A, d1, d1).
-
-    With rho4[j, l, i, k] = rho_{(j,l),(i,k)}, sigma[l, (t, a), k] =
-    sum_ij q1[t, a]_ij rho4[j, l, i, k]: one BLAS product per row index j
-    of the contiguous block rho4[j], against the j-th columns of every q1
-    in the stack. rho4 is read in place, never permuted or copied.
-    """
-    n_t, n_a, d1 = q1.shape[:3]
-    d2 = rho4.shape[1]
-    # columns[j] holds column j of every q1[t, a] as a row, contiguous
-    columns = np.ascontiguousarray(np.moveaxis(q1, -1, 0))
-    columns = columns.reshape(d1, n_t * n_a, d1)
-    sigma = np.zeros((d2, n_t * n_a, d2), dtype=complex)
-    term = np.empty_like(sigma)
-    for j, block in enumerate(rho4):
-        sigma += np.matmul(columns[j], block, out=term)
-    return sigma.reshape(d2, n_t, n_a, d2)
 
 
 def reduced_densities(rho: np.ndarray,
@@ -318,14 +303,13 @@ def fock_density(level: int, dim: int) -> np.ndarray:
 
 
 #: Bytes the oracle's working set per chunk of times may take. Per time it
-#: holds both modes' Kraus bands, one mode's five Heisenberg images at a
-#: time, the kernel's temporaries and mode 1 traced out: about
-#: _TIME_ARRAYS complex (D, D) arrays (tracemalloc at D = 32: 256 KiB per
-#: time). So a chunk is 6 times at D = 32 and 24 at D = 16, and the working
-#: set does not grow with the grid. At D = 32, 6 times per chunk ran a
-#: 1000-time grid in three quarters of the time that 4 did.
+#: holds both modes' Kraus bands and their diagonal images, which
+#: tracemalloc measured as 4.0 complex (D, D) arrays at D = 32 and 6.0 at
+#: D = 16 (the ~60 D image entries weigh more at small D). _TIME_ARRAYS
+#: covers D >= 16, so a chunk is 13 times at D = 32 and 54 at D = 16, and
+#: the working set does not grow with the grid.
 _CHUNK_BYTES = 3 * 2 ** 19
-_TIME_ARRAYS = 16
+_TIME_ARRAYS = 7
 
 
 def _chunk_size(dim: int) -> int:
@@ -342,25 +326,23 @@ class MomentChunk(NamedTuple):
     cov: np.ndarray
 
 
-def _chunk_moments(kraus: tuple[KrausSet, KrausSet], observables: list,
-                   reduced: tuple[np.ndarray, np.ndarray],
-                   rho4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_moments(kraus: tuple[KrausSet, KrausSet], diagonals: list,
+                   reduced: list, rho_xp: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Means (C, 4) and covariances (C, 4, 4) at the C times of a pair of
-    batched Kraus sets: one Heisenberg call per mode on its five
-    observables, the intra-mode moments from its reduced density, and the
-    cross block tr[(q1 otimes q2) rho] = tr[q2 tr_1[(q1 otimes I) rho]]
-    from the x and p images q1, q2 of the two modes."""
-    (obs1, obs2), (ks1, ks2), (r1, r2) = observables, kraus, reduced
-    evolved = heisenberg_evolve(obs1, ks1)
-    local1 = np.einsum("taij,ji->ta", evolved, r1).real
-    sigma = _trace_out_mode1(evolved[:, :2], rho4)
-    del evolved  # free mode 1's images before mode 2's are built
-    evolved = heisenberg_evolve(obs2, ks2)
-    local2 = np.einsum("taij,ji->ta", evolved, r2).real
-    cross = np.einsum("ltak,tbkl->tab", sigma, evolved[:, :2]).real
-    mean = np.concatenate([local1[:, :2], local2[:, :2]], axis=1)
+    batched Kraus sets: per mode, diagonals -2..2 of the five observables'
+    images against the reduced density, and the cross block from the x and
+    p images q1, q2 on diagonals -1, 1 of both modes against rho_xp."""
+    local, q = [], []
+    for ks, obs, r in zip(kraus, diagonals, reduced):
+        images = {k: _heisenberg_diagonal(obs[k], k, ks) for k in obs}
+        local.append(sum(images[k] @ r[k] for k in obs).real)
+        q.append(np.concatenate([images[-1][:, :2], images[1][:, :2]],
+                                axis=-1))
+    cross = (q[0] @ rho_xp @ q[1].transpose(0, 2, 1)).real
+    mean = np.concatenate([local[0][:, :2], local[1][:, :2]], axis=1)
     cov = np.empty((len(mean), 4, 4))
-    for base, (x, p, x2, p2, xp) in zip((0, 2), (local1.T, local2.T)):
+    for base, (x, p, x2, p2, xp) in zip((0, 2), (local[0].T, local[1].T)):
         cov[:, base, base] = x2 - x ** 2
         cov[:, base + 1, base + 1] = p2 - p ** 2
         cov[:, base, base + 1] = cov[:, base + 1, base] = xp - x * p
@@ -377,24 +359,30 @@ def moment_chunks(rho0: np.ndarray, system: TwoModeSystem,
     per-mode Heisenberg evolution of the quadrature observables.
 
     The whole grid is checked before any work starts. Per chunk and mode
-    there is one band build and one Heisenberg call; the intra-mode
-    moments are read from the two reduced densities, taken once.
+    there is one band build and one kernel call per diagonal; the density
+    entries the moments meet are read once, before the first chunk.
     """
     times = _checked_times(times)
     rho4 = _two_mode_tensor(rho0, dim, dim)
-    reduced = reduced_densities(rho0, dim)
-    observables = []  # per mode: x, p, x^2, p^2, (xp + px)/2
-    for mode in system.modes:
+    diagonals, reduced = [], []
+    for mode, r in zip(system.modes, reduced_densities(rho0, dim)):
         ops = build_mode_operators(dim, mode, system.constants)
-        observables.append(np.stack([ops.x, ops.p, ops.x @ ops.x,
-                                     ops.p @ ops.p,
-                                     0.5 * (ops.x @ ops.p + ops.p @ ops.x)]))
+        obs = np.stack([ops.x, ops.p, ops.x @ ops.x, ops.p @ ops.p,
+                        0.5 * (ops.x @ ops.p + ops.p @ ops.x)])
+        diagonals.append({k: np.diagonal(obs, k, axis1=1, axis2=2)
+                          for k in range(-2, 3)})
+        reduced.append({k: np.diagonal(r, -k) for k in range(-2, 3)})
+    # tr[(q1 otimes q2) rho] = sum q1_ij q2_lk rho4[j, k, i, l], and (i, j)
+    # is (u + 1, u) on diagonal -1, (u, u + 1) on 1, concatenated so
+    u = np.arange(dim - 1)
+    i, j = np.concatenate([u + 1, u]), np.concatenate([u, u + 1])
+    rho_xp = rho4[j[:, None], j, i[:, None], i]
     size = _chunk_size(dim)
     for start in range(0, len(times), size):
         kraus = tuple(kraus_operators(mode.kappa, times[start:start + size],
                                       dim) for mode in system.modes)
         yield MomentChunk(slice(start, start + size), kraus,
-                          *_chunk_moments(kraus, observables, reduced, rho4))
+                          *_chunk_moments(kraus, diagonals, reduced, rho_xp))
 
 
 def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,

@@ -75,15 +75,22 @@ def _mode_scales(system: TwoModeSystem) -> tuple[float, float]:
 
 
 def _rescaled(a: float, b: float, c: float, e: float) -> tuple[float, ...]:
-    """d, dot, ratio, family distance and residual of the rescaled block
-    M' = [[a, b], [c, e]] (module docstring), for d != 0."""
+    """k, d, dot, ratio, family distance and residual of the rescaled block
+    M' = [[a, b], [c, e]] (module docstring), for d != 0. d and dot are
+    those of 2^k M', where k >= 0 brings a largest entry below 1/2 into
+    [1/2, 1), so d stays representable for a tiny, well-conditioned M';
+    the rest are those of M' itself, unscaled exactly."""
+    top = max(abs(a), abs(b), abs(c), abs(e))
+    k = -math.frexp(top)[1] if top < 0.5 else 0
+    if k:
+        a, b, c, e = (math.ldexp(v, k) for v in (a, b, c, e))
     d = a * e - b * c
     dot = a * c + b * e
     norms = math.hypot(a, b) * math.hypot(c, e)
     ratio = norms / abs(d)
-    q = dot / d / d
-    residual = 2.0 * (ratio - 1.0) * (ratio - 1.0) + dot * dot + q * q
-    return d, dot, ratio, abs(dot) / norms, residual
+    p, q = math.ldexp(dot, -2 * k), math.ldexp(dot / d / d, 2 * k)
+    residual = 2.0 * (ratio - 1.0) * (ratio - 1.0) + p * p + q * q
+    return k, d, dot, ratio, abs(dot) / norms, residual
 
 
 def asymptotic_products(lct: Lct, system: TwoModeSystem) -> tuple[float, float]:
@@ -229,13 +236,16 @@ def evaluate_structure(M: np.ndarray, system: TwoModeSystem) -> StructureReport:
     s1, s2 = _mode_scales(system)
     (a, b), (c, e) = np.asarray(M, dtype=float).tolist()
     a, b, c, e = a / s1, b / s2, c / s1, e / s2
-    d, dot, ratio, distance, residual = _rescaled(a, b, c, e)
+    k, d, dot, ratio, distance, residual = _rescaled(a, b, c, e)
+    a, b, c, e = (math.ldexp(v, k) for v in (a, b, c, e))
     half = system.constants.hbar / 2.0
-    n = [[e / s1 / d, -c / s2 / d], [-b / s1 / d, a / s2 / d]]
+    n = [[math.ldexp(v / d, k) for v in row]
+         for row in ((e / s1, -c / s2), (-b / s1, a / s2))]
     return StructureReport(lct=Lct(M=M, N=n), product_A=half * ratio,
-                           product_B=half * ratio, cov_xx=half * dot,
-                           cov_pp=-(half * dot) / d / d, residual=residual,
-                           family_distance=distance)
+                           product_B=half * ratio,
+                           cov_xx=math.ldexp(half * dot, -2 * k),
+                           cov_pp=math.ldexp(-(half * dot) / d / d, 2 * k),
+                           residual=residual, family_distance=distance)
 
 
 def search_classical_structure(

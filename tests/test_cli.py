@@ -208,12 +208,18 @@ class TestExitCodes:
         with open(os.path.join(DATA_DIR,
                                "golden_general_lct_scenario.json")) as fh:
             scenario = json.load(fh)
-        masses = list(itertools.product((1e-150, 1.0, 1e150, 1e200),
-                                        repeat=2))
+        golden_m = scenario["lct"]["M"]
+        cases = [(m1, m2, golden_m) for m1, m2 in itertools.product(
+            (1e-150, 1.0, 1e150, 1e200), repeat=2)]
+        # a tiny, well-conditioned M' = diag(1e-200): det M' = 1e-400
+        # is past float range, the structure is not
+        tiny = [[1e-100, 0.0], [0.0, 1e-100]]
+        cases.append((1e200, 1e200, tiny))
         args, wants = [], []
-        for i, (m1, m2) in enumerate(masses):
+        for i, (m1, m2, m) in enumerate(cases):
             scenario["system"]["mode1"]["mass"] = m1
             scenario["system"]["mode2"]["mass"] = m2
+            scenario["lct"]["M"] = m
             args += [write_scenario(tmp_path, scenario, f"s{i}.json"),
                      str(tmp_path / f"out{i}")]
             wants.append(decimal_structure(scenario))
@@ -226,20 +232,30 @@ class TestExitCodes:
                               *args], env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True)
         assert out.stderr == ""
-        assert out.stdout.split() == ["0"] * 2 * len(masses)
+        assert out.stdout.split() == ["0"] * 2 * len(cases)
         for i, want in enumerate(wants):
             got = report_values(tmp_path / f"out{i}" / "structure.txt")
             for key, value in want.items():
                 if key == "residual" and value > sys.float_info.max:
                     assert got[key] == math.inf
+                elif key == "residual" and value < 1e-60:
+                    # zero to the reference's 40 digits
+                    assert got[key] == 0.0
                 else:
                     assert math.isfinite(got[key])
                     assert abs(got[key] - float(value)) <= \
-                        1e-12 * abs(float(value)), (masses[i], key)
+                        1e-12 * abs(float(value)), (cases[i], key)
             got = report_values(tmp_path / f"out{i}" / "classicality.txt")
             assert got["best residual"] <= 1e-10
             assert all(math.isfinite(got[key]) for key in
                        ("product_A", "product_B", "cov_xx", "cov_pp"))
+        report = tmp_path / f"out{len(cases) - 1}" / "structure.txt"
+        got = report_values(report)
+        assert got["product_A"] == got["product_B"] == 0.5
+        lines = report.read_text()
+        n = [float(v) for v in lines.splitlines()[1].split(": ")[1].split()]
+        assert n[1:3] == [0.0, 0.0]
+        assert all(abs(v - 1e100) <= 1e-12 * 1e100 for v in n[::3])
 
     def test_unrepresentable_vacuum_variances_exit_2(self, tmp_path, capsys):
         # m omega underflows to 0 (1e-200 squared), or 2 m omega overflows
@@ -352,7 +368,7 @@ class TestOtherCommands:
 
     def test_oracle_builds_each_kraus_set_once_per_chunk(self, tmp_path,
                                                          monkeypatch):
-        calls = {"kraus_operators": [], "heisenberg_evolve": []}
+        calls = {"kraus_operators": [], "_heisenberg_diagonal": []}
         for name, record in calls.items():
             fn = getattr(fock, name)
             monkeypatch.setattr(fock, name,
@@ -367,9 +383,10 @@ class TestOtherCommands:
                      "--output", str(tmp_path)]) == 0
         chunks = -(-n_times // fock._chunk_size(dim))
         assert 1 < chunks < n_times
-        # per mode and chunk, for the moments and the report alike
+        # per mode and chunk, for the moments and the report alike, and
+        # one kernel call per mode, chunk and diagonal -2..2
         assert len(calls["kraus_operators"]) == 2 * chunks
-        assert len(calls["heisenberg_evolve"]) == 2 * chunks
+        assert len(calls["_heisenberg_diagonal"]) == 2 * 5 * chunks
         lines = (tmp_path / "oracle_report.txt").read_text().splitlines()
         assert len(lines) == n_times + 2
 

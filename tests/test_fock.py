@@ -14,6 +14,7 @@ from dampsim.fock import (KrausSet, bh_identity_residual,
                           evolve_density, fock_density, heisenberg_evolve,
                           kraus_operators, lowering, moment_trajectory,
                           two_mode_moments)
+from dampsim.fock import _heisenberg_diagonal as heisenberg_diagonal
 from dampsim.model import MomentState, PhysicalConstants
 
 from test_model import make_system, systems
@@ -21,6 +22,33 @@ from test_model import make_system, systems
 
 def coherent_pair_density(a1, a2, dim):
     return np.kron(coherent_density(a1, dim), coherent_density(a2, dim))
+
+
+def coherent_ket(alpha, dim):
+    """Truncated coherent amplitudes <n|alpha>, not renormalized."""
+    n = np.arange(dim)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    return np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * log_fact) * alpha ** n
+
+
+def non_gaussian_density(kind, a1, a2, dim, rng):
+    """A two-mode density that no Gaussian describes: a product of number
+    states, an entangled cat (|a1, a2> + e^{i phi} |-a1, -a2>), or a random
+    correlated mixture; number states and mixtures stay on levels < 6."""
+    if kind == "number":
+        n1, n2 = rng.integers(0, 6, size=2)
+        return np.kron(fock_density(n1, dim), fock_density(n2, dim))
+    if kind == "cat":
+        # phi in [0, pi/2] keeps the two branches from cancelling
+        psi = (np.kron(coherent_ket(a1, dim), coherent_ket(a2, dim))
+               + np.exp(0.5j * np.pi * rng.random())
+               * np.kron(coherent_ket(-a1, dim), coherent_ket(-a2, dim)))
+        psi /= np.linalg.norm(psi)
+        return np.outer(psi, psi.conj())
+    s = int(rng.integers(2, 6))
+    rho = np.zeros((dim,) * 4, dtype=complex)
+    rho[:s, :s, :s, :s] = random_density(s * s, rng).reshape((s,) * 4)
+    return rho.reshape(dim * dim, dim * dim)
 
 
 def random_density(dim, rng):
@@ -389,26 +417,60 @@ class TestHeisenbergMoment:
         A = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim,
                                                                     dim))
         batch = kraus_operators(kappa, np.array(times), dim)
-        rho_t, A_t = evolve_density(rho, batch), heisenberg_evolve(A, batch)
-        assert rho_t.shape == (len(times), dim, dim)
-        assert A_t.shape == (len(times), 3, dim, dim)
+        diagonals = {k: heisenberg_diagonal(np.diagonal(A, k, 1, 2), k, batch)
+                     for k in range(1 - dim, dim)}
         for k, t in enumerate(times):
             ks = kraus_operators(kappa, t, dim)
             one_rho, one_A = evolve_density(rho, ks), heisenberg_evolve(A, ks)
             # a batch row is the one-time call, bit for bit
             assert np.array_equal(batch.bands[k], ks.bands)
-            assert np.array_equal(rho_t[k], one_rho)
-            assert np.array_equal(A_t[k], one_A)
+            for d, rows in diagonals.items():
+                assert rows.shape == (len(times), 3, dim - abs(d))
+                assert np.array_equal(rows[k], np.diagonal(one_A, d, 1, 2))
             assert np.max(np.abs(one_rho - dense_kraus_sum(rho, ks, False))
                           ) <= 1e-13
             for a, image in zip(A, one_A):
                 assert np.max(np.abs(image - dense_kraus_sum(a, ks, True))
                               ) <= 1e-13
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 17, 32])
+    def test_diagonal_kernel_is_the_dense_diagonal(self, dim):
+        rng = np.random.default_rng(dim)
+        A = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim,
+                                                                    dim))
+        times = np.array([0.0, 0.05, 0.7, 3.0, 1e200])
+        for batch in (kraus_operators(0.8, times, dim),
+                      phased(kraus_operators(0.8, times, dim), rng)):
+            for k in range(1 - dim, dim):
+                x = np.diagonal(A, k, 1, 2)
+                rows = heisenberg_diagonal(x, k, batch)
+                for row, bands, t in zip(rows, batch.bands, times):
+                    ks = KrausSet(kappa=0.8, t=t, bands=bands)
+                    want = np.diagonal(heisenberg_evolve(A, ks), k, 1, 2)
+                    assert np.array_equal(row, want), k
+                    assert np.array_equal(heisenberg_diagonal(x, k, ks), want)
+
+    @pytest.mark.parametrize("dim", [2, 5, 16])
+    def test_channel_keeps_each_diagonal(self, dim):
+        # band closure: an operator on diagonal k has its image, in either
+        # picture, on diagonal k only, with exact zeros elsewhere
+        rng = np.random.default_rng(dim + 1)
+        ks = phased(kraus_operators(0.6, 0.9, dim), rng)
+        for k in range(1 - dim, dim):
+            size = dim - abs(k)
+            X = np.diag(rng.normal(size=size) + 1j * rng.normal(size=size), k)
+            off = np.diag(np.ones(size, dtype=bool), k) == 0
+            for image in (heisenberg_evolve(X, ks), evolve_density(X, ks)):
+                assert np.all(image[off] == 0), k
+                assert np.any(np.diagonal(image, k) != 0), k
+
     def test_two_mode_channel_takes_one_time(self):
         batch = kraus_operators(0.5, np.array([0.1, 0.2]), 3)
-        with pytest.raises(ValueError, match="one time"):
-            evolve_density(np.eye(9) / 9, batch, batch)
+        for call in (lambda: evolve_density(np.eye(9) / 9, batch, batch),
+                     lambda: evolve_density(np.eye(3) / 3, batch),
+                     lambda: heisenberg_evolve(np.eye(3), batch)):
+            with pytest.raises(ValueError, match="one time"):
+                call()
 
     def test_annihilation_decay_on_coherent_state(self):
         dim, kappa, t = 20, 0.5, 1.2
@@ -493,15 +555,26 @@ class TestOracleMoments:
 
     @given(systems(),
            *[st.complex_numbers(max_magnitude=1.0, allow_nan=False)] * 2,
-           st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
+           st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3),
+           st.sampled_from(["coherent", "number", "cat", "mixture"]),
+           st.integers(0, 2 ** 32 - 1))
     def test_agrees_with_analytic_engine_on_random_systems(self, system, a1,
-                                                           a2, times):
+                                                           a2, times, kind,
+                                                           seed):
+        # damping evolves first and second moments in closed form for any
+        # state, so non-Gaussian states start from their t = 0 moments,
+        # taken as Kronecker traces that share no code with the chunks
         dim = 16
         times = np.array(times)
-        mean, cov = moment_trajectory(coherent_pair_density(a1, a2, dim),
-                                      system, times, dim)
-        closed = analytic.evolve_trajectory(
-            coherent_pair_moments(a1, a2, system), system, times)
+        if kind == "coherent":
+            rho0 = coherent_pair_density(a1, a2, dim)
+            state0 = coherent_pair_moments(a1, a2, system)
+        else:
+            rho0 = non_gaussian_density(kind, a1, a2, dim,
+                                        np.random.default_rng(seed))
+            state0 = MomentState(*per_time_moments(rho0, system, 0.0, dim))
+        mean, cov = moment_trajectory(rho0, system, times, dim)
+        closed = analytic.evolve_trajectory(state0, system, times)
         assert np.max(np.abs(mean - closed[0])) <= 1e-8
         assert np.max(np.abs(cov - closed[1])) <= 1e-8
 
