@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (QUADRATURES, MomentState, TwoModeSystem, check_damped,
-                    vacuum_state)
+                    checked_times, vacuum_state)
 
 
 def evolve_trajectory(state0: MomentState, system: TwoModeSystem,
@@ -20,9 +20,7 @@ def evolve_trajectory(state0: MomentState, system: TwoModeSystem,
     uniform e^{-2 kappa t} scaling of all bilinears (a^2, a^dag^2, a^dag a)
     in the Heisenberg picture.
     """
-    times = np.asarray(times, dtype=float)
-    if not np.all(times >= 0):
-        raise ValueError(f"time must be non-negative, got {np.min(times)}")
+    times = checked_times(times)
     kappa = np.repeat([system.mode1.kappa, system.mode2.kappa], 2)
     with np.errstate(over="ignore"):  # kappa t past float range: e = 0
         e = np.exp(-kappa * times[:, None])

@@ -19,6 +19,9 @@ then checks the parameters, time grid, initial state, LCT and seed
 explicit density with its shape and fock.check_density. Each command then
 builds the density it needs once. The CSV writer checks the trajectory
 with model.check_moments.
+
+The oracle command makes one fock.moment_trajectory call, which returns
+the moments with their per-time margins, and formats what it returns.
 """
 
 from __future__ import annotations
@@ -54,8 +57,16 @@ _FOCK_BUDGET_BYTES = 2 ** 30
 _GRID_BUDGET_BYTES = 2 ** 27
 
 
+#: The float format of every output file; 17 digits read back bit for bit.
+_FLOAT_FORMAT = "%.17g"
+
+
 def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+    return _FLOAT_FORMAT % float(v)
+
+
+def _fmt_all(values) -> str:
+    return " ".join(map(_fmt, values))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -273,7 +284,7 @@ def _trajectory_csv(times: np.ndarray, mean: np.ndarray, cov: np.ndarray,
                     analytic.uncertainty_products(ts_cov),
                     ts_cov[:, [0, 1], [2, 3]]]
     rows = np.hstack(columns).tolist()
-    fmt = ",".join(["%.17g"] * len(header))  # _fmt's format, per row
+    fmt = ",".join([_FLOAT_FORMAT] * len(header))
     return "\n".join([",".join(header)]
                      + [fmt % tuple(row) for row in rows]) + "\n"
 
@@ -301,7 +312,7 @@ def _decay_fit_slope(times: np.ndarray, cov: np.ndarray) -> float | None:
 
 
 def _engine_deviation(a: tuple, f: tuple) -> np.ndarray:
-    """Per-time max-norm distance between two (mean, cov) trajectories."""
+    """Per-time max-norm distance between two (mean, cov, ...) trajectories."""
     return np.maximum(np.max(np.abs(a[0] - f[0]), axis=1),
                       np.max(np.abs(a[1] - f[1]), axis=(1, 2)))
 
@@ -315,8 +326,8 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
         trajectories["analytic"] = analytic.evolve_trajectory(
             initial_moment_state(scenario), system, times)
     if rho0 is not None:
-        trajectories["fock"] = fock.moment_trajectory(
-            rho0, system, times, scenario.fock_dim)
+        oracle = fock.moment_trajectory(rho0, system, times, scenario.fock_dim)
+        trajectories["fock"] = oracle.mean, oracle.cov
 
     mean, cov = trajectories.get("analytic", trajectories.get("fock"))
     _atomic_write(os.path.join(out_dir, "trajectory.csv"),
@@ -326,11 +337,11 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
                f"samples: {len(times)}",
                f"t_final: {_fmt(times[-1])}",
                "final uncertainty products: "
-               + " ".join(map(_fmt, analytic.uncertainty_products(cov[-1])))]
+               + _fmt_all(analytic.uncertainty_products(cov[-1]))]
     if system.mode1.kappa > 0 and system.mode2.kappa > 0:
         asym = analytic.asymptotic_state(system)
         summary.append("asymptotic cov diagonal: "
-                       + " ".join(_fmt(v) for v in np.diag(asym.cov)))
+                       + _fmt_all(np.diag(asym.cov)))
     slope = _decay_fit_slope(times, cov)
     summary.append("covariance decay fit slope (x1,x2): "
                    + (_fmt(slope) if slope is not None else "n/a"))
@@ -343,31 +354,28 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
 
 def run_oracle(scenario: Scenario, out_dir: str) -> None:
     system, dim, times = scenario.system, scenario.fock_dim, scenario.times
-    rho0 = initial_density(scenario)
-    mean, cov = analytic.evolve_trajectory(initial_moment_state(scenario),
-                                           system, times)
-    reduced = fock.reduced_densities(rho0, dim)
-    dev = np.empty(len(times))
+    oracle = fock.moment_trajectory(initial_density(scenario), system, times,
+                                    dim)
+    dev = _engine_deviation(analytic.evolve_trajectory(
+        initial_moment_state(scenario), system, times), oracle)
     lines = [f"fock_dim: {dim}"]
-    # the report reads the Kraus sets each chunk of moments was built from
-    for chunk in fock.moment_chunks(rho0, system, times, dim):
-        i = chunk.index
-        dev[i] = _engine_deviation((mean[i], cov[i]), (chunk.mean, chunk.cov))
-        defect = np.max([fock.completeness_defect(ks) for ks in chunk.kraus],
-                        axis=0)
-        residual = np.max([fock.bh_identity_residual(ks.kappa, ks.t, dim)
-                           for ks in chunk.kraus], axis=0)
-        # population of |dim-1> in either mode: the truncation error's size
-        tail = np.max([fock.top_level_population(r, ks)
-                       for r, ks in zip(reduced, chunk.kraus)], axis=0)
-        lines += [f"t={_fmt(t)} completeness={_fmt(c)} "
-                  f"bh_residual={_fmt(b)} engine_deviation={_fmt(d)} "
-                  f"fock_tail={_fmt(f)}"
-                  for t, c, b, d, f in zip(times[i], defect, residual, dev[i],
-                                           tail)]
+    lines += [f"t={_fmt(t)} completeness={_fmt(c)} "
+              f"bh_residual={_fmt(b)} engine_deviation={_fmt(d)} "
+              f"fock_tail={_fmt(f)}"
+              for t, c, b, d, f in zip(times, oracle.completeness,
+                                       oracle.bh_residual, dev,
+                                       oracle.fock_tail)]
     lines.append(f"max engine deviation: {_fmt(dev.max())}")
     _atomic_write(os.path.join(out_dir, "oracle_report.txt"),
                   "\n".join(lines) + "\n")
+
+
+def _report_lines(report: structures.StructureReport, *names: str
+                  ) -> list[str]:
+    """The "name: value" lines of a structure report: its products and
+    cross covariances, then the named fields."""
+    return [f"{name}: {_fmt(getattr(report, name))}"
+            for name in ("product_A", "product_B", "cov_xx", "cov_pp") + names]
 
 
 def run_structure(scenario: Scenario, out_dir: str) -> None:
@@ -375,16 +383,9 @@ def run_structure(scenario: Scenario, out_dir: str) -> None:
         raise ValueError("the structure command needs an 'lct' entry "
                               "in the scenario")
     report = structures.evaluate_structure(scenario.lct.M, scenario.system)
-    lines = ["position block M: "
-             + " ".join(_fmt(v) for v in report.lct.M.ravel()),
-             "momentum block N: "
-             + " ".join(_fmt(v) for v in report.lct.N.ravel()),
-             f"product_A: {_fmt(report.product_A)}",
-             f"product_B: {_fmt(report.product_B)}",
-             f"cov_xx: {_fmt(report.cov_xx)}",
-             f"cov_pp: {_fmt(report.cov_pp)}",
-             f"residual: {_fmt(report.residual)}",
-             f"family_distance: {_fmt(report.family_distance)}"]
+    lines = (["position block M: " + _fmt_all(report.lct.M.ravel()),
+              "momentum block N: " + _fmt_all(report.lct.N.ravel())]
+             + _report_lines(report, "residual", "family_distance"))
     _atomic_write(os.path.join(out_dir, "structure.txt"),
                   "\n".join(lines) + "\n")
 
@@ -393,16 +394,11 @@ def run_classicality(scenario: Scenario, out_dir: str) -> None:
     config = structures.SearchConfig(seed=scenario.seed)
     report, trace = structures.search_classical_structure(scenario.system,
                                                           config)
-    lines = [f"seed: {scenario.seed}",
-             f"restarts: {config.restarts}",
-             f"best residual: {_fmt(report.residual)}",
-             "best position block M: "
-             + " ".join(_fmt(v) for v in report.lct.M.ravel()),
-             f"product_A: {_fmt(report.product_A)}",
-             f"product_B: {_fmt(report.product_B)}",
-             f"cov_xx: {_fmt(report.cov_xx)}",
-             f"cov_pp: {_fmt(report.cov_pp)}",
-             f"family_distance: {_fmt(report.family_distance)}"]
+    lines = ([f"seed: {scenario.seed}",
+              f"restarts: {config.restarts}",
+              f"best residual: {_fmt(report.residual)}",
+              "best position block M: " + _fmt_all(report.lct.M.ravel())]
+             + _report_lines(report, "family_distance"))
     _atomic_write(os.path.join(out_dir, "classicality.txt"),
                   "\n".join(lines) + "\n")
     rows = ["restart,residual,iterations,trivial"]

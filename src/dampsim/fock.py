@@ -18,9 +18,10 @@ times[k]. The channel maps each diagonal of an operator to itself, and the
 moments read five: x and p sit on diagonals -1 and 1, x^2, p^2 and
 (xp + px)/2 on -2, 0 and 2. _heisenberg_diagonal maps one diagonal at every
 time of such a grid, O(D^2) per time, bit for bit the dense image's
-diagonal. moment_chunks walks the grid in chunks whose working set stays
-near _CHUNK_BYTES, with one band build per mode and chunk; the cross
-moments meet only 4 (D-1)^2 density entries, gathered once per grid.
+diagonal. moment_trajectory walks a grid in chunks whose working set
+stays near _CHUNK_BYTES, with one band build per mode and chunk, whose
+moments and margins (completeness, BH residual, cutoff population) it
+returns; the cross moments meet only 4 (D-1)^2 density entries.
 
 A CPTP channel keeps a valid density valid, so the evolution functions check
 only shapes; check_density (an O(D^6) eigvalsh for two modes) runs once on
@@ -31,12 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import (MomentState, ModeParams, PhysicalConstants, TwoModeSystem,
-                    vacuum_variances)
+                    checked_times, vacuum_variances)
 
 
 class ModeOperators(NamedTuple):
@@ -83,24 +84,10 @@ class KrausSet:
         return self.bands.shape[-1]
 
 
-def _checked_times(t) -> np.ndarray:
-    """t as a float array of at most one axis, every entry finite and
-    non-negative."""
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ValueError(f"times must be a scalar or a 1-D array, got shape "
-                         f"{times.shape}")
-    bad = ~((times >= 0) & (times < math.inf))
-    if bad.any():
-        raise ValueError(f"time must be finite and non-negative, got "
-                         f"{times[bad].flat[0]}")
-    return times
-
-
 def kraus_operators(kappa: float, t: float | np.ndarray,
                     dim: int) -> KrausSet:
     """The Kraus set at time t, or at each time of a (T,) array t."""
-    times = _checked_times(t)
+    times = checked_times(t)
     if not 0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
     if dim < 2:
@@ -260,10 +247,13 @@ def bh_identity_residual(kappa: float, t: float | np.ndarray,
     on the right. (Equivalently e^{+kt} a e^{-2ktN}; the conjugate identity
     for a^dag carries e^{-kt} with a^dag on the left.)
     """
+    times = checked_times(t)
+    if not 0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
     # e^{-kt} is 0.0 from kt ~ 745 on, so a cap at 1e3 changes no value but
     # keeps an overflowed kt (inf, and -inf * 0 is NaN) and -2 kt n finite
     with np.errstate(over="ignore"):
-        kt = np.minimum(kappa * np.asarray(t, dtype=float), 1e3)[..., None]
+        kt = np.minimum(kappa * times, 1e3)[..., None]
     n = np.arange(dim)
     decay = np.exp(-kt * n)
     root = np.sqrt(n[1:])
@@ -317,13 +307,15 @@ def _chunk_size(dim: int) -> int:
     return max(1, _CHUNK_BYTES // (_TIME_ARRAYS * dim * dim * 16))
 
 
-class MomentChunk(NamedTuple):
-    """Oracle moments at a run of consecutive grid times, with the Kraus
-    sets (batched over those times) they came from."""
-    index: slice
-    kraus: tuple[KrausSet, KrausSet]
+class OracleTrajectory(NamedTuple):
+    """Oracle means (T, 4) and covariances (T, 4, 4) on a (T,) grid, and per
+    time the largest over both modes of the completeness defect, the BH
+    identity residual and the population at the cutoff."""
     mean: np.ndarray
     cov: np.ndarray
+    completeness: np.ndarray
+    bh_residual: np.ndarray
+    fock_tail: np.ndarray
 
 
 def _chunk_moments(kraus: tuple[KrausSet, KrausSet], diagonals: list,
@@ -352,20 +344,21 @@ def _chunk_moments(kraus: tuple[KrausSet, KrausSet], diagonals: list,
     return mean, cov
 
 
-def moment_chunks(rho0: np.ndarray, system: TwoModeSystem,
-                  times: np.ndarray, dim: int) -> Iterator[MomentChunk]:
-    """Means (C, 4) and symmetrized covariances (C, 4, 4) of a two-mode
-    density after damping, chunk by chunk of the (T,) grid `times`, via
-    per-mode Heisenberg evolution of the quadrature observables.
+def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,
+                      times: np.ndarray, dim: int) -> OracleTrajectory:
+    """The oracle counterpart of analytic.evolve_trajectory: moments and
+    margins of a two-mode density after damping at each time of the (T,)
+    grid `times`, by per-mode Heisenberg evolution of the quadratures.
 
     The whole grid is checked before any work starts. Per chunk and mode
-    there is one band build and one kernel call per diagonal; the density
-    entries the moments meet are read once, before the first chunk.
+    one band build serves the moments and the margins, with one kernel
+    call per diagonal; the density entries the moments meet are read once.
     """
-    times = _checked_times(times)
+    times = checked_times(times)
     rho4 = _two_mode_tensor(rho0, dim, dim)
+    densities = reduced_densities(rho0, dim)
     diagonals, reduced = [], []
-    for mode, r in zip(system.modes, reduced_densities(rho0, dim)):
+    for mode, r in zip(system.modes, densities):
         ops = build_mode_operators(dim, mode, system.constants)
         obs = np.stack([ops.x, ops.p, ops.x @ ops.x, ops.p @ ops.p,
                         0.5 * (ops.x @ ops.p + ops.p @ ops.x)])
@@ -377,33 +370,27 @@ def moment_chunks(rho0: np.ndarray, system: TwoModeSystem,
     u = np.arange(dim - 1)
     i, j = np.concatenate([u + 1, u]), np.concatenate([u, u + 1])
     rho_xp = rho4[j[:, None], j, i[:, None], i]
+    out = OracleTrajectory(*(np.empty(times.shape + shape)
+                             for shape in ((4,), (4, 4), (), (), ())))
     size = _chunk_size(dim)
     for start in range(0, len(times), size):
-        kraus = tuple(kraus_operators(mode.kappa, times[start:start + size],
-                                      dim) for mode in system.modes)
-        yield MomentChunk(slice(start, start + size), kraus,
-                          *_chunk_moments(kraus, diagonals, reduced, rho_xp))
-
-
-def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,
-                      times: np.ndarray, dim: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Means (T, 4) and symmetrized covariances (T, 4, 4) of a two-mode
-    density matrix after damping for each of T times: the chunks of
-    moment_chunks, gathered.
-
-    This is the oracle counterpart of analytic.evolve_trajectory.
-    """
-    n_times = len(np.asarray(times))
-    mean, cov = np.empty((n_times, 4)), np.empty((n_times, 4, 4))
-    for chunk in moment_chunks(rho0, system, times, dim):
-        mean[chunk.index], cov[chunk.index] = chunk.mean, chunk.cov
-    return mean, cov
+        index = slice(start, start + size)
+        kraus = tuple(kraus_operators(mode.kappa, times[index], dim)
+                      for mode in system.modes)
+        out.mean[index], out.cov[index] = _chunk_moments(
+            kraus, diagonals, reduced, rho_xp)
+        margins = [(completeness_defect(ks),
+                    bh_identity_residual(ks.kappa, ks.t, dim),
+                    top_level_population(r, ks))
+                   for ks, r in zip(kraus, densities)]
+        for field, per_mode in zip(out[2:], zip(*margins)):
+            field[index] = np.max(per_mode, axis=0)
+    return out
 
 
 def two_mode_moments(rho0: np.ndarray, system: TwoModeSystem, t: float,
                      dim: int) -> MomentState:
     """Oracle moments of a two-mode density after damping for time t:
     moment_trajectory at one time."""
-    mean, cov = moment_trajectory(rho0, system, np.array([t]), dim)
-    return MomentState(mean=mean[0], cov=cov[0])
+    oracle = moment_trajectory(rho0, system, np.array([t]), dim)
+    return MomentState(mean=oracle.mean[0], cov=oracle.cov[0])

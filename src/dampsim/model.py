@@ -146,6 +146,20 @@ def vacuum_variances(mode: ModeParams, hbar: float) -> tuple[float, float]:
             mode.mass * hbar * mode.omega / 2.0)
 
 
+def checked_times(t) -> np.ndarray:
+    """t as a float array of at most one axis, every entry finite and
+    non-negative; ValueError otherwise."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D array, got shape "
+                         f"{times.shape}")
+    bad = ~((times >= 0) & (times < math.inf))
+    if bad.any():
+        raise ValueError(f"time must be finite and non-negative, got "
+                         f"{times[bad].flat[0]}")
+    return times
+
+
 def check_damped(system: TwoModeSystem) -> None:
     """Raise ValueError unless kappa > 0 on both modes: an undamped mode
     keeps its initial moments, so it has no asymptotic state."""

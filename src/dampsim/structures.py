@@ -96,6 +96,7 @@ def _rescaled(a: float, b: float, c: float, e: float) -> tuple[float, ...]:
 def asymptotic_products(lct: Lct, system: TwoModeSystem) -> tuple[float, float]:
     """Asymptotic Delta X_A * Delta P_A and Delta xi_B * Delta pi_B, both
     (hbar/2)|alpha'||beta'|/|d| >= hbar/2 for a canonical LCT."""
+    check_lct(lct)
     report = evaluate_structure(lct.M, system)
     return report.product_A, report.product_B
 
@@ -105,6 +106,7 @@ def asymptotic_cross_covariances(lct: Lct,
     """Asymptotic A-B covariances cov_xx = (hbar/2) alpha'.beta' and
     cov_pp = (hbar/2) gamma'.delta' = -cov_xx/d^2; the mixed x-p ones
     vanish identically at the vacuum asymptote."""
+    check_lct(lct)
     report = evaluate_structure(lct.M, system)
     return report.cov_xx, report.cov_pp
 
@@ -113,6 +115,7 @@ def classicality_residual(lct: Lct, system: TwoModeSystem) -> float:
     """Scalar defect of the classicality criterion, ((prod_A - hbar/2)^2 +
     (prod_B - hbar/2)^2 + cov_xx^2 + cov_pp^2) / (hbar/2)^2: zero iff both
     products sit at hbar/2 and both cross covariances vanish."""
+    check_lct(lct)
     return evaluate_structure(lct.M, system).residual
 
 

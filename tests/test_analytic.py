@@ -30,6 +30,16 @@ class TestEvolveState:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             evolve_state(vacuum_state(make_system()), make_system(), -0.1)
+        # unchecked, an undamped mode at t = inf gives NaN moments and a
+        # 2-D grid a broadcast error
+        undamped = make_system(k1=0.0)
+        state = vacuum_state(undamped)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"finite and non-negative, "
+                                                 f"got {bad}"):
+                evolve_state(state, undamped, bad)
+        with pytest.raises(ValueError, match="1-D"):
+            evolve_trajectory(state, undamped, np.zeros((2, 2)))
 
     def test_coherent_mean_decay(self):
         system = make_system(k1=0.5, k2=0.5)

@@ -368,7 +368,8 @@ class TestOtherCommands:
 
     def test_oracle_builds_each_kraus_set_once_per_chunk(self, tmp_path,
                                                          monkeypatch):
-        calls = {"kraus_operators": [], "_heisenberg_diagonal": []}
+        calls = {"kraus_operators": [], "_heisenberg_diagonal": [],
+                 "moment_trajectory": []}
         for name, record in calls.items():
             fn = getattr(fock, name)
             monkeypatch.setattr(fock, name,
@@ -387,6 +388,8 @@ class TestOtherCommands:
         # one kernel call per mode, chunk and diagonal -2..2
         assert len(calls["kraus_operators"]) == 2 * chunks
         assert len(calls["_heisenberg_diagonal"]) == 2 * 5 * chunks
+        # the report makes one oracle call for the moments and the margins
+        assert len(calls["moment_trajectory"]) == 1
         lines = (tmp_path / "oracle_report.txt").read_text().splitlines()
         assert len(lines) == n_times + 2
 

@@ -268,6 +268,18 @@ class TestBakerHausdorffIdentity:
     def test_generic_parameters(self):
         assert bh_identity_residual(0.7, 2.3, 15) <= 1e-13
 
+    @pytest.mark.parametrize("kappa, t, match", [
+        (-50.0, 1.0, "kappa"), (np.nan, 1.0, "kappa"),
+        (np.inf, 1.0, "kappa"), (1.0, -0.5, "non-negative"),
+        (1.0, np.nan, "non-negative"), (1.0, np.inf, "non-negative"),
+        (1.0, np.array([0.0, np.nan]), "non-negative"),
+        (1.0, np.zeros((2, 2)), "1-D"),
+    ])
+    def test_bad_inputs_rejected(self, kappa, t, match):
+        # unchecked, kappa = -50 gives a residual of 1e267 and NaN a NaN
+        with pytest.raises(ValueError, match=match):
+            bh_identity_residual(kappa, t, 8)
+
     def test_overflowing_kappa_t_is_the_exact_limit(self):
         # kappa t = 1e400 overflows and 2 kappa t = 2e308 too; both sides
         # of the identity vanish there, so the residual is exactly 0
@@ -573,7 +585,8 @@ class TestOracleMoments:
             rho0 = non_gaussian_density(kind, a1, a2, dim,
                                         np.random.default_rng(seed))
             state0 = MomentState(*per_time_moments(rho0, system, 0.0, dim))
-        mean, cov = moment_trajectory(rho0, system, times, dim)
+        oracle = moment_trajectory(rho0, system, times, dim)
+        mean, cov = oracle.mean, oracle.cov
         closed = analytic.evolve_trajectory(state0, system, times)
         assert np.max(np.abs(mean - closed[0])) <= 1e-8
         assert np.max(np.abs(cov - closed[1])) <= 1e-8
@@ -583,25 +596,45 @@ class TestOracleMoments:
         dim = 12
         rho0 = random_density(dim * dim, np.random.default_rng(14))
         times = np.linspace(0.0, 2.5, 6)
-        mean, cov = moment_trajectory(rho0, system, times, dim)
+        oracle = moment_trajectory(rho0, system, times, dim)
+        mean, cov = oracle.mean, oracle.cov
         states = [two_mode_moments(rho0, system, t, dim) for t in times]
         assert np.array_equal(mean, np.stack([s.mean for s in states]))
         assert np.array_equal(cov, np.stack([s.cov for s in states]))
         with pytest.raises(ValueError, match="non-negative"):
             moment_trajectory(rho0, system, np.array([0.0, -1.0]), dim)
 
-    def test_chunked_grid_matches_per_time_reference(self):
+    def test_chunked_grid_matches_per_time_reference(self, monkeypatch):
         system = make_system(m1=1.3, w1=0.7, w2=1.4, k1=0.6, k2=0.2,
                              hbar=0.8)
         dim = 12
         rho0 = random_density(dim * dim, np.random.default_rng(21))
         # two full chunks and a partial one
         times = np.linspace(0.0, 3.0, 2 * fock._chunk_size(dim) + 3)
-        mean, cov = moment_trajectory(rho0, system, times, dim)
+        oracle = moment_trajectory(rho0, system, times, dim)
+        reduced = fock.reduced_densities(rho0, dim)
         for k, t in enumerate(times):
             want_mean, want_cov = per_time_moments(rho0, system, t, dim)
-            assert np.max(np.abs(mean[k] - want_mean)) <= 1e-13
-            assert np.max(np.abs(cov[k] - want_cov)) <= 1e-13
+            assert np.max(np.abs(oracle.mean[k] - want_mean)) <= 1e-13
+            assert np.max(np.abs(oracle.cov[k] - want_cov)) <= 1e-13
+            # the margins are those of the one-time Kraus sets, bit for bit
+            kraus = [kraus_operators(mode.kappa, t, dim)
+                     for mode in system.modes]
+            assert oracle.completeness[k] == max(map(completeness_defect,
+                                                     kraus))
+            assert oracle.bh_residual[k] == max(
+                bh_identity_residual(mode.kappa, t, dim)
+                for mode in system.modes)
+            assert oracle.fock_tail[k] == max(
+                fock.top_level_population(r, ks)
+                for r, ks in zip(reduced, kraus))
+        # and no bit of the moments or the margins depends on the chunking
+        for size in (1, 3, 16):
+            monkeypatch.setattr(fock, "_chunk_size",
+                                lambda dim, size=size: size)
+            rechunked = moment_trajectory(rho0, system, times, dim)
+            for got, want in zip(rechunked, oracle):
+                assert np.array_equal(got, want), size
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_bad_time_mid_grid_raises_before_any_work(self, monkeypatch,
@@ -629,7 +662,8 @@ class TestOracleMoments:
             times = np.linspace(0.0, 4.0, n_times)
             tracemalloc.start()
             try:
-                mean, cov = moment_trajectory(rho0, system, times, dim)
+                oracle = moment_trajectory(rho0, system, times, dim)
+                mean, cov = oracle.mean, oracle.cov
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -85,6 +85,19 @@ class TestAsymptoticQuantities:
             assert asymptotic_cross_covariances(ident, system) == \
                 pytest.approx((0.0, 0.0), abs=1e-15)
 
+    @pytest.mark.parametrize("bad", [
+        Lct(M=np.eye(2), N=2.0 * np.eye(2)),        # M N^T = 2 I
+        Lct(M=np.ones((2, 2)), N=np.ones((2, 2))),  # singular M
+    ])
+    @pytest.mark.parametrize("quantity", [asymptotic_products,
+                                          asymptotic_cross_covariances,
+                                          classicality_residual])
+    def test_invalid_lct_rejected(self, quantity, bad):
+        # as transform_state does: read as M alone, M = I, N = 2I has the
+        # products (0.5, 0.5) and residual 0, and a singular M divides by 0
+        with pytest.raises(ValueError, match="invalid LCT"):
+            quantity(bad, make_system())
+
     def test_undamped_mode_rejected(self):
         with pytest.raises(ValueError, match="kappa"):
             asymptotic_products(center_of_mass_lct(), make_system(k1=0.0))
