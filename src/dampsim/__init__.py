@@ -7,10 +7,9 @@ from .model import (Lct, ModeParams, MomentState, PhysicalConstants,
                     vacuum_state, validate_lct)
 from .analytic import (asymptotic_state, cross_covariance, evolve_state,
                        evolve_trajectory, uncertainty_product)
-from .fock import (KrausSet, bh_identity_residual, build_mode_operators,
-                   check_density, coherent_density, completeness_defect,
-                   evolve_density, kraus_operators, moment_trajectory,
-                   two_mode_moments)
+from .fock import (bh_identity_residual, build_mode_operators, check_density,
+                   coherent_density, completeness_defect, evolve_density,
+                   kraus_operators, moment_trajectory, two_mode_moments)
 from .structures import (SearchConfig, StructureReport,
                          asymptotic_cross_covariances, asymptotic_products,
                          center_of_mass_lct, classicality_residual,
@@ -20,12 +19,11 @@ __all__ = [
     "Lct", "ModeParams", "MomentState", "PhysicalConstants", "TwoModeSystem",
     "lct_from_position_block", "symplectic_defect", "vacuum_state",
     "validate_lct", "asymptotic_state", "cross_covariance", "evolve_state",
-    "evolve_trajectory", "uncertainty_product", "KrausSet",
-    "bh_identity_residual", "build_mode_operators", "coherent_density",
-    "check_density", "completeness_defect", "evolve_density",
-    "kraus_operators", "moment_trajectory", "two_mode_moments",
-    "SearchConfig", "StructureReport",
-    "asymptotic_cross_covariances", "asymptotic_products",
+    "evolve_trajectory", "uncertainty_product", "bh_identity_residual",
+    "build_mode_operators", "coherent_density", "check_density",
+    "completeness_defect", "evolve_density", "kraus_operators",
+    "moment_trajectory", "two_mode_moments", "SearchConfig",
+    "StructureReport", "asymptotic_cross_covariances", "asymptotic_products",
     "center_of_mass_lct", "classicality_residual",
     "search_classical_structure", "transform_state",
 ]

@@ -21,6 +21,8 @@ def evolve_trajectory(state0: MomentState, system: TwoModeSystem,
     in the Heisenberg picture.
     """
     times = checked_times(times)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-D grid, got a scalar")
     kappa = np.repeat([system.mode1.kappa, system.mode2.kappa], 2)
     with np.errstate(over="ignore"):  # kappa t past float range: e = 0
         e = np.exp(-kappa * times[:, None])

@@ -348,6 +348,8 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
     if scenario.engine == "both":
         dev = _engine_deviation(trajectories["analytic"], trajectories["fock"])
         summary.append(f"max analytic-vs-fock deviation: {_fmt(dev.max())}")
+    if rho0 is not None:
+        summary.append(f"max fock_tail: {_fmt(oracle.fock_tail.max())}")
     _atomic_write(os.path.join(out_dir, "summary.txt"),
                   "\n".join(summary) + "\n")
 
@@ -425,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON scenario file")
         p.add_argument("--output", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
+    sub.choices["classicality"].add_argument(
+        "--seed", type=int, default=None, help="override the scenario seed")
     return parser
 
 
@@ -434,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.config)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             scenario = dataclasses.replace(scenario, seed=args.seed)
         os.makedirs(args.output, exist_ok=True)
         _COMMANDS[args.command](scenario, args.output)

@@ -3,8 +3,9 @@ damping channel and brute-force Schroedinger/Heisenberg evolution.
 
 The Kraus family is exactly finite on the truncated space (a^n = 0 for
 n >= D), so no extra truncation of the channel sum is needed. Each K_n is
-nonzero only on its n-th superdiagonal, so a KrausSet holds only those D
-bands, built in closed form in O(D^2), and one private kernel applies the
+nonzero only on its n-th superdiagonal, so a Kraus set is those D bands, a
+(D, D) array that kraus_operators builds in closed form in O(D^2), with a
+cap on kappa t as the one overflow policy. One private kernel applies the
 whole sum as D shifted, reweighted slices of the operand, in the
 Schroedinger and the Heisenberg picture alike. A two-mode density is a
 (D1 D2, D1 D2) matrix with mode-1-major index ordering, viewed as a
@@ -12,7 +13,7 @@ Schroedinger and the Heisenberg picture alike. A two-mode density is a
 (axes (0, 2), then (1, 3)), O(D^5) elementwise work for D1 = D2 = D, and
 no two-mode operator is ever formed.
 
-That kernel takes a Kraus set of one time; kraus_operators also builds a
+That kernel takes the bands of one time; kraus_operators also builds a
 (T,) grid of them as bands (T, D, D), row k bit for bit the set at
 times[k]. The channel maps each diagonal of an operator to itself, and the
 moments read five: x and p sit on diagonals -1 and 1, x^2, p^2 and
@@ -20,8 +21,10 @@ moments read five: x and p sit on diagonals -1 and 1, x^2, p^2 and
 time of such a grid, O(D^2) per time, bit for bit the dense image's
 diagonal. moment_trajectory walks a grid in chunks whose working set
 stays near _CHUNK_BYTES, with one band build per mode and chunk, whose
-moments and margins (completeness, BH residual, cutoff population) it
-returns; the cross moments meet only 4 (D-1)^2 density entries.
+moments and margins it returns; the cross moments meet only 4 (D-1)^2
+density entries. Each margin reads the bands the moments apply: the
+completeness defect is I - E^dag(I) on diagonal 0, the BH residual and the
+cutoff population are read off K_0's band e^{-ktN}.
 
 A CPTP channel keeps a valid density valid, so the evolution functions check
 only shapes; check_density (an O(D^6) eigvalsh for two modes) runs once on
@@ -31,7 +34,6 @@ each density a caller supplies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,61 +69,42 @@ def build_mode_operators(dim: int, params: ModeParams,
     return ModeOperators(a=a, a_dag=a_dag, number=number, x=x, p=p)
 
 
-@dataclass(frozen=True)
-class KrausSet:
-    """The family K_n(t) = sqrt((1-e^{-2kt})^n / n!) e^{-kt N} a^n,
-    n = 0 ... dim-1, of one amplitude damping channel at one time t, or at
-    each of a (T,) array of times; K_n is bands[..., n, :dim-n] on its n-th
-    superdiagonal and zero elsewhere, bands being (dim, dim) or
-    (T, dim, dim)."""
-
-    kappa: float
-    t: float | np.ndarray
-    bands: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.bands.shape[-1]
-
-
 def kraus_operators(kappa: float, t: float | np.ndarray,
-                    dim: int) -> KrausSet:
-    """The Kraus set at time t, or at each time of a (T,) array t."""
+                    dim: int) -> np.ndarray:
+    """The family K_n(t) = sqrt((1-e^{-2kt})^n / n!) e^{-kt N} a^n,
+    n = 0 ... dim-1, of one amplitude damping channel as its bands: K_n is
+    bands[..., n, :dim-n] on its n-th superdiagonal and zero elsewhere.
+    The bands are (dim, dim) at one time t, (T, dim, dim) at each time of a
+    (T,) array t, row k bit for bit the set at t[k]."""
     times = checked_times(t)
+    kappa = float(kappa)
     if not 0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
     if dim < 2:
         raise ValueError(f"Fock cutoff must be >= 2, got {dim}")
-    # per time in Python floats: kt may overflow to inf (handled below),
-    # and math.expm1 keeps each batch row bit for bit the one-time set;
-    # 1 - e^{-2kt} without cancellation for small kt
-    ts = np.atleast_1d(times).tolist()
-    kt = np.array([kappa * s for s in ts])
-    loss = np.array([-math.expm1(-2.0 * kappa * s) for s in ts])
+    # per time in Python floats, so each batch row is bit for bit the
+    # one-time set. e^{-kt} is 0.0 from kt ~ 745 on, so the cap at 1e3
+    # changes no value but keeps kt, kt i and -2 kt finite; math.expm1
+    # gives 1 - e^{-2kt} without cancellation for small kt
+    kt = np.minimum([kappa * s for s in np.atleast_1d(times).tolist()], 1e3)
+    loss = np.array([-math.expm1(-2.0 * s) for s in kt.tolist()])
     i = np.arange(dim)
     bands = np.zeros(kt.shape + (dim, dim))
-    # (e^{-kt N} a^n)_{i,i+n} = e^{-kt i} sqrt((i+1)...(i+n)). When kt
-    # overflows, e^{-kt N} is the ground-state projector (-kt * 0 is NaN).
-    finite = kt < math.inf
-    bands[:, 0] = np.exp(np.where(finite, -kt, 0.0)[:, None] * i)
-    bands[~finite, 0] = i == 0
+    # (e^{-kt N} a^n)_{i,i+n} = e^{-kt i} sqrt((i+1)...(i+n))
+    bands[:, 0] = np.exp(-kt[:, None] * i)
     for n in range(1, dim):
         bands[:, n, :-n] = (bands[:, n - 1, :-n]
                             * np.sqrt(loss[:, None] * i[n:] / n))
     bands = bands.astype(complex)
-    if times.ndim:
-        return KrausSet(kappa=kappa, t=times, bands=bands)
-    return KrausSet(kappa=kappa, t=t, bands=bands[0])
+    return bands if times.ndim else bands[0]
 
 
-def completeness_defect(ks: KrausSet) -> float | np.ndarray:
-    """Max-norm of the diagonal I - sum_n K_n^dag K_n: the trace defect, per
-    time for a batched set."""
-    weights = np.abs(ks.bands) ** 2
-    acc = np.zeros(weights.shape[:-2] + (ks.dim,))
-    for n in range(weights.shape[-2]):
-        acc[..., n:] += weights[..., n, :ks.dim - n]
-    return np.max(np.abs(1.0 - acc), axis=-1)
+def completeness_defect(bands: np.ndarray) -> float | np.ndarray:
+    """Max-norm of the diagonal I - E^dag(I) = I - sum_n K_n^dag K_n: the
+    trace defect, per time for batched bands, through the kernel the
+    moments use."""
+    identity = _heisenberg_diagonal(np.ones(bands.shape[-1]), 0, bands)
+    return np.max(np.abs(1.0 - identity), axis=-1)
 
 
 def check_density(rho: np.ndarray) -> None:
@@ -137,22 +120,22 @@ def check_density(rho: np.ndarray) -> None:
         raise ValueError("density matrix is not positive semidefinite")
 
 
-def _kraus_sum(x: np.ndarray, ks: KrausSet, axes: tuple[int, int],
+def _kraus_sum(x: np.ndarray, bands: np.ndarray, axes: tuple[int, int],
                adjoint: bool) -> np.ndarray:
     """sum_n K_n x K_n^dag, or sum_n K_n^dag x K_n when adjoint, acting on
-    the (row, column) axis pair `axes` of x, for a Kraus set of one time.
+    the (row, column) axis pair `axes` of x, for the bands of one time.
 
-    K_n is its band w_n = ks.bands[n, :dim-n], so each term is a shifted
+    K_n is its band w_n = bands[n, :dim-n], so each term is a shifted
     slice: (K_n x K_n^dag)_ij = w_n[i] x_{i+n,j+n} conj(w_n[j]) and
     (K_n^dag x K_n)_ij = conj(w_n[i-n]) x_{i-n,j-n} w_n[j-n].
     """
-    if ks.bands.ndim != 2:
-        raise ValueError("the channel takes a Kraus set of one time")
+    if bands.ndim != 2:
+        raise ValueError("the channel takes the Kraus bands of one time")
     x = np.moveaxis(np.asarray(x, dtype=complex), axes, (0, 1))
     out = np.zeros_like(x)  # the layout of x, so the result is contiguous
     lead = (1,) * (x.ndim - 2)
-    for n, band in enumerate(ks.bands):
-        m = ks.dim - n
+    for n, band in enumerate(bands):
+        m = len(band) - n
         w = band[:m]
         if not w.any():
             continue
@@ -165,21 +148,22 @@ def _kraus_sum(x: np.ndarray, ks: KrausSet, axes: tuple[int, int],
     return np.moveaxis(out, (0, 1), axes)
 
 
-def _heisenberg_diagonal(x: np.ndarray, k: int, ks: KrausSet) -> np.ndarray:
+def _heisenberg_diagonal(x: np.ndarray, k: int,
+                         bands: np.ndarray) -> np.ndarray:
     """Diagonal k of sum_n K_n^dag X K_n for operators X on their diagonal
     k only, given as x = np.diagonal(X, k) (..., dim - |k|); batched bands
     prepend their time axis. Term n adds conj(w_n[i+lo]) w_n[i+hi] x[i] at
     n+i, lo, hi = max(-k, 0), max(k, 0): _kraus_sum's adjoint products in
     its order, so the result is bit for bit the dense image's diagonal."""
     x = np.asarray(x, dtype=complex)
-    batch = ks.bands.shape[:-2]
+    batch = bands.shape[:-2]
     lo, hi = max(-k, 0), max(k, 0)
-    size = ks.dim - abs(k)
+    size = bands.shape[-1] - abs(k)
     out = np.zeros(batch + x.shape, dtype=complex)
     shape = batch + (1,) * (x.ndim - 1) + (-1,)
     for n in range(size):
         m = size - n
-        w = ks.bands[..., n, :]
+        w = bands[..., n, :]
         out[..., n:] += ((w[..., lo:lo + m].conj() * w[..., hi:hi + m])
                          .reshape(shape) * x[..., :m])
     return out
@@ -194,29 +178,30 @@ def _two_mode_tensor(rho: np.ndarray, d1: int, d2: int) -> np.ndarray:
     return rho.reshape(d1, d2, d1, d2)
 
 
-def evolve_density(rho0: np.ndarray, ks1: KrausSet,
-                   ks2: KrausSet | None = None) -> np.ndarray:
+def evolve_density(rho0: np.ndarray, bands1: np.ndarray,
+                   bands2: np.ndarray | None = None) -> np.ndarray:
     """Schroedinger-picture Kraus sum at one time; single mode, or the
     two-mode product channel applied one mode at a time."""
     rho0 = np.asarray(rho0, dtype=complex)
-    if ks2 is None:
-        if rho0.shape != (ks1.dim, ks1.dim):
+    d1 = bands1.shape[-1]
+    if bands2 is None:
+        if rho0.shape != (d1, d1):
             raise ValueError(f"density shape {rho0.shape} does not match "
-                             f"cutoff {ks1.dim}")
-        return _kraus_sum(rho0, ks1, (0, 1), adjoint=False)
-    rho4 = _kraus_sum(_two_mode_tensor(rho0, ks1.dim, ks2.dim), ks1, (0, 2),
-                      adjoint=False)
-    return _kraus_sum(rho4, ks2, (1, 3), adjoint=False).reshape(rho0.shape)
+                             f"cutoff {d1}")
+        return _kraus_sum(rho0, bands1, (0, 1), adjoint=False)
+    rho4 = _kraus_sum(_two_mode_tensor(rho0, d1, bands2.shape[-1]), bands1,
+                      (0, 2), adjoint=False)
+    return _kraus_sum(rho4, bands2, (1, 3), adjoint=False).reshape(rho0.shape)
 
 
-def heisenberg_evolve(A: np.ndarray, ks: KrausSet) -> np.ndarray:
+def heisenberg_evolve(A: np.ndarray, bands: np.ndarray) -> np.ndarray:
     """Heisenberg-picture observable map A -> sum_n K_n^dag A K_n at one
     time, on one (dim, dim) observable or a stack of them."""
     A = np.asarray(A, dtype=complex)
-    if A.shape[-2:] != (ks.dim, ks.dim):
+    if A.shape[-2:] != bands.shape[-2:]:
         raise ValueError(f"observable shape {A.shape} does not match "
-                         f"cutoff {ks.dim}")
-    return _kraus_sum(A, ks, (-2, -1), adjoint=True)
+                         f"cutoff {bands.shape[-1]}")
+    return _kraus_sum(A, bands, (-2, -1), adjoint=True)
 
 
 def reduced_densities(rho: np.ndarray,
@@ -227,39 +212,31 @@ def reduced_densities(rho: np.ndarray,
 
 
 def top_level_population(reduced: np.ndarray,
-                         ks: KrausSet) -> float | np.ndarray:
+                         bands: np.ndarray) -> float | np.ndarray:
     """Population of the top level |dim-1> of a one-mode density after the
     channel, tr[E^dag(|dim-1><dim-1|) rho]: the weight at the cutoff, per
-    time for a batched set. Only K_0 reaches |dim-1>, so it is
+    time for batched bands. Only K_0 reaches |dim-1>, so it is
     |K_0[dim-1, dim-1]|^2 rho[dim-1, dim-1]."""
-    return np.abs(ks.bands[..., 0, -1]) ** 2 * reduced[-1, -1].real
+    return np.abs(bands[..., 0, -1]) ** 2 * reduced[-1, -1].real
+
+
+def _bh_residual(bands: np.ndarray) -> float | np.ndarray:
+    """Max-norm residual of e^{-ktN} a e^{-ktN} = e^{-kt} e^{-2ktN} a on
+    K_0's band b = e^{-ktN}, e^{-kt} = b[1], per time for batched bands.
+    Both sides are exact on the truncated space (the conjugate identity for
+    a^dag carries e^{-kt} with a^dag on the left), so only their lowering
+    band can differ: b[n] sqrt(n+1) b[n+1] against b[1] b[n]^2 sqrt(n+1)."""
+    b = bands[..., 0, :]
+    root = np.sqrt(np.arange(1.0, b.shape[-1]))
+    return np.max(np.abs(b[..., :-1] * root * b[..., 1:]
+                         - b[..., 1:2] * (b[..., :-1] ** 2 * root)), axis=-1)
 
 
 def bh_identity_residual(kappa: float, t: float | np.ndarray,
                          dim: int) -> float | np.ndarray:
-    """Max-norm residual of e^{-ktN} a e^{-ktN} = e^{-kt} e^{-2ktN} a, per
-    time for a (T,) array t.
-
-    Both sides are lowering-band matrices with entries sqrt(n) e^{-kt(2n-1)}
-    fully contained in the cutoff, so the identity holds exactly on the
-    truncated space, and only the band can differ: entry (n, n+1) is
-    e^{-ktn} sqrt(n+1) e^{-kt(n+1)} on the left, e^{-kt} e^{-2ktn} sqrt(n+1)
-    on the right. (Equivalently e^{+kt} a e^{-2ktN}; the conjugate identity
-    for a^dag carries e^{-kt} with a^dag on the left.)
-    """
-    times = checked_times(t)
-    if not 0 <= kappa < math.inf:
-        raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
-    # e^{-kt} is 0.0 from kt ~ 745 on, so a cap at 1e3 changes no value but
-    # keeps an overflowed kt (inf, and -inf * 0 is NaN) and -2 kt n finite
-    with np.errstate(over="ignore"):
-        kt = np.minimum(kappa * times, 1e3)[..., None]
-    n = np.arange(dim)
-    decay = np.exp(-kt * n)
-    root = np.sqrt(n[1:])
-    lhs = decay[..., :-1] * root * decay[..., 1:]
-    rhs = np.exp(-kt) * (np.exp(-2.0 * kt * n[:-1]) * root)
-    return np.max(np.abs(lhs - rhs), axis=-1)
+    """Residual of the Baker-Hausdorff identity on the Kraus set
+    kraus_operators(kappa, t, dim), per time for a (T,) array t."""
+    return _bh_residual(kraus_operators(kappa, t, dim))
 
 
 def coherent_density(displacement: complex, dim: int) -> np.ndarray:
@@ -318,16 +295,16 @@ class OracleTrajectory(NamedTuple):
     fock_tail: np.ndarray
 
 
-def _chunk_moments(kraus: tuple[KrausSet, KrausSet], diagonals: list,
+def _chunk_moments(kraus: tuple[np.ndarray, np.ndarray], diagonals: list,
                    reduced: list, rho_xp: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Means (C, 4) and covariances (C, 4, 4) at the C times of a pair of
-    batched Kraus sets: per mode, diagonals -2..2 of the five observables'
+    batched Kraus bands: per mode, diagonals -2..2 of the five observables'
     images against the reduced density, and the cross block from the x and
     p images q1, q2 on diagonals -1, 1 of both modes against rho_xp."""
     local, q = [], []
-    for ks, obs, r in zip(kraus, diagonals, reduced):
-        images = {k: _heisenberg_diagonal(obs[k], k, ks) for k in obs}
+    for bands, obs, r in zip(kraus, diagonals, reduced):
+        images = {k: _heisenberg_diagonal(obs[k], k, bands) for k in obs}
         local.append(sum(images[k] @ r[k] for k in obs).real)
         q.append(np.concatenate([images[-1][:, :2], images[1][:, :2]],
                                 axis=-1))
@@ -355,6 +332,8 @@ def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,
     call per diagonal; the density entries the moments meet are read once.
     """
     times = checked_times(times)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-D grid, got a scalar")
     rho4 = _two_mode_tensor(rho0, dim, dim)
     densities = reduced_densities(rho0, dim)
     diagonals, reduced = [], []
@@ -379,10 +358,9 @@ def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,
                       for mode in system.modes)
         out.mean[index], out.cov[index] = _chunk_moments(
             kraus, diagonals, reduced, rho_xp)
-        margins = [(completeness_defect(ks),
-                    bh_identity_residual(ks.kappa, ks.t, dim),
-                    top_level_population(r, ks))
-                   for ks, r in zip(kraus, densities)]
+        margins = [(completeness_defect(bands), _bh_residual(bands),
+                    top_level_population(r, bands))
+                   for bands, r in zip(kraus, densities)]
         for field, per_mode in zip(out[2:], zip(*margins)):
             field[index] = np.max(per_mode, axis=0)
     return out

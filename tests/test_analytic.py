@@ -38,8 +38,10 @@ class TestEvolveState:
             with pytest.raises(ValueError, match=f"finite and non-negative, "
                                                  f"got {bad}"):
                 evolve_state(state, undamped, bad)
-        with pytest.raises(ValueError, match="1-D"):
-            evolve_trajectory(state, undamped, np.zeros((2, 2)))
+        # a scalar has no time axis to evolve along
+        for grid in (np.zeros((2, 2)), 1.0):
+            with pytest.raises(ValueError, match="1-D"):
+                evolve_trajectory(state, undamped, grid)
 
     def test_coherent_mean_decay(self):
         system = make_system(k1=0.5, k2=0.5)

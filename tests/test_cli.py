@@ -274,13 +274,16 @@ class TestExitCodes:
                 assert label in err[0] and "vacuum variances" in err[0]
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
-        for seed, flag in ((-1, []), (5, ["--seed", "-1"])):
+        # every command checks the scenario's seed; only classicality,
+        # the one command that reads it, takes --seed
+        cases = [(command, -1, []) for command in cli._COMMANDS]
+        cases.append(("classicality", 5, ["--seed", "-1"]))
+        for command, seed, flag in cases:
             config = write_scenario(tmp_path, base_scenario(seed=seed))
-            for command in ("evolve", "classicality"):
-                assert main([command, "--config", config, *flag,
-                             "--output", str(tmp_path)]) == 2
-                err = capsys.readouterr().err.splitlines()
-                assert len(err) == 1 and "seed" in err[0]
+            assert main([command, "--config", config, *flag,
+                         "--output", str(tmp_path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "seed" in err[0]
 
     def test_io_error_exits_3(self, tmp_path):
         config = write_scenario(tmp_path, base_scenario())
@@ -320,6 +323,32 @@ class TestEvolve:
         line = [l for l in summary.splitlines()
                 if l.startswith("max analytic-vs-fock deviation")][0]
         assert float(line.split(":")[1]) <= 1e-8
+
+    def test_summary_reports_fock_tail(self, tmp_path):
+        # |alpha|^2 = 1.96 at D = 8: ~3e-3 on |7> at t = 0
+        scenario = base_scenario(fock_dim=8,
+                                 initial={"type": "coherent",
+                                          "alpha1": [1.4, 0.0],
+                                          "alpha2": [0.0, 0.3]},
+                                 time_grid={"t_start": 0.0, "t_end": 1.0,
+                                            "n_steps": 3})
+        config = write_scenario(tmp_path, scenario)
+        assert main(["oracle", "--config", config,
+                     "--output", str(tmp_path)]) == 0
+        report = (tmp_path / "oracle_report.txt").read_text().split()
+        tails = [field.split("=")[1] for field in report
+                 if field.startswith("fock_tail=")]
+        tail = max(tails, key=float)
+        assert float(tail) > 1e-6
+        for engine in ("analytic", "fock", "both"):
+            config = write_scenario(tmp_path, dict(scenario, engine=engine))
+            assert main(["evolve", "--config", config,
+                         "--output", str(tmp_path)]) == 0
+            summary = (tmp_path / "summary.txt").read_text().splitlines()
+            if engine == "analytic":
+                assert not any("fock_tail" in line for line in summary)
+            else:
+                assert summary[-1] == f"max fock_tail: {tail}"
 
     def test_lct_columns_present(self, tmp_path):
         scenario = base_scenario(lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
@@ -385,9 +414,10 @@ class TestOtherCommands:
         chunks = -(-n_times // fock._chunk_size(dim))
         assert 1 < chunks < n_times
         # per mode and chunk, for the moments and the report alike, and
-        # one kernel call per mode, chunk and diagonal -2..2
+        # one kernel call per mode, chunk and diagonal -2..2, and one for
+        # the completeness defect E^dag(I) on diagonal 0
         assert len(calls["kraus_operators"]) == 2 * chunks
-        assert len(calls["_heisenberg_diagonal"]) == 2 * 5 * chunks
+        assert len(calls["_heisenberg_diagonal"]) == 2 * 6 * chunks
         # the report makes one oracle call for the moments and the margins
         assert len(calls["moment_trajectory"]) == 1
         lines = (tmp_path / "oracle_report.txt").read_text().splitlines()
@@ -477,25 +507,38 @@ class TestOtherCommands:
         assert len(blocks) == 2 and blocks[0] != blocks[1]
 
     def test_overflowing_decay_exponent_exits_0(self, tmp_path):
-        # kappa t = 1e400 is past float range; e^{-kappa t} = 0 is exact
-        scenario = base_scenario(engine="both", fock_dim=8,
-                                 time_grid={"t_start": 0.0, "t_end": 1e200,
-                                            "n_steps": 5})
-        for label in ("mode1", "mode2"):
-            scenario["system"][label]["kappa"] = 1e200
-        config = write_scenario(tmp_path, scenario)
+        # kappa t = 1e400 is past float range; e^{-kappa t} = 0 is exact.
+        # kappa t = 1e308 is a float, but kappa t n is not; and at kappa
+        # 1.7e308, -2 kappa overflows, so -2 kappa t is NaN at t = 0
         src = os.path.dirname(os.path.dirname(dampsim.__file__))
-        for command in ("oracle", "evolve"):
-            out = subprocess.run(
-                [sys.executable, "-m", "dampsim.cli", command, "--config",
-                 config, "--output", str(tmp_path)],
-                env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                text=True)
-            assert (out.returncode, out.stderr) == (0, "")
-        lines = (tmp_path / "oracle_report.txt").read_text().splitlines()
-        residuals = [field for line in lines for field in line.split()
-                     if field.startswith("bh_residual=")]
-        assert residuals == ["bh_residual=0"] * 5
+        for kappa, t_end in ((1e200, 1e200), (1e200, 1e108), (1.7e308, 1.0)):
+            scenario = base_scenario(engine="both", fock_dim=8,
+                                     time_grid={"t_start": 0.0,
+                                                "t_end": t_end, "n_steps": 5})
+            for label in ("mode1", "mode2"):
+                scenario["system"][label]["kappa"] = kappa
+            config = write_scenario(tmp_path, scenario)
+            for command in ("oracle", "evolve"):
+                out = subprocess.run(
+                    [sys.executable, "-m", "dampsim.cli", command, "--config",
+                     config, "--output", str(tmp_path)],
+                    env={**os.environ, "PYTHONPATH": src},
+                    capture_output=True, text=True)
+                assert (out.returncode, out.stderr) == (0, "")
+            assert "nan" not in (tmp_path / "summary.txt").read_text()
+            report = (tmp_path / "oracle_report.txt").read_text()
+            assert "nan" not in report
+            residuals = [field for field in report.split()
+                         if field.startswith("bh_residual=")]
+            assert residuals == ["bh_residual=0"] * 5
+
+    def test_seed_flag_only_on_classicality(self, tmp_path, capsys):
+        config = write_scenario(tmp_path, base_scenario())
+        for command in ("evolve", "oracle", "structure"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", config, "--seed", "3"])
+            assert exc.value.code == 2
+            assert "--seed" in capsys.readouterr().err
 
     def test_seed_flag_overrides_scenario(self, tmp_path):
         config = write_scenario(tmp_path, base_scenario(seed=5))
@@ -754,3 +797,12 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.splitlines() == ["False", "0 False"]
+
+
+def test_package_exports_resolve():
+    # a name left in __all__ after its object is deleted fails both checks
+    for name in dampsim.__all__:
+        assert hasattr(dampsim, name), name
+    namespace = {}
+    exec("from dampsim import *", namespace)
+    assert set(dampsim.__all__) <= set(namespace)

@@ -8,12 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dampsim import analytic, fock
-from dampsim.fock import (KrausSet, bh_identity_residual,
-                          build_mode_operators, check_density,
-                          coherent_density, completeness_defect,
-                          evolve_density, fock_density, heisenberg_evolve,
-                          kraus_operators, lowering, moment_trajectory,
-                          two_mode_moments)
+from dampsim.fock import (bh_identity_residual, build_mode_operators,
+                          check_density, coherent_density,
+                          completeness_defect, evolve_density, fock_density,
+                          heisenberg_evolve, kraus_operators, lowering,
+                          moment_trajectory, two_mode_moments)
 from dampsim.fock import _heisenberg_diagonal as heisenberg_diagonal
 from dampsim.model import MomentState, PhysicalConstants
 
@@ -60,11 +59,11 @@ def random_density(dim, rng):
     return rho / np.trace(rho).real
 
 
-def dense_ops(ks):
+def dense_ops(bands):
     """Each K_n as a dense (dim, dim) matrix, its band on the n-th
     superdiagonal."""
-    return tuple(np.diag(band[:ks.dim - n], n)
-                 for n, band in enumerate(ks.bands))
+    return tuple(np.diag(band[:len(band) - n], n)
+                 for n, band in enumerate(bands))
 
 
 def literal_kraus_product(kappa, t, dim):
@@ -78,11 +77,35 @@ def literal_kraus_product(kappa, t, dim):
                  for n in range(dim))
 
 
-def phased(ks, rng):
+def band_weight_defect(bands):
+    """The completeness defect summed as band weights: |K_n|^2 is the
+    diagonal |w_n|^2 shifted down by n, accumulated n = 0, 1, ..."""
+    dim = bands.shape[-1]
+    weights = np.abs(bands) ** 2
+    acc = np.zeros(weights.shape[:-2] + (dim,))
+    for n in range(dim):
+        acc[..., n:] += weights[..., n, :dim - n]
+    return np.max(np.abs(1.0 - acc), axis=-1)
+
+
+def exp_bh_residual(kappa, t, dim):
+    """The BH identity residual from its own exp tables: entry (n, n+1) is
+    e^{-ktn} sqrt(n+1) e^{-kt(n+1)} on the left, e^{-kt} e^{-2ktn}
+    sqrt(n+1) on the right."""
+    with np.errstate(over="ignore"):
+        kt = np.minimum(kappa * np.asarray(t, dtype=float), 1e3)[..., None]
+    n = np.arange(dim)
+    decay = np.exp(-kt * n)
+    root = np.sqrt(n[1:])
+    lhs = decay[..., :-1] * root * decay[..., 1:]
+    rhs = np.exp(-kt) * (np.exp(-2.0 * kt * n[:-1]) * root)
+    return np.max(np.abs(lhs - rhs), axis=-1)
+
+
+def phased(bands, rng):
     """The same channel with complex bands: K_n -> U_n K_n for random
     diagonal unitaries U_n, so a missing conjugate shows."""
-    phases = np.exp(2j * np.pi * rng.random(ks.bands.shape))
-    return KrausSet(kappa=ks.kappa, t=ks.t, bands=phases * ks.bands)
+    return np.exp(2j * np.pi * rng.random(bands.shape)) * bands
 
 
 def kron_channel_reference(rho, ks1, ks2):
@@ -176,10 +199,12 @@ class TestModeOperators:
 
 class TestKrausOperators:
     def test_zero_time_is_identity_channel(self):
-        ops = dense_ops(kraus_operators(0.8, 0.0, 6))
-        assert np.allclose(ops[0], np.eye(6))
-        for k in ops[1:]:
-            assert np.allclose(k, 0.0)
+        # at kappa 1.7e308, -2 kappa overflows and -inf * 0 is NaN
+        for kappa in (0.8, 1.7e308):
+            ops = dense_ops(kraus_operators(kappa, 0.0, 6))
+            assert np.allclose(ops[0], np.eye(6))
+            for k in ops[1:]:
+                assert np.allclose(k, 0.0)
 
     def test_long_time_projects_to_ground(self):
         kt = 30.0
@@ -189,10 +214,13 @@ class TestKrausOperators:
         assert np.allclose(diag[1:], np.exp(-kt * np.arange(1, 6)))
         # kappa t overflows to inf: the exact ground-state limit, K_n = |0><n|
         limit = kraus_operators(1e200, 1e200, 4)
-        assert np.all(np.isfinite(limit.bands))
+        assert np.all(np.isfinite(limit))
         for n, k in enumerate(dense_ops(limit)):
             assert np.array_equal(k, np.outer(np.eye(4)[0], np.eye(4)[n]))
         assert completeness_defect(limit) == 0.0
+        # kappa t = 1e308 is a float, kappa t n is not: the same limit, and
+        # no RuntimeWarning, which fails the suite
+        assert np.array_equal(kraus_operators(1e200, 1e108, 4), limit)
 
     def test_set_size_matches_cutoff(self):
         ks = kraus_operators(0.5, 1.0, 9)
@@ -215,9 +243,19 @@ class TestKrausOperators:
         ks = kraus_operators(1.0, kt, dim)
         assert completeness_defect(ks) <= 1e-13
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32, 90])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, 7.0, 1e200])
+    def test_completeness_is_the_band_weight_sum(self, dim, kappa):
+        times = np.array([0.0, 1e-9, 0.05, 0.3, 1.0, 2.5, 40.0, 1e3, 1e108,
+                          1e200])
+        batch = kraus_operators(kappa, times, dim)
+        assert np.array_equal(completeness_defect(batch),
+                              band_weight_defect(batch))
+        assert np.all(completeness_defect(batch) <= 1e-13)
+
     def test_dropping_last_operator_breaks_completeness(self):
-        full = kraus_operators(1.0, 1.0, 4)
-        broken = KrausSet(kappa=1.0, t=1.0, bands=full.bands[:-1])
+        broken = kraus_operators(1.0, 1.0, 4)
+        broken[-1] = 0.0
         assert completeness_defect(broken) > 1e-3
 
     @pytest.mark.parametrize("dim", [2, 9, 32])
@@ -225,7 +263,7 @@ class TestKrausOperators:
                                           (1.0, 1.0), (1.3, 4.0)])
     def test_bands_match_literal_product(self, kappa, t, dim):
         ks = kraus_operators(kappa, t, dim)
-        assert ks.bands.shape == (dim, dim)
+        assert ks.shape == (dim, dim)
         for got, want in zip(dense_ops(ks),
                              literal_kraus_product(kappa, t, dim)):
             assert np.max(np.abs(got - want)) <= 1e-14
@@ -234,24 +272,21 @@ class TestKrausOperators:
     def test_time_batch_rows_are_the_one_time_sets(self):
         times = np.array([0.0, 0.3, 2.0, 40.0])
         batch = kraus_operators(0.7, times, 9)
-        assert batch.bands.shape == (4, 9, 9)
-        assert np.array_equal(batch.t, times)
+        assert batch.shape == (4, 9, 9)
         defects = completeness_defect(batch)
         residuals = bh_identity_residual(0.7, times, 9)
         reduced = random_density(9, np.random.default_rng(19))
         tails = fock.top_level_population(reduced, batch)
         for k, t in enumerate(times):
             ks = kraus_operators(0.7, t, 9)
-            assert np.array_equal(batch.bands[k], ks.bands)
+            assert np.array_equal(batch[k], ks)
             assert defects[k] == completeness_defect(ks)
             assert residuals[k] == bh_identity_residual(0.7, t, 9)
             assert tails[k] == fock.top_level_population(reduced, ks)
         # kappa t overflowing in one row leaves the others alone
         mixed = kraus_operators(1e200, np.array([0.0, 1e200]), 4)
-        assert np.array_equal(mixed.bands[0], kraus_operators(1e200, 0.0,
-                                                              4).bands)
-        assert np.array_equal(mixed.bands[1], kraus_operators(1e200, 1e200,
-                                                              4).bands)
+        assert np.array_equal(mixed[0], kraus_operators(1e200, 0.0, 4))
+        assert np.array_equal(mixed[1], kraus_operators(1e200, 1e200, 4))
 
     @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
     def test_bad_time_anywhere_in_a_batch_is_rejected(self, bad):
@@ -287,6 +322,20 @@ class TestBakerHausdorffIdentity:
         assert np.array_equal(bh_identity_residual(1e200, times, 8),
                               [0.0, 0.0, 0.0])
         assert bh_identity_residual(1e200, 1e200, 8) == 0.0
+
+    @pytest.mark.parametrize("dim", [2, 8, 15, 32])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, 0.7, 7.0, 1e200])
+    def test_residual_matches_exp_formula(self, kappa, dim):
+        times = np.array([0.0, 1e-9, 0.05, 0.3, 1.0, 2.3, 40.0, 1e3, 1e108,
+                          1e200])
+        got = bh_identity_residual(kappa, times, dim)
+        assert np.all(np.abs(got - exp_bh_residual(kappa, times, dim))
+                      <= 1e-15)
+        assert np.all(got <= 1e-13)
+
+    def test_cutoff_too_small(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            bh_identity_residual(1.0, 0.5, 1)
 
     def test_raising_version_by_adjoint(self):
         dim, s = 12, 0.9
@@ -435,7 +484,7 @@ class TestHeisenbergMoment:
             ks = kraus_operators(kappa, t, dim)
             one_rho, one_A = evolve_density(rho, ks), heisenberg_evolve(A, ks)
             # a batch row is the one-time call, bit for bit
-            assert np.array_equal(batch.bands[k], ks.bands)
+            assert np.array_equal(batch[k], ks)
             for d, rows in diagonals.items():
                 assert rows.shape == (len(times), 3, dim - abs(d))
                 assert np.array_equal(rows[k], np.diagonal(one_A, d, 1, 2))
@@ -456,8 +505,7 @@ class TestHeisenbergMoment:
             for k in range(1 - dim, dim):
                 x = np.diagonal(A, k, 1, 2)
                 rows = heisenberg_diagonal(x, k, batch)
-                for row, bands, t in zip(rows, batch.bands, times):
-                    ks = KrausSet(kappa=0.8, t=t, bands=bands)
+                for row, ks in zip(rows, batch):
                     want = np.diagonal(heisenberg_evolve(A, ks), k, 1, 2)
                     assert np.array_equal(row, want), k
                     assert np.array_equal(heisenberg_diagonal(x, k, ks), want)
@@ -649,6 +697,8 @@ class TestOracleMoments:
         times[len(times) // 2] = bad
         with pytest.raises(ValueError, match="finite and non-negative"):
             moment_trajectory(rho0, make_system(), times, dim)
+        with pytest.raises(ValueError, match="1-D"):
+            moment_trajectory(rho0, make_system(), 1.0, dim)
         assert calls == []
 
     def test_working_set_does_not_grow_with_the_grid(self):
