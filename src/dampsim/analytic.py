@@ -10,8 +10,9 @@ from .model import (QUADRATURES, MomentState, TwoModeSystem, check_damped,
 
 
 def evolve_trajectory(state0: MomentState, system: TwoModeSystem,
-                      times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means (T, 4) and covariances (T, 4, 4) of a state at T times.
+                      times: np.ndarray) -> MomentState:
+    """The moments of a one-time state at each time of the (T,) grid
+    `times`: a MomentState of means (T, 4) and covariances (T, 4, 4).
 
     With the diagonal decay map X = e^{-kappa_i t}, the Gaussian channel is
     mean -> X mean, cov -> X cov X + (I - X^2) C_vac. The cross blocks thus
@@ -29,14 +30,14 @@ def evolve_trajectory(state0: MomentState, system: TwoModeSystem,
     mean = e * state0.mean
     cov = (e[:, :, None] * e[:, None, :] * state0.cov
            + (1.0 - e ** 2)[:, :, None] * vacuum_state(system).cov)
-    return mean, cov
+    return MomentState(mean=mean, cov=cov)
 
 
 def evolve_state(state0: MomentState, system: TwoModeSystem,
                  t: float) -> MomentState:
     """Evolve a moment state for time t: evolve_trajectory at one time."""
-    mean, cov = evolve_trajectory(state0, system, np.array([t]))
-    return MomentState(mean=mean[0], cov=cov[0])
+    trajectory = evolve_trajectory(state0, system, np.array([t]))
+    return MomentState(mean=trajectory.mean[0], cov=trajectory.cov[0])
 
 
 def asymptotic_state(system: TwoModeSystem) -> MomentState:

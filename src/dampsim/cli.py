@@ -13,12 +13,13 @@ grid's (n_steps, 4, 4) covariance trajectory may take at most 128 MiB
 (fock_dim <= 90).
 
 Each value is checked once, where it enters; the engines trust what they
-get. load_scenario, for every command, parses types and numbers (exit 1),
-then checks the parameters, time grid, initial state, LCT and seed
-(exit 2): explicit moments with MomentState and assert_physical, an
-explicit density with its shape and fock.check_density. Each command then
-builds the density it needs once. The CSV writer checks the trajectory
-with model.check_moments.
+get. load_scenario, for every command, parses keys, types and numbers
+(exit 1; a key the scenario format does not define is an error), then
+checks the parameters, time grid, initial state, LCT and seed (exit 2):
+explicit moments with MomentState and assert_physical, an explicit
+density with its shape and fock.check_density. Each command then builds
+the density it needs once. Every trajectory the CSV writer reads is a
+model.MomentState, so it was checked when it was built.
 
 The oracle command makes one fock.moment_trajectory call, which returns
 the moments with their per-time margins, and formats what it returns.
@@ -39,8 +40,8 @@ import numpy as np
 from . import analytic, fock, structures
 from .model import (QUADRATURES, Lct, ModeParams, MomentState,
                     PhysicalConstants, TwoModeSystem, assert_physical,
-                    check_lct, check_moments, lct_from_position_block,
-                    vacuum_state, vacuum_variances)
+                    check_lct, lct_from_position_block, vacuum_state,
+                    vacuum_variances)
 
 
 class ParseError(Exception):
@@ -107,7 +108,15 @@ def _get(d: dict, key: str, kind, default=_MISSING):
     return value
 
 
+def _known(d: dict, prefix: str, *keys: str) -> None:
+    """Raise ParseError for a key of d outside keys, named prefix + key."""
+    for key in d:
+        if key not in keys:
+            raise ParseError(f"unknown scenario key: {prefix + key!r}")
+
+
 def _parse_mode(d: dict, label: str) -> ModeParams:
+    _known(d, f"system.{label}.", "mass", "omega", "kappa")
     try:
         return ModeParams(mass=_get(d, "mass", float),
                           omega=_get(d, "omega", float),
@@ -126,6 +135,7 @@ def _floats(value, what: str) -> np.ndarray:
 def _parse_lct(d: dict) -> Lct:
     if not isinstance(d, dict) or "M" not in d:
         raise ParseError("lct spec must be an object with key 'M'")
+    _known(d, "lct.", "M", "N")
     m = _floats(d["M"], "lct position block")
     if "N" not in d:
         return lct_from_position_block(m)
@@ -155,14 +165,18 @@ def load_scenario(path: str) -> Scenario:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("scenario root must be a JSON object")
+    _known(raw, "", "system", "initial", "time_grid", "engine", "fock_dim",
+           "lct", "seed")
 
     sysd = _get(raw, "system", dict)
+    _known(sysd, "system.", "hbar", "mode1", "mode2")
     constants = PhysicalConstants(hbar=_get(sysd, "hbar", float, 1.0))
     system = TwoModeSystem(mode1=_parse_mode(_get(sysd, "mode1", dict), "mode1"),
                            mode2=_parse_mode(_get(sysd, "mode2", dict), "mode2"),
                            constants=constants)
 
     grid = _get(raw, "time_grid", dict)
+    _known(grid, "time_grid.", "t_start", "t_end", "n_steps")
     t_start = _get(grid, "t_start", float)
     t_end = _get(grid, "t_end", float)
     n_steps = _get(grid, "n_steps", int)
@@ -197,8 +211,10 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
     """The checked initial state, as Scenario.initial holds it."""
     kind = _get(d, "type", str)
     if kind == "vacuum":
+        _known(d, "initial.", "type")
         return 0j, 0j
     if kind == "coherent":
+        _known(d, "initial.", "type", "alpha1", "alpha2")
         pair = []
         for key in ("alpha1", "alpha2"):
             v = d.get(key, 0.0)
@@ -208,15 +224,20 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
             pair.append(complex(*parts))
         return tuple(pair)
     if kind == "moments":
+        _known(d, "initial.", "type", "mean", "cov")
         mean = _floats(_get(d, "mean", list), "initial mean")
         cov = _floats(_get(d, "cov", list), "initial cov")
         try:
+            if mean.shape != (4,):  # a MomentState may also be a stack
+                raise ValueError(f"mean must be a 4-vector, got shape "
+                                 f"{mean.shape}")
             state = MomentState(mean=mean, cov=cov)
             assert_physical(state, system.constants.hbar)
         except ValueError as exc:
             raise ValueError(f"initial moments: {exc}") from exc
         return state
     if kind == "density":
+        _known(d, "initial.", "type", "real", "imag")
         rho = _floats(_get(d, "real", list), "density matrix").astype(complex)
         if d.get("imag") is not None:
             rho = rho + 1j * _floats(d["imag"], "density matrix")
@@ -263,26 +284,23 @@ def initial_density(scenario: Scenario) -> np.ndarray:
                    fock.coherent_density(a2, dim))
 
 
-def _trajectory_csv(times: np.ndarray, mean: np.ndarray, cov: np.ndarray,
+def _trajectory_csv(times: np.ndarray, state: MomentState,
                     lct: Lct | None) -> str:
-    """CSV of (T, 4) means and (T, 4, 4) covariances, plus the LCT-frame
-    moments when an (already validated) LCT is given."""
-    check_moments(mean, cov)
+    """CSV of a trajectory on the (T,) grid `times`, plus its moments in
+    the LCT frame (structures.transform_state) when an LCT is given."""
     q = QUADRATURES
     upper = np.triu_indices(4)
     header = (["t"] + [f"mean_{a}" for a in q]
               + [f"cov_{q[i]}_{q[j]}" for i, j in zip(*upper)]
               + ["uncertainty_mode1", "uncertainty_mode2"])
-    columns = [times[:, None], mean, cov[:, upper[0], upper[1]],
-               analytic.uncertainty_products(cov)]
+    columns = [times[:, None], state.mean, state.cov[:, upper[0], upper[1]],
+               analytic.uncertainty_products(state.cov)]
     if lct is not None:
-        s = structures.lct_matrix(lct)
-        ts_cov = s @ cov @ s.T
+        alt = structures.transform_state(state, lct)
         header += ["mean_XA", "mean_PA", "mean_xiB", "mean_piB",
                    "product_A", "product_B", "cov_XA_xiB", "cov_PA_piB"]
-        columns += [(s @ mean[:, :, None])[:, :, 0],
-                    analytic.uncertainty_products(ts_cov),
-                    ts_cov[:, [0, 1], [2, 3]]]
+        columns += [alt.mean, analytic.uncertainty_products(alt.cov),
+                    alt.cov[:, [0, 1], [2, 3]]]
     rows = np.hstack(columns).tolist()
     fmt = ",".join([_FLOAT_FORMAT] * len(header))
     return "\n".join([",".join(header)]
@@ -303,18 +321,24 @@ def _atomic_write(path: str, content: str) -> None:
 
 
 def _decay_fit_slope(times: np.ndarray, cov: np.ndarray) -> float | None:
-    """Least-squares slope of log|cov(x1,x2)| vs t; None if degenerate."""
+    """Least-squares slope of log|cov(x1,x2)| vs t, in closed form: the
+    centered times, divided by their span so that no square underflows,
+    against the centered logs. None if degenerate."""
     c = np.abs(cov[:, 0, 2])
     mask = c > 1e-290
-    if mask.sum() < 2 or np.ptp(times[mask]) == 0:
+    t = times[mask]
+    if t.size < 2 or (span := float(np.ptp(t))) == 0:
         return None
-    return float(np.polyfit(times[mask], np.log(c[mask]), 1)[0])
+    u = (t - t.mean()) / span
+    y = np.log(c[mask])
+    return float(u @ (y - y.mean())) / float(u @ u) / span
 
 
-def _engine_deviation(a: tuple, f: tuple) -> np.ndarray:
-    """Per-time max-norm distance between two (mean, cov, ...) trajectories."""
-    return np.maximum(np.max(np.abs(a[0] - f[0]), axis=1),
-                      np.max(np.abs(a[1] - f[1]), axis=(1, 2)))
+def _engine_deviation(a, f) -> np.ndarray:
+    """Per-time max-norm distance between the (T, 4) means and (T, 4, 4)
+    covariances of two trajectories."""
+    return np.maximum(np.max(np.abs(a.mean - f.mean), axis=1),
+                      np.max(np.abs(a.cov - f.cov), axis=(1, 2)))
 
 
 def run_evolve(scenario: Scenario, out_dir: str) -> None:
@@ -327,22 +351,22 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
             initial_moment_state(scenario), system, times)
     if rho0 is not None:
         oracle = fock.moment_trajectory(rho0, system, times, scenario.fock_dim)
-        trajectories["fock"] = oracle.mean, oracle.cov
+        trajectories["fock"] = MomentState(mean=oracle.mean, cov=oracle.cov)
 
-    mean, cov = trajectories.get("analytic", trajectories.get("fock"))
+    state = trajectories.get("analytic", trajectories.get("fock"))
     _atomic_write(os.path.join(out_dir, "trajectory.csv"),
-                  _trajectory_csv(times, mean, cov, scenario.lct))
+                  _trajectory_csv(times, state, scenario.lct))
 
     summary = [f"engine: {scenario.engine}",
                f"samples: {len(times)}",
                f"t_final: {_fmt(times[-1])}",
                "final uncertainty products: "
-               + _fmt_all(analytic.uncertainty_products(cov[-1]))]
+               + _fmt_all(analytic.uncertainty_products(state.cov[-1]))]
     if system.mode1.kappa > 0 and system.mode2.kappa > 0:
         asym = analytic.asymptotic_state(system)
         summary.append("asymptotic cov diagonal: "
                        + _fmt_all(np.diag(asym.cov)))
-    slope = _decay_fit_slope(times, cov)
+    slope = _decay_fit_slope(times, state.cov)
     summary.append("covariance decay fit slope (x1,x2): "
                    + (_fmt(slope) if slope is not None else "n/a"))
     if scenario.engine == "both":

@@ -90,8 +90,12 @@ class TwoModeSystem:
 
 @dataclass(frozen=True)
 class MomentState:
-    """Gaussian state summary: mean vector and symmetrized covariance
-    matrix, both in (x1, p1, x2, p2) ordering.
+    """Gaussian moments at one time or on a grid: means (..., 4) and
+    symmetrized covariances (..., 4, 4), both in (x1, p1, x2, p2) ordering,
+    with the same leading shape. One time is the empty leading shape, a
+    (T,) grid the trajectory the engines return. Construction raises
+    ValueError unless both are finite and every covariance is symmetric
+    within SYMMETRY_TOL with a positive diagonal.
 
     The covariance convention is the symmetrized central second moment
     <{A,B}>/2 - <A><B>, which is real-symmetric by construction.
@@ -103,28 +107,24 @@ class MomentState:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (4,):
-            raise ValueError(f"mean must be a 4-vector, got shape {mean.shape}")
-        if cov.shape != (4, 4):
-            raise ValueError(f"cov must be 4x4, got shape {cov.shape}")
-        check_moments(mean, cov)
+        if mean.shape[-1:] != (4,) or cov.shape != mean.shape + (4,):
+            raise ValueError(f"mean must be (..., 4) and cov (..., 4, 4) of "
+                             f"one leading shape, got shapes {mean.shape} "
+                             f"and {cov.shape}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and cov must be finite")
+        asymmetry = np.abs(cov - np.swapaxes(cov, -1, -2))
+        if np.max(asymmetry, initial=0.0) > SYMMETRY_TOL:  # T = 0 passes
+            raise ValueError("cov is not symmetric within 1e-12")
+        if np.any(np.diagonal(cov, axis1=-2, axis2=-1) <= 0):
+            raise ValueError("cov diagonal entries must be strictly positive")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
 
-def check_moments(mean: np.ndarray, cov: np.ndarray) -> None:
-    """Raise ValueError unless (..., 4) means and (..., 4, 4) covariances
-    are finite, symmetric within SYMMETRY_TOL and of positive diagonal."""
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise ValueError("mean and cov must be finite")
-    if np.max(np.abs(cov - np.swapaxes(cov, -1, -2))) > SYMMETRY_TOL:
-        raise ValueError("cov is not symmetric within 1e-12")
-    if np.any(np.diagonal(cov, axis1=-2, axis2=-1) <= 0):
-        raise ValueError("cov diagonal entries must be strictly positive")
-
-
 def symplectic_defect(state: MomentState, hbar: float = 1.0) -> float:
-    """Minimum eigenvalue of cov + (i*hbar/2)*Omega.
+    """Minimum eigenvalue of cov + (i*hbar/2)*Omega, over every time of a
+    stack.
 
     Non-negative (up to numerical floor) for any physical Gaussian state.
     """

@@ -61,10 +61,15 @@ def lct_matrix(lct: Lct) -> np.ndarray:
 
 def transform_state(state: MomentState, lct: Lct) -> MomentState:
     """Moments of the alternate degrees of freedom, ordering
-    (X_A, P_A, xi_B, pi_B)."""
+    (X_A, P_A, xi_B, pi_B), at the state's leading shape. The product
+    s cov s^T is symmetric only up to rounding, so its upper triangle is
+    kept and mirrored into the lower one."""
     check_lct(lct)
     s = lct_matrix(lct)
-    return MomentState(mean=s @ state.mean, cov=s @ state.cov @ s.T)
+    cov = s @ state.cov @ s.T
+    i, j = np.tril_indices(4, -1)  # i > j
+    cov[..., i, j] = cov[..., j, i]
+    return MomentState(mean=(s @ state.mean[..., None])[..., 0], cov=cov)
 
 
 def _mode_scales(system: TwoModeSystem) -> tuple[float, float]:

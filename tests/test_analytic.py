@@ -90,7 +90,7 @@ class TestEvolveState:
         t2 = np.array(t2)
         via_two = evolve_trajectory(evolve_state(s0, system, t1), system, t2)
         direct = evolve_trajectory(s0, system, t1 + t2)
-        for a, b in zip(via_two, direct):
+        for a, b in ((via_two.mean, direct.mean), (via_two.cov, direct.cov)):
             assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)))
 
     def test_mean_decay_is_exact_exponential(self):
@@ -130,9 +130,9 @@ class TestEvolveState:
         system = make_system(m1=0.7, w1=1.3, k1=0.45, m2=1.9, w2=0.6, k2=0.17)
         s0 = correlated_state(0.8)
         times = np.linspace(0.0, 9.0, 57)
-        mean, cov = evolve_trajectory(s0, system, times)
+        trajectory = evolve_trajectory(s0, system, times)
         cov_vac = vacuum_state(system).cov
-        for t, m, c in zip(times, mean, cov):
+        for t, m, c in zip(times, trajectory.mean, trajectory.cov):
             e = np.exp(-np.array([0.45, 0.45, 0.17, 0.17]) * t)
             assert np.array_equal(m, e * s0.mean)
             assert np.array_equal(c, np.outer(e, e) * s0.cov

@@ -121,6 +121,38 @@ class TestExitCodes:
         assert main(["evolve", "--config", config,
                      "--output", str(tmp_path)]) == 1
 
+    def test_unknown_key_exits_1(self, tmp_path, capsys):
+        # a misspelt key fails rather than being ignored: "engin": "fock"
+        # must not run the analytic engine, nor "kapa" leave kappa as it is
+        lct = {"M": [[0.5, 0.5], [1.0, -1.0]]}
+        initials = [{"type": "vacuum", "alpha1": 1.0},
+                    {"type": "coherent", "alpha1": 1.0, "mean": []},
+                    {"type": "moments", "mean": [], "cov": [], "real": []},
+                    {"type": "density", "real": [], "cov": []}]
+        cases = [(base_scenario(engin="fock"), "engin"),
+                 (base_scenario(lct=dict(lct, n=1.0)), "lct.n"),
+                 (base_scenario(time_grid={"t_start": 0.0, "t_end": 1.0,
+                                           "n_steps": 2, "dt": 0.5}),
+                  "time_grid.dt")]
+        cases += [(base_scenario(initial=initial), f"initial.{key}")
+                  for initial, key in zip(initials,
+                                          ("alpha1", "mean", "real", "cov"))]
+        for path in ("system", "system.mode1", "system.mode2"):
+            scenario = base_scenario(lct=lct)
+            parent = scenario
+            for part in path.split("."):
+                parent = parent[part]
+            parent["kapa"] = 0.1
+            cases.append((scenario, f"{path}.kapa"))
+        for scenario, path in cases:
+            config = write_scenario(tmp_path, scenario)
+            for command in ("evolve", "oracle", "structure", "classicality"):
+                assert main([command, "--config", config,
+                             "--output", str(tmp_path / "out")]) == 1
+                err = capsys.readouterr().err
+                assert err == f"error: unknown scenario key: {path!r}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_negative_kappa_exits_2(self, tmp_path, capsys):
         for kappa in ("-0.5", "1e400"):
             text = json.dumps(base_scenario()).replace('"kappa": 0.5',
@@ -351,13 +383,48 @@ class TestEvolve:
                 assert summary[-1] == f"max fock_tail: {tail}"
 
     def test_lct_columns_present(self, tmp_path):
-        scenario = base_scenario(lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
-        config = write_scenario(tmp_path, scenario)
+        # a non-dyadic LCT, so the columns carry rounding; they are the
+        # rows of transform_state on the analytic trajectory, bit for bit
+        config = os.path.join(DATA_DIR, "golden_general_lct_scenario.json")
         assert main(["evolve", "--config", config,
                      "--output", str(tmp_path)]) == 0
-        header, _ = read_csv(tmp_path / "trajectory.csv")
-        for col in ("mean_XA", "product_A", "cov_XA_xiB", "cov_PA_piB"):
-            assert col in header
+        header, rows = read_csv(tmp_path / "trajectory.csv")
+        values = np.array(rows, dtype=float)
+        scenario = cli.load_scenario(config)
+        alt = structures.transform_state(
+            dampsim.evolve_trajectory(cli.initial_moment_state(scenario),
+                                      scenario.system, scenario.times),
+            scenario.lct)
+        want = {"mean_XA": alt.mean[:, 0], "mean_PA": alt.mean[:, 1],
+                "mean_xiB": alt.mean[:, 2], "mean_piB": alt.mean[:, 3],
+                "product_A": np.sqrt(alt.cov[:, 0, 0] * alt.cov[:, 1, 1]),
+                "product_B": np.sqrt(alt.cov[:, 2, 2] * alt.cov[:, 3, 3]),
+                "cov_XA_xiB": alt.cov[:, 0, 2], "cov_PA_piB": alt.cov[:, 1, 3]}
+        assert header[-len(want):] == list(want)
+        for col, column in want.items():
+            assert np.array_equal(values[:, header.index(col)], column)
+
+    def test_degenerate_fit_grid_writes_nothing_to_stderr(self, tmp_path):
+        # two grids on which a fitted slope is ill-posed: 1e-15 wide at
+        # t = 1, and 1e-310 wide, where squares of centered times underflow
+        src = os.path.dirname(os.path.dirname(dampsim.__file__))
+        with open(os.path.join(DATA_DIR,
+                               "golden_general_lct_scenario.json")) as fh:
+            scenario = json.load(fh)
+        for t_start, t_end in ((1.0, 1.0 + 1e-15), (0.0, 1e-310)):
+            scenario["time_grid"] = {"t_start": t_start, "t_end": t_end,
+                                     "n_steps": 9}
+            config = write_scenario(tmp_path, scenario)
+            out = subprocess.run(
+                [sys.executable, "-m", "dampsim.cli", "evolve", "--config",
+                 config, "--output", str(tmp_path)],
+                env={**os.environ, "PYTHONPATH": src},
+                capture_output=True, text=True)
+            assert (out.returncode, out.stderr) == (0, "")
+            summary = (tmp_path / "summary.txt").read_text().splitlines()
+            slope = [line.split(": ")[1] for line in summary
+                     if line.startswith("covariance decay fit slope")]
+            assert math.isfinite(float(slope[0]))
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         config = write_scenario(tmp_path, base_scenario(engine="both"))
@@ -569,12 +636,14 @@ class TestInitialStates:
     def test_unphysical_moments_exit_2(self, tmp_path):
         cov = np.diag([0.5, 0.5, 0.5, 0.5])
         cov[0, 2] = cov[2, 0] = 0.8  # violates symplectic positivity
-        scenario = base_scenario(initial={"type": "moments",
-                                          "mean": [0.0, 0.0, 0.0, 0.0],
-                                          "cov": cov.tolist()})
-        config = write_scenario(tmp_path, scenario)
-        assert main(["evolve", "--config", config,
-                     "--output", str(tmp_path)]) == 2
+        # and a valid state given as a one-row stack is not one state
+        for mean, cov in (([0.0] * 4, cov.tolist()),
+                          ([[0.0] * 4], [np.diag([0.5] * 4).tolist()])):
+            scenario = base_scenario(initial={"type": "moments",
+                                              "mean": mean, "cov": cov})
+            config = write_scenario(tmp_path, scenario)
+            assert main(["evolve", "--config", config,
+                         "--output", str(tmp_path)]) == 2
 
     def test_explicit_density_initial(self, tmp_path):
         from dampsim.fock import coherent_density

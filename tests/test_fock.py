@@ -636,8 +636,8 @@ class TestOracleMoments:
         oracle = moment_trajectory(rho0, system, times, dim)
         mean, cov = oracle.mean, oracle.cov
         closed = analytic.evolve_trajectory(state0, system, times)
-        assert np.max(np.abs(mean - closed[0])) <= 1e-8
-        assert np.max(np.abs(cov - closed[1])) <= 1e-8
+        assert np.max(np.abs(mean - closed.mean)) <= 1e-8
+        assert np.max(np.abs(cov - closed.cov)) <= 1e-8
 
     def test_trajectory_equals_per_time_moments(self):
         system = make_system(m1=1.2, w2=0.8, k1=0.5, k2=0.25)

@@ -63,6 +63,9 @@ class TestMomentState:
         cov[0, 1] = 1e-6
         with pytest.raises(ValueError, match="symmetric"):
             MomentState(mean=np.zeros(4), cov=cov)
+        # every time of a stack is checked
+        with pytest.raises(ValueError, match="symmetric"):
+            MomentState(mean=np.zeros((2, 4)), cov=np.stack([np.eye(4), cov]))
 
     def test_nonpositive_diagonal_rejected(self):
         cov = np.diag([1.0, 1.0, 0.0, 1.0])
@@ -85,6 +88,21 @@ class TestMomentState:
             MomentState(mean=np.zeros(3), cov=np.eye(4))
         with pytest.raises(ValueError):
             MomentState(mean=np.zeros(4), cov=np.eye(3))
+        # a stack needs one leading shape for both
+        for mean, cov in ((np.zeros((2, 4)), np.eye(4)),
+                          (np.zeros(4), np.stack([np.eye(4)] * 2)),
+                          (np.zeros((2, 4)), np.stack([np.eye(4)] * 3)),
+                          (np.zeros(()), np.eye(4))):
+            with pytest.raises(ValueError, match="leading shape"):
+                MomentState(mean=mean, cov=cov)
+
+    def test_stacks_accepted(self):
+        # any leading shape, an empty grid included
+        for lead in ((3,), (2, 5), (0,)):
+            state = MomentState(mean=np.zeros(lead + (4,)),
+                                cov=np.broadcast_to(np.eye(4), lead + (4, 4)))
+            assert state.mean.shape == lead + (4,)
+            assert state.cov.shape == lead + (4, 4)
 
 
 class TestVacuumState:

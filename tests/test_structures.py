@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dampsim import structures
-from dampsim.analytic import asymptotic_state, evolve_state
+from dampsim.analytic import asymptotic_state, evolve_state, evolve_trajectory
 from dampsim.model import (Lct, MomentState, lct_from_position_block,
                            validate_lct, vacuum_state)
 from dampsim.structures import (SearchConfig, asymptotic_cross_covariances,
@@ -58,6 +58,51 @@ class TestTransformState:
         bad = Lct(M=np.eye(2), N=2.0 * np.eye(2))
         with pytest.raises(ValueError, match="invalid LCT"):
             transform_state(vacuum_state(make_system()), bad)
+
+    def test_rounding_asymmetry_of_the_product_is_not_rejected(self):
+        # s cov s^T rounds asymmetrically beyond the 1e-12 symmetry check
+        # on a few physical states with m omega in [1e-4, 1e4]; the
+        # transform keeps the upper triangle and mirrors it
+        rng = np.random.default_rng(0)
+        asymmetric = 0
+        for _ in range(200):
+            m1, m2 = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
+            vac = vacuum_state(make_system(m1=m1, m2=m2)).cov
+            scale = np.sqrt(np.diag(vac))
+            r = rng.normal(size=4) * scale
+            state = MomentState(mean=rng.normal(size=4) * scale,
+                                cov=vac + np.outer(r, r))
+            m = rng.normal(size=(2, 2))
+            while np.linalg.cond(m) > 10.0:
+                m = rng.normal(size=(2, 2))
+            lct = lct_from_position_block(m)
+            s = structures.lct_matrix(lct)
+            product = s @ state.cov @ s.T
+            asymmetric += np.max(np.abs(product - product.T)) > 1e-12
+            out = transform_state(state, lct)
+            upper = np.triu_indices(4)
+            assert np.array_equal(out.cov[upper], product[upper])
+            assert np.array_equal(out.cov, out.cov.T)
+        assert asymmetric > 0
+
+    def test_trajectory_equals_per_row_transforms(self):
+        system = make_system(m1=0.7, w1=1.3, k1=0.45, m2=1.9, w2=0.6, k2=0.17)
+        cov = np.diag([0.98, 0.35, 0.46, 0.75])
+        cov[0, 2] = cov[2, 0] = -0.35
+        cov[1, 3] = cov[3, 1] = 0.27
+        s0 = MomentState(mean=np.array([1.3, -0.5, -0.6, 1.2]), cov=cov)
+        trajectory = evolve_trajectory(s0, system, np.linspace(0.0, 9.0, 31))
+        lct = lct_from_position_block([[0.7652840865482607,
+                                        -0.7432149197268948],
+                                       [0.9500790643898325,
+                                        0.09654854416033645]])
+        out = transform_state(trajectory, lct)
+        assert out.mean.shape == (31, 4) and out.cov.shape == (31, 4, 4)
+        for k, (mean, cov) in enumerate(zip(trajectory.mean,
+                                            trajectory.cov)):
+            row = transform_state(MomentState(mean=mean, cov=cov), lct)
+            assert np.array_equal(out.mean[k], row.mean)
+            assert np.array_equal(out.cov[k], row.cov)
 
 
 class TestAsymptoticQuantities:
