@@ -4,9 +4,9 @@ linear canonical transformations."""
 
 from .model import (Lct, ModeParams, MomentState, PhysicalConstants,
                     TwoModeSystem, lct_from_position_block, symplectic_defect,
-                    vacuum_state, validate_lct)
-from .analytic import (asymptotic_state, cross_covariance, evolve_state,
-                       evolve_trajectory, uncertainty_product)
+                    vacuum_state)
+from .analytic import (asymptotic_state, evolve_state, evolve_trajectory,
+                       uncertainty_product)
 from .fock import (bh_identity_residual, build_mode_operators, check_density,
                    coherent_density, completeness_defect, evolve_density,
                    kraus_operators, moment_trajectory, two_mode_moments)
@@ -18,8 +18,8 @@ from .structures import (SearchConfig, StructureReport,
 __all__ = [
     "Lct", "ModeParams", "MomentState", "PhysicalConstants", "TwoModeSystem",
     "lct_from_position_block", "symplectic_defect", "vacuum_state",
-    "validate_lct", "asymptotic_state", "cross_covariance", "evolve_state",
-    "evolve_trajectory", "uncertainty_product", "bh_identity_residual",
+    "asymptotic_state", "evolve_state", "evolve_trajectory",
+    "uncertainty_product", "bh_identity_residual",
     "build_mode_operators", "coherent_density", "check_density",
     "completeness_defect", "evolve_density", "kraus_operators",
     "moment_trajectory", "two_mode_moments", "SearchConfig",

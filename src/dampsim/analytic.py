@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (QUADRATURES, MomentState, TwoModeSystem, check_damped,
-                    checked_times, vacuum_state)
+from .model import (MomentState, TwoModeSystem, check_damped, checked_times,
+                    vacuum_state)
 
 
 def evolve_trajectory(state0: MomentState, system: TwoModeSystem,
@@ -54,22 +54,10 @@ def uncertainty_products(cov: np.ndarray) -> np.ndarray:
     return np.sqrt(var[..., 0::2] * var[..., 1::2])
 
 
-def uncertainty_product(state: MomentState, mode_index: int) -> float:
-    """Delta x * Delta p for mode 1 or 2 from the covariance diagonal."""
+def uncertainty_product(state: MomentState,
+                        mode_index: int) -> float | np.ndarray:
+    """Delta x * Delta p for mode 1 or 2 from the covariance diagonal, per
+    time for a state on a grid."""
     if mode_index not in (1, 2):
         raise ValueError(f"mode_index must be 1 or 2, got {mode_index}")
-    return float(uncertainty_products(state.cov)[mode_index - 1])
-
-
-def cross_covariance(state: MomentState, obs1: str, obs2: str) -> float:
-    """Covariance between a mode-1 and a mode-2 quadrature.
-
-    The observables commute, so the symmetrized entry equals the plain
-    covariance function <A1 A2> - <A1><A2>.
-    """
-    if obs1 not in ("x1", "p1"):
-        raise ValueError(f"obs1 must be x1 or p1, got {obs1!r}")
-    if obs2 not in ("x2", "p2"):
-        raise ValueError(f"obs2 must be x2 or p2, got {obs2!r}")
-    return float(state.cov[QUADRATURES.index(obs1),
-                           QUADRATURES.index(obs2)])
+    return uncertainty_products(state.cov)[..., mode_index - 1]

@@ -240,7 +240,11 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
         _known(d, "initial.", "type", "real", "imag")
         rho = _floats(_get(d, "real", list), "density matrix").astype(complex)
         if d.get("imag") is not None:
-            rho = rho + 1j * _floats(d["imag"], "density matrix")
+            imag = _floats(d["imag"], "density matrix")
+            if imag.shape != rho.shape:
+                raise ValueError(f"density imag shape {imag.shape} does not "
+                                 f"match real shape {rho.shape}")
+            rho = rho + 1j * imag
         if rho.shape != (dim * dim, dim * dim):
             raise ValueError(
                 f"density matrix shape {rho.shape} does not match "

@@ -1,17 +1,18 @@
 """Truncated-Fock-space oracle: explicit Kraus operators of the amplitude
-damping channel and brute-force Schroedinger/Heisenberg evolution.
+damping channel, Schroedinger-picture density evolution and
+Heisenberg-picture moments.
 
 The Kraus family is exactly finite on the truncated space (a^n = 0 for
 n >= D), so no extra truncation of the channel sum is needed. Each K_n is
 nonzero only on its n-th superdiagonal, so a Kraus set is those D bands, a
 (D, D) array that kraus_operators builds in closed form in O(D^2), with a
-cap on kappa t as the one overflow policy. One private kernel applies the
-whole sum as D shifted, reweighted slices of the operand, in the
-Schroedinger and the Heisenberg picture alike. A two-mode density is a
-(D1 D2, D1 D2) matrix with mode-1-major index ordering, viewed as a
-(D1, D2, D1, D2) tensor; the product channel acts on it one mode at a time
-(axes (0, 2), then (1, 3)), O(D^5) elementwise work for D1 = D2 = D, and
-no two-mode operator is ever formed.
+cap on kappa t as the one overflow policy. The bands are real; the
+kernels take complex (phased) ones too. One private kernel applies the
+whole Schroedinger sum as D shifted, reweighted slices of the density. A
+two-mode density is a (D1 D2, D1 D2) matrix with mode-1-major index
+ordering, viewed as a (D1, D2, D1, D2) tensor; the product channel acts on
+it one mode at a time (axes (0, 2), then (1, 3)), O(D^5) elementwise work
+for D1 = D2 = D, and no two-mode operator is ever formed.
 
 That kernel takes the bands of one time; kraus_operators also builds a
 (T,) grid of them as bands (T, D, D), row k bit for bit the set at
@@ -95,7 +96,6 @@ def kraus_operators(kappa: float, t: float | np.ndarray,
     for n in range(1, dim):
         bands[:, n, :-n] = (bands[:, n - 1, :-n]
                             * np.sqrt(loss[:, None] * i[n:] / n))
-    bands = bands.astype(complex)
     return bands if times.ndim else bands[0]
 
 
@@ -120,14 +120,12 @@ def check_density(rho: np.ndarray) -> None:
         raise ValueError("density matrix is not positive semidefinite")
 
 
-def _kraus_sum(x: np.ndarray, bands: np.ndarray, axes: tuple[int, int],
-               adjoint: bool) -> np.ndarray:
-    """sum_n K_n x K_n^dag, or sum_n K_n^dag x K_n when adjoint, acting on
-    the (row, column) axis pair `axes` of x, for the bands of one time.
-
-    K_n is its band w_n = bands[n, :dim-n], so each term is a shifted
-    slice: (K_n x K_n^dag)_ij = w_n[i] x_{i+n,j+n} conj(w_n[j]) and
-    (K_n^dag x K_n)_ij = conj(w_n[i-n]) x_{i-n,j-n} w_n[j-n].
+def _kraus_sum(x: np.ndarray, bands: np.ndarray,
+               axes: tuple[int, int]) -> np.ndarray:
+    """sum_n K_n x K_n^dag acting on the (row, column) axis pair `axes` of
+    x, for the bands of one time. K_n is its band w_n = bands[n, :dim-n],
+    so each term is a shifted slice,
+    (K_n x K_n^dag)_ij = w_n[i] x_{i+n,j+n} conj(w_n[j]).
     """
     if bands.ndim != 2:
         raise ValueError("the channel takes the Kraus bands of one time")
@@ -139,12 +137,8 @@ def _kraus_sum(x: np.ndarray, bands: np.ndarray, axes: tuple[int, int],
         w = band[:m]
         if not w.any():
             continue
-        if adjoint:
-            w, dst, src = w.conj(), slice(n, None), slice(None, m)
-        else:
-            dst, src = slice(None, m), slice(n, None)
-        out[dst, dst] += ((w[:, None] * w.conj()[None, :])
-                          .reshape((m, m) + lead) * x[src, src])
+        out[:m, :m] += ((w[:, None] * w.conj()[None, :])
+                        .reshape((m, m) + lead) * x[n:, n:])
     return np.moveaxis(out, (0, 1), axes)
 
 
@@ -153,8 +147,10 @@ def _heisenberg_diagonal(x: np.ndarray, k: int,
     """Diagonal k of sum_n K_n^dag X K_n for operators X on their diagonal
     k only, given as x = np.diagonal(X, k) (..., dim - |k|); batched bands
     prepend their time axis. Term n adds conj(w_n[i+lo]) w_n[i+hi] x[i] at
-    n+i, lo, hi = max(-k, 0), max(k, 0): _kraus_sum's adjoint products in
-    its order, so the result is bit for bit the dense image's diagonal."""
+    n+i, lo, hi = max(-k, 0), max(k, 0), the products of the shifted-slice
+    sum (K_n^dag X K_n)_ij = conj(w_n[i-n]) X_{i-n,j-n} w_n[j-n] in its
+    order n = 0, 1, ..., so the result is bit for bit that dense image's
+    diagonal."""
     x = np.asarray(x, dtype=complex)
     batch = bands.shape[:-2]
     lo, hi = max(-k, 0), max(k, 0)
@@ -188,20 +184,10 @@ def evolve_density(rho0: np.ndarray, bands1: np.ndarray,
         if rho0.shape != (d1, d1):
             raise ValueError(f"density shape {rho0.shape} does not match "
                              f"cutoff {d1}")
-        return _kraus_sum(rho0, bands1, (0, 1), adjoint=False)
+        return _kraus_sum(rho0, bands1, (0, 1))
     rho4 = _kraus_sum(_two_mode_tensor(rho0, d1, bands2.shape[-1]), bands1,
-                      (0, 2), adjoint=False)
-    return _kraus_sum(rho4, bands2, (1, 3), adjoint=False).reshape(rho0.shape)
-
-
-def heisenberg_evolve(A: np.ndarray, bands: np.ndarray) -> np.ndarray:
-    """Heisenberg-picture observable map A -> sum_n K_n^dag A K_n at one
-    time, on one (dim, dim) observable or a stack of them."""
-    A = np.asarray(A, dtype=complex)
-    if A.shape[-2:] != bands.shape[-2:]:
-        raise ValueError(f"observable shape {A.shape} does not match "
-                         f"cutoff {bands.shape[-1]}")
-    return _kraus_sum(A, bands, (-2, -1), adjoint=True)
+                      (0, 2))
+    return _kraus_sum(rho4, bands2, (1, 3)).reshape(rho0.shape)
 
 
 def reduced_densities(rho: np.ndarray,
@@ -338,9 +324,10 @@ def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,
     densities = reduced_densities(rho0, dim)
     diagonals, reduced = [], []
     for mode, r in zip(system.modes, densities):
-        ops = build_mode_operators(dim, mode, system.constants)
+        # products one level up, cropped, so P x^2 P is exact, not (PxP)^2
+        ops = build_mode_operators(dim + 1, mode, system.constants)
         obs = np.stack([ops.x, ops.p, ops.x @ ops.x, ops.p @ ops.p,
-                        0.5 * (ops.x @ ops.p + ops.p @ ops.x)])
+                        0.5 * (ops.x @ ops.p + ops.p @ ops.x)])[:, :dim, :dim]
         diagonals.append({k: np.diagonal(obs, k, axis1=1, axis2=2)
                           for k in range(-2, 3)})
         reduced.append({k: np.diagonal(r, -k) for k in range(-2, 3)})

@@ -199,22 +199,6 @@ class Lct:
         object.__setattr__(self, "M", m)
         object.__setattr__(self, "N", n)
 
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.M[0]
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.M[1]
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.N[0]
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.N[1]
-
 
 def _condition_violation(m: np.ndarray) -> str | None:
     """Why a position block is too ill-conditioned to invert, if it is."""
@@ -225,9 +209,9 @@ def _condition_violation(m: np.ndarray) -> str | None:
     return None
 
 
-def validate_lct(lct: Lct) -> list[str]:
-    """Check the four canonicity constraints and cond(M); returns a list of
-    violation messages with residuals (empty when the transform is valid)."""
+def check_lct(lct: Lct) -> None:
+    """Raise ValueError("invalid LCT: ...") listing each violated
+    canonicity constraint with its residual, and cond(M) if too large."""
     violations = []
     residual = lct.M @ lct.N.T - np.eye(2)
     labels = (("sum alpha_i gamma_i - 1", "sum alpha_i delta_i"),
@@ -239,12 +223,6 @@ def validate_lct(lct: Lct) -> list[str]:
                 violations.append(f"{labels[i][j]} = {r:.3e}")
     if conditioning := _condition_violation(lct.M):
         violations.append(conditioning)
-    return violations
-
-
-def check_lct(lct: Lct) -> None:
-    """Raise ValueError("invalid LCT: ...") with validate_lct's list."""
-    violations = validate_lct(lct)
     if violations:
         raise ValueError("invalid LCT: " + "; ".join(violations))
 

@@ -52,10 +52,8 @@ def lct_matrix(lct: Lct) -> np.ndarray:
     """Embed the LCT as a 4x4 map from (x1, p1, x2, p2) to
     (X_A, P_A, xi_B, pi_B)."""
     s = np.zeros((4, 4))
-    s[0, 0], s[0, 2] = lct.alpha
-    s[1, 1], s[1, 3] = lct.gamma
-    s[2, 0], s[2, 2] = lct.beta
-    s[3, 1], s[3, 3] = lct.delta
+    s[0::2, 0::2] = lct.M  # rows alpha, beta
+    s[1::2, 1::2] = lct.N  # rows gamma, delta
     return s
 
 

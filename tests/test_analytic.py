@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dampsim.analytic import (asymptotic_state, cross_covariance,
-                              evolve_state, evolve_trajectory,
-                              uncertainty_product)
+from dampsim.analytic import (asymptotic_state, evolve_state,
+                              evolve_trajectory, uncertainty_product)
 from dampsim.model import MomentState, symplectic_defect, vacuum_state
 
 from test_model import make_system, systems
@@ -193,25 +192,30 @@ class TestMomentAccessors:
         with pytest.raises(ValueError):
             uncertainty_product(vacuum_state(make_system()), 3)
 
+    def test_uncertainty_product_per_time_on_a_grid(self):
+        system = make_system(m1=1.6, w2=0.4, k1=0.3, k2=0.8)
+        state0 = correlated_state(0.8)
+        times = np.array([0.0, 0.7, 3.0])
+        trajectory = evolve_trajectory(state0, system, times)
+        for mode in (1, 2):
+            got = uncertainty_product(trajectory, mode)
+            assert got.shape == (3,)
+            for k, t in enumerate(times):
+                assert got[k] == uncertainty_product(
+                    evolve_state(state0, system, t), mode)
+
     def test_cross_covariance_product_state(self):
         v = vacuum_state(make_system())
-        for o1 in ("x1", "p1"):
-            for o2 in ("x2", "p2"):
-                assert cross_covariance(v, o1, o2) == 0.0
+        # rows x1, p1 against columns x2, p2
+        assert np.array_equal(v.cov[:2, 2:], np.zeros((2, 2)))
 
     def test_cross_covariance_closed_form_decay(self):
         system = make_system(k1=0.25, k2=0.15)
         s = evolve_state(correlated_state(0.8), system, 5.0)
-        assert cross_covariance(s, "x1", "x2") == \
-            pytest.approx(0.8 * np.exp(-2.0), rel=1e-12)
+        assert s.cov[0, 2] == pytest.approx(0.8 * np.exp(-2.0), rel=1e-12)
 
     def test_cross_covariance_vanishes_asymptotically(self):
         system = make_system(k1=0.25, k2=0.15)
         s = evolve_state(correlated_state(0.8), system, 200.0)
-        assert abs(cross_covariance(s, "x1", "x2")) < 1e-12
-
-    def test_cross_covariance_bad_labels(self):
-        v = vacuum_state(make_system())
-        with pytest.raises(ValueError):
-            cross_covariance(v, "x2", "x1")
+        assert abs(s.cov[0, 2]) < 1e-12
 

@@ -709,6 +709,10 @@ class TestInitialStates:
                    {"type": "density", "real": asymmetric.tolist()},
                    {"type": "density", "real": (2 * rho).tolist()},
                    {"type": "squeezed"}]
+        # an imag part of another shape than real is not broadcast
+        for imag in (0.0, [0.0] * 4, np.zeros((3, 3)).tolist()):
+            invalid.append({"type": "density", "real": rho.tolist(),
+                            "imag": imag})
         for code, initials in ((1, malformed), (2, invalid)):
             for initial in initials:
                 scenario = base_scenario(
@@ -724,6 +728,40 @@ class TestInitialStates:
                 err = capsys.readouterr().err.splitlines()
                 assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_imag_shape_is_named(self, tmp_path, capsys):
+        rho = np.eye(4) / 4
+        scenario = base_scenario(fock_dim=2, initial={
+            "type": "density", "real": rho.tolist(),
+            "imag": np.zeros((3, 3)).tolist()})
+        config = write_scenario(tmp_path, scenario)
+        assert main(["evolve", "--config", config,
+                     "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: density imag shape (3, 3) does not match real shape "
+            "(4, 4)\n")
+
+    def test_density_on_the_top_level_exits_0(self, tmp_path):
+        # (|0> + |1>)/sqrt2 x |0> at fock_dim 2 lives on mode 1's top level:
+        # (PxP)^2 there gave cov_x1_x1 = v_x - v_x, rejected at mass 0.3
+        psi = np.zeros(4)
+        psi[[0, 2]] = math.sqrt(0.5)
+        system = base_scenario()["system"]
+        system["mode1"]["mass"] = 0.3
+        vx = 1.0 / (2 * 0.3)
+        for engine in ("analytic", "fock", "both"):
+            config = write_scenario(tmp_path, base_scenario(
+                system=system, engine=engine, fock_dim=2,
+                initial={"type": "density",
+                         "real": np.outer(psi, psi).tolist()}))
+            out = tmp_path / engine
+            for command in ("evolve", "oracle"):
+                assert main([command, "--config", config,
+                             "--output", str(out)]) == 0, (engine, command)
+            header, rows = read_csv(out / "trajectory.csv")
+            assert float(rows[0][0]) == 0.0
+            cov = float(rows[0][header.index("cov_x1_x1")])
+            assert abs(cov - vx) <= 1e-15, engine
 
     def test_vacuum_is_the_zero_displacement(self, tmp_path):
         zero = {"type": "coherent", "alpha1": 0, "alpha2": [0, 0.0]}

@@ -11,10 +11,10 @@ from dampsim import analytic, fock
 from dampsim.fock import (bh_identity_residual, build_mode_operators,
                           check_density, coherent_density,
                           completeness_defect, evolve_density, fock_density,
-                          heisenberg_evolve, kraus_operators, lowering,
-                          moment_trajectory, two_mode_moments)
+                          kraus_operators, lowering, moment_trajectory,
+                          two_mode_moments)
 from dampsim.fock import _heisenberg_diagonal as heisenberg_diagonal
-from dampsim.model import MomentState, PhysicalConstants
+from dampsim.model import MomentState, PhysicalConstants, vacuum_variances
 
 from test_model import make_system, systems
 
@@ -119,6 +119,29 @@ def kron_channel_reference(rho, ks1, ks2):
     return out
 
 
+def heisenberg_evolve(A, bands):
+    """The Heisenberg map A -> sum_n K_n^dag A K_n at one time, on one
+    (dim, dim) observable or a stack of them, as shifted slices
+    (K_n^dag A K_n)_ij = conj(w_n[i-n]) A_{i-n,j-n} w_n[j-n] accumulated
+    n = 0, 1, ...: the products _heisenberg_diagonal forms, in its order."""
+    A = np.asarray(A, dtype=complex)
+    out = np.zeros_like(A)
+    for n, band in enumerate(bands):
+        m = len(band) - n
+        w = band[:m]
+        out[..., n:, n:] += (w.conj()[:, None] * w[None, :]) * A[..., :m, :m]
+    return out
+
+
+def top_level_gap(dim, mode, constants):
+    """P x^2 P - (PxP)^2 and the same for p on a cutoff dim: only the top
+    level differs, by v_x dim and v_p dim."""
+    vx, vp = vacuum_variances(mode, constants.hbar)
+    top = np.zeros((dim, dim))
+    top[-1, -1] = dim
+    return vx * top, vp * top
+
+
 def dense_kraus_sum(x, ks, adjoint):
     """sum_n K_n x K_n^dag, or sum_n K_n^dag x K_n when adjoint, as dense
     matrix products of one time's Kraus operators."""
@@ -129,13 +152,15 @@ def dense_kraus_sum(x, ks, adjoint):
 
 def per_time_moments(rho, system, t, dim):
     """Means and covariance at one time, each moment a trace of the
-    Kronecker product of the two modes' Heisenberg images against rho."""
+    Kronecker product of the two modes' Heisenberg images against rho; x^2
+    and p^2 are the truncated products corrected at the top level."""
     ident = np.eye(dim, dtype=complex)
     images = []  # per mode: I, x, p, x^2, p^2, (xp + px)/2
     for mode in system.modes:
         ops = build_mode_operators(dim, mode, system.constants)
-        obs = [ident, ops.x, ops.p, ops.x @ ops.x, ops.p @ ops.p,
-               0.5 * (ops.x @ ops.p + ops.p @ ops.x)]
+        gap_x, gap_p = top_level_gap(dim, mode, system.constants)
+        obs = [ident, ops.x, ops.p, ops.x @ ops.x + gap_x,
+               ops.p @ ops.p + gap_p, 0.5 * (ops.x @ ops.p + ops.p @ ops.x)]
         ks = kraus_operators(mode.kappa, t, dim)
         images.append([heisenberg_evolve(a, ks) for a in obs])
 
@@ -187,6 +212,27 @@ class TestModeOperators:
                                    PhysicalConstants())
         assert np.allclose(ops.a_dag, ops.a.conj().T)
         assert np.allclose(ops.number, np.diag(np.arange(8)))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_cutoff_squares_differ_only_at_the_top_level(self, dim):
+        # P x^2 P - (PxP)^2 = v_x D |D-1><D-1| and likewise for p, with
+        # P x^2 P read off a larger cutoff; the symmetrized xp has no term
+        system = make_system(m1=0.3, w1=1.7, hbar=0.8)
+        mode, constants = system.mode1, system.constants
+        small = build_mode_operators(dim, mode, constants)
+        big = build_mode_operators(dim + 3, mode, constants)
+        crop = (slice(None, dim),) * 2
+        gap_x, gap_p = top_level_gap(dim, mode, constants)
+        assert gap_x[-1, -1] > 0 and np.count_nonzero(gap_x) == 1
+        for wide, cut, gap in ((big.x, small.x, gap_x),
+                               (big.p, small.p, gap_p)):
+            exact = (wide @ wide)[crop]
+            assert np.max(np.abs(exact - cut @ cut - gap)) <= \
+                1e-15 * np.max(np.abs(exact))
+        exact = (big.x @ big.p + big.p @ big.x)[crop]
+        truncated = small.x @ small.p + small.p @ small.x
+        assert np.max(np.abs(exact - truncated)) <= \
+            1e-15 * np.max(np.abs(exact))
 
     def test_canonical_commutator_below_cutoff(self):
         dim = 10
@@ -527,8 +573,7 @@ class TestHeisenbergMoment:
     def test_two_mode_channel_takes_one_time(self):
         batch = kraus_operators(0.5, np.array([0.1, 0.2]), 3)
         for call in (lambda: evolve_density(np.eye(9) / 9, batch, batch),
-                     lambda: evolve_density(np.eye(3) / 3, batch),
-                     lambda: heisenberg_evolve(np.eye(3), batch)):
+                     lambda: evolve_density(np.eye(3) / 3, batch)):
             with pytest.raises(ValueError, match="one time"):
                 call()
 
@@ -638,6 +683,22 @@ class TestOracleMoments:
         closed = analytic.evolve_trajectory(state0, system, times)
         assert np.max(np.abs(mean - closed.mean)) <= 1e-8
         assert np.max(np.abs(cov - closed.cov)) <= 1e-8
+
+    @given(systems(), st.integers(2, 8),
+           st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3),
+           st.integers(0, 2 ** 32 - 1))
+    def test_agrees_with_analytic_engine_on_every_level(self, system, dim,
+                                                        times, seed):
+        # a full-rank density fills every level below the cutoff, the top
+        # one included, where (PxP)^2 is not P x^2 P
+        times = np.array(times)
+        rho0 = random_density(dim * dim, np.random.default_rng(seed))
+        state0 = MomentState(*per_time_moments(rho0, system, 0.0, dim))
+        oracle = moment_trajectory(rho0, system, times, dim)
+        closed = analytic.evolve_trajectory(state0, system, times)
+        for got, want in ((oracle.mean, closed.mean),
+                          (oracle.cov, closed.cov)):
+            assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
 
     def test_trajectory_equals_per_time_moments(self):
         system = make_system(m1=1.2, w2=0.8, k1=0.5, k2=0.25)

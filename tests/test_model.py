@@ -3,9 +3,8 @@ import pytest
 from hypothesis import strategies as st
 
 from dampsim.model import (Lct, ModeParams, MomentState, PhysicalConstants,
-                           TwoModeSystem, lct_from_position_block,
-                           symplectic_defect, symplectic_form, vacuum_state,
-                           validate_lct)
+                           TwoModeSystem, check_lct, lct_from_position_block,
+                           symplectic_defect, symplectic_form, vacuum_state)
 
 
 def make_system(m1=1.0, w1=1.0, k1=0.5, m2=1.0, w2=1.0, k2=0.5, hbar=1.0):
@@ -137,20 +136,20 @@ class TestVacuumState:
 
 class TestLct:
     def test_identity_is_valid(self):
-        assert validate_lct(Lct(M=np.eye(2), N=np.eye(2))) == []
+        check_lct(Lct(M=np.eye(2), N=np.eye(2)))
 
     def test_center_of_mass_coefficients_valid(self):
         lct = Lct(M=np.array([[0.5, 0.5], [1.0, -1.0]]),
                   N=np.array([[1.0, 1.0], [0.5, -0.5]]))
-        assert validate_lct(lct) == []
+        check_lct(lct)
 
     def test_constructed_violation_reported(self):
         # alpha=(1,0), gamma=(0,1): sum alpha_i gamma_i = 0, not 1
         lct = Lct(M=np.array([[1.0, 0.0], [1.0, 1.0]]),
                   N=np.array([[0.0, 1.0], [1.0, 1.0]]))
-        report = validate_lct(lct)
-        assert report
-        assert any("alpha_i gamma_i" in line for line in report)
+        with pytest.raises(ValueError,
+                           match="^invalid LCT: sum alpha_i gamma_i - 1 = "):
+            check_lct(lct)
 
     def test_from_position_block_identity(self):
         lct = lct_from_position_block(np.eye(2))
@@ -159,7 +158,7 @@ class TestLct:
     def test_from_position_block_center_of_mass(self):
         lct = lct_from_position_block(np.array([[0.5, 0.5], [1.0, -1.0]]))
         assert np.allclose(lct.N, [[1.0, 1.0], [0.5, -0.5]])
-        assert validate_lct(lct) == []
+        check_lct(lct)
 
     def test_singular_block_rejected(self):
         with pytest.raises(ValueError, match="singular"):

@@ -5,8 +5,8 @@ import pytest
 
 from dampsim import structures
 from dampsim.analytic import asymptotic_state, evolve_state, evolve_trajectory
-from dampsim.model import (Lct, MomentState, lct_from_position_block,
-                           validate_lct, vacuum_state)
+from dampsim.model import (Lct, MomentState, check_lct,
+                           lct_from_position_block, vacuum_state)
 from dampsim.structures import (SearchConfig, asymptotic_cross_covariances,
                                 asymptotic_products, center_of_mass_lct,
                                 classical_family, classicality_residual,
@@ -20,15 +20,15 @@ from test_model import make_system
 class TestCenterOfMassLct:
     def test_coefficients(self):
         lct = center_of_mass_lct()
-        assert np.allclose(lct.alpha, [0.5, 0.5])
-        assert np.allclose(lct.beta, [1.0, -1.0])
-        assert np.allclose(lct.gamma, [1.0, 1.0])
-        assert np.allclose(lct.delta, [0.5, -0.5])
-        assert validate_lct(lct) == []
+        assert np.allclose(lct.M[0], [0.5, 0.5])  # alpha
+        assert np.allclose(lct.M[1], [1.0, -1.0])  # beta
+        assert np.allclose(lct.N[0], [1.0, 1.0])  # gamma
+        assert np.allclose(lct.N[1], [0.5, -0.5])  # delta
+        check_lct(lct)
 
     def test_alpha_delta_orthogonality(self):
         lct = center_of_mass_lct()
-        assert lct.alpha @ lct.delta == pytest.approx(0.0, abs=1e-15)
+        assert lct.M[0] @ lct.N[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_position_block_invertible(self):
         assert np.linalg.det(center_of_mass_lct().M) == pytest.approx(-1.0)
