@@ -16,20 +16,21 @@ for D1 = D2 = D, and no two-mode operator is ever formed.
 
 That kernel takes the bands of one time; kraus_operators also builds a
 (T,) grid of them as bands (T, D, D), row k bit for bit the set at
-times[k]. The channel maps each diagonal of an operator to itself, and the
-moments read five: x and p sit on diagonals -1 and 1, x^2, p^2 and
-(xp + px)/2 on -2, 0 and 2. _heisenberg_diagonal maps one diagonal at every
-time of such a grid, O(D^2) per time, bit for bit the dense image's
-diagonal. moment_trajectory walks a grid in chunks whose working set
-stays near _CHUNK_BYTES, with one band build per mode and chunk, whose
-moments and margins it returns; the cross moments meet only 4 (D-1)^2
-density entries. Each margin reads the bands the moments apply: the
-completeness defect is I - E^dag(I) on diagonal 0, the BH residual and the
-cutoff population are read off K_0's band e^{-ktN}.
+times[k]. The channel maps each diagonal of an operator to itself, and
+_heisenberg_diagonal maps one at every time of such a grid, O(D^2) per
+time, bit for bit the dense image's diagonal. The moments read diagonals
+0, 1 and 2 of x, p, x^2, p^2 and (xp + px)/2 off their number-basis
+matrix elements, no dense operator formed, and -1, -2 as conjugates.
+moment_trajectory walks a grid in chunks within _CHUNK_BYTES, with one
+band build per mode and chunk, whose moments and margins it returns; the
+cross moments meet only 4 (D-1)^2 density entries. Each margin reads the
+bands the moments apply: the completeness defect is I - E^dag(I) on
+diagonal 0, the BH residual and the cutoff population are read off K_0's
+band e^{-ktN}.
 
 A CPTP channel keeps a valid density valid, so the evolution functions check
-only shapes; check_density (an O(D^6) eigvalsh for two modes) runs once on
-each density a caller supplies.
+only shapes; check_density (a Cholesky factorization, O(D^6) for two
+modes) runs once on each density a caller supplies.
 """
 
 from __future__ import annotations
@@ -44,30 +45,33 @@ from .model import (MomentState, ModeParams, PhysicalConstants, TwoModeSystem,
 
 
 class ModeOperators(NamedTuple):
-    a: np.ndarray
-    a_dag: np.ndarray
-    number: np.ndarray
     x: np.ndarray
     p: np.ndarray
 
 
-def lowering(dim: int) -> np.ndarray:
-    """Annihilation operator on the number basis |0> ... |dim-1>."""
+def _quadrature_diagonals(dim: int, params: ModeParams,
+                          constants: PhysicalConstants) -> list[np.ndarray]:
+    """Diagonals k = 0, 1, 2 of x, p, x^2, p^2 and (xp + px)/2 as (5, dim-k)
+    arrays: ladder diagonals 2n+1, sqrt(n+1), sqrt((n+1)(n+2)) times a table
+    of coefficients. x^2 is the exact P x^2 P, not (PxP)^2."""
     if dim < 2:
         raise ValueError(f"Fock cutoff must be >= 2, got {dim}")
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    vx, vp = vacuum_variances(params, constants.hbar)
+    sx, sp = math.sqrt(vx), math.sqrt(vp)
+    n = np.arange(dim)
+    ladder = (2.0 * n + 1.0, np.sqrt(n[1:]), np.sqrt(n[1:-1] * n[2:]))
+    table = np.array([[0, 0, vx, vp, 0],
+                      [sx, -1j * sp, 0, 0, 0],
+                      [0, 0, vx, -vp, -1j * sx * sp]])
+    return [row[:, None] * diag for row, diag in zip(table, ladder)]
 
 
 def build_mode_operators(dim: int, params: ModeParams,
                          constants: PhysicalConstants) -> ModeOperators:
-    """Ladder, number and quadrature matrices for one mode."""
-    a = lowering(dim)
-    a_dag = a.conj().T
-    number = np.diag(np.arange(dim)).astype(complex)
-    sx, sp = map(math.sqrt, vacuum_variances(params, constants.hbar))
-    x = sx * (a + a_dag)
-    p = 1j * sp * (a_dag - a)
-    return ModeOperators(a=a, a_dag=a_dag, number=number, x=x, p=p)
+    """Dense quadrature matrices x and p of one mode."""
+    diag1 = _quadrature_diagonals(dim, params, constants)[1][:2]
+    return ModeOperators(*(np.diag(d, 1) + np.diag(d.conj(), -1)
+                           for d in diag1))
 
 
 def kraus_operators(kappa: float, t: float | np.ndarray,
@@ -116,7 +120,9 @@ def check_density(rho: np.ndarray) -> None:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValueError(f"density matrix trace {np.trace(rho).real} != 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
+    try:  # rho + 1e-10 I has a Cholesky factor: no eigenvalue < -1e-10
+        np.linalg.cholesky(rho + 1e-10 * np.eye(len(rho)))
+    except np.linalg.LinAlgError:
         raise ValueError("density matrix is not positive semidefinite")
 
 
@@ -232,9 +238,10 @@ def coherent_density(displacement: complex, dim: int) -> np.ndarray:
     (|alpha|^2 > dim/4).
     """
     alpha = complex(displacement)
-    # |alpha| > dim fails the guard anyway, and squaring it could overflow
-    norm2 = (math.inf if math.hypot(alpha.real, alpha.imag) > dim
-             else abs(alpha) ** 2)
+    try:
+        norm2 = abs(alpha) ** 2
+    except OverflowError:  # |alpha|^2 is past float range
+        norm2 = math.inf
     if not norm2 <= dim / 4.0:
         raise ValueError(
             f"|displacement|^2 = {norm2:g} exceeds dim/4 = "
@@ -256,11 +263,10 @@ def fock_density(level: int, dim: int) -> np.ndarray:
 
 
 #: Bytes the oracle's working set per chunk of times may take. Per time it
-#: holds both modes' Kraus bands and their diagonal images, which
-#: tracemalloc measured as 4.0 complex (D, D) arrays at D = 32 and 6.0 at
-#: D = 16 (the ~60 D image entries weigh more at small D). _TIME_ARRAYS
-#: covers D >= 16, so a chunk is 13 times at D = 32 and 54 at D = 16, and
-#: the working set does not grow with the grid.
+#: holds both modes' real Kraus bands and their diagonal images: 3.4 complex
+#: (D, D) arrays at D = 32 and 4.7 at D = 16 by tracemalloc, setup included.
+#: _TIME_ARRAYS covers D >= 16, so a chunk is 54 times at D = 16, 13 at
+#: D = 32 and 3 at D = 64, and the working set does not grow with the grid.
 _CHUNK_BYTES = 3 * 2 ** 19
 _TIME_ARRAYS = 7
 
@@ -281,17 +287,18 @@ class OracleTrajectory(NamedTuple):
     fock_tail: np.ndarray
 
 
-def _chunk_moments(kraus: tuple[np.ndarray, np.ndarray], diagonals: list,
-                   reduced: list, rho_xp: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_moments(kraus: tuple[np.ndarray, np.ndarray], tables: list,
+                   rho_xp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Means (C, 4) and covariances (C, 4, 4) at the C times of a pair of
-    batched Kraus bands: per mode, diagonals -2..2 of the five observables'
-    images against the reduced density, and the cross block from the x and
-    p images q1, q2 on diagonals -1, 1 of both modes against rho_xp."""
+    batched Kraus bands: per mode of `tables`, the five observables' images
+    on diagonals -2..2 against the reduced density, and the cross block
+    from the x and p images q1, q2 on diagonals -1, 1 against rho_xp."""
     local, q = [], []
-    for bands, obs, r in zip(kraus, diagonals, reduced):
-        images = {k: _heisenberg_diagonal(obs[k], k, bands) for k in obs}
-        local.append(sum(images[k] @ r[k] for k in obs).real)
+    for bands, (obs, r) in zip(kraus, tables):
+        images = [_heisenberg_diagonal(x, k, bands) for k, x in enumerate(obs)]
+        # images[-k] is diagonal -k, the conjugate of k: images are Hermitian
+        images += [images[2].conj(), images[1].conj()]
+        local.append(sum(images[k] @ r[k] for k in range(-2, 3)).real)
         q.append(np.concatenate([images[-1][:, :2], images[1][:, :2]],
                                 axis=-1))
     cross = (q[0] @ rho_xp @ q[1].transpose(0, 2, 1)).real
@@ -322,15 +329,9 @@ def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,
         raise ValueError("times must be a 1-D grid, got a scalar")
     rho4 = _two_mode_tensor(rho0, dim, dim)
     densities = reduced_densities(rho0, dim)
-    diagonals, reduced = [], []
-    for mode, r in zip(system.modes, densities):
-        # products one level up, cropped, so P x^2 P is exact, not (PxP)^2
-        ops = build_mode_operators(dim + 1, mode, system.constants)
-        obs = np.stack([ops.x, ops.p, ops.x @ ops.x, ops.p @ ops.p,
-                        0.5 * (ops.x @ ops.p + ops.p @ ops.x)])[:, :dim, :dim]
-        diagonals.append({k: np.diagonal(obs, k, axis1=1, axis2=2)
-                          for k in range(-2, 3)})
-        reduced.append({k: np.diagonal(r, -k) for k in range(-2, 3)})
+    tables = [(_quadrature_diagonals(dim, mode, system.constants),
+               {k: np.diagonal(r, -k) for k in range(-2, 3)})
+              for mode, r in zip(system.modes, densities)]
     # tr[(q1 otimes q2) rho] = sum q1_ij q2_lk rho4[j, k, i, l], and (i, j)
     # is (u + 1, u) on diagonal -1, (u, u + 1) on 1, concatenated so
     u = np.arange(dim - 1)
@@ -343,8 +344,7 @@ def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,
         index = slice(start, start + size)
         kraus = tuple(kraus_operators(mode.kappa, times[index], dim)
                       for mode in system.modes)
-        out.mean[index], out.cov[index] = _chunk_moments(
-            kraus, diagonals, reduced, rho_xp)
+        out.mean[index], out.cov[index] = _chunk_moments(kraus, tables, rho_xp)
         margins = [(completeness_defect(bands), _bh_residual(bands),
                     top_level_population(r, bands))
                    for bands, r in zip(kraus, densities)]

@@ -201,6 +201,21 @@ class TestExitCodes:
                 err = capsys.readouterr().err.splitlines()
                 assert len(err) == 1 and "increase the cutoff" in err[0]
 
+    @pytest.mark.parametrize("alpha, square", [(40, "1600"),
+                                               ([1e300, 0.0], "inf")])
+    def test_coherent_guard_names_the_squared_displacement(
+            self, tmp_path, capsys, alpha, square):
+        # |alpha|^2 is reported as it is, inf only past float range
+        scenario = base_scenario(engine="both", fock_dim=32,
+                                 initial={"type": "coherent",
+                                          "alpha1": alpha})
+        config = write_scenario(tmp_path, scenario)
+        assert main(["evolve", "--config", config,
+                     "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: |displacement|^2 = {square} exceeds dim/4 = "
+                       "8; increase the cutoff"]
+
     def test_moments_initial_with_fock_engine_exits_2(self, tmp_path):
         scenario = base_scenario(engine="fock",
                                  initial={"type": "moments",
@@ -481,10 +496,11 @@ class TestOtherCommands:
         chunks = -(-n_times // fock._chunk_size(dim))
         assert 1 < chunks < n_times
         # per mode and chunk, for the moments and the report alike, and
-        # one kernel call per mode, chunk and diagonal -2..2, and one for
-        # the completeness defect E^dag(I) on diagonal 0
+        # one kernel call per mode, chunk and diagonal 0, 1, 2 (-1 and -2
+        # are their conjugates), and one for the completeness defect
+        # E^dag(I) on diagonal 0
         assert len(calls["kraus_operators"]) == 2 * chunks
-        assert len(calls["_heisenberg_diagonal"]) == 2 * 6 * chunks
+        assert len(calls["_heisenberg_diagonal"]) == 2 * 4 * chunks
         # the report makes one oracle call for the moments and the margins
         assert len(calls["moment_trajectory"]) == 1
         lines = (tmp_path / "oracle_report.txt").read_text().splitlines()

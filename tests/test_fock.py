@@ -11,9 +11,10 @@ from dampsim import analytic, fock
 from dampsim.fock import (bh_identity_residual, build_mode_operators,
                           check_density, coherent_density,
                           completeness_defect, evolve_density, fock_density,
-                          kraus_operators, lowering, moment_trajectory,
+                          kraus_operators, moment_trajectory,
                           two_mode_moments)
 from dampsim.fock import _heisenberg_diagonal as heisenberg_diagonal
+from dampsim.fock import _quadrature_diagonals as quadrature_diagonals
 from dampsim.model import MomentState, PhysicalConstants, vacuum_variances
 
 from test_model import make_system, systems
@@ -57,6 +58,19 @@ def random_density(dim, rng):
     rho = g @ g.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
+
+
+def lowering(dim):
+    """Annihilation operator on the number basis |0> ... |dim-1>."""
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+
+
+def dense_quadratures(dim, mode, constants):
+    """x = s_x (a + a^dag) and p = i s_p (a^dag - a) as dense matrices of
+    the test-local ladder, sharing no code with the oracle's table."""
+    a = lowering(dim)
+    sx, sp = map(math.sqrt, vacuum_variances(mode, constants.hbar))
+    return sx * (a + a.conj().T), 1j * sp * (a.conj().T - a)
 
 
 def dense_ops(bands):
@@ -194,12 +208,9 @@ def coherent_pair_moments(a1, a2, system):
 
 
 class TestModeOperators:
-    def test_lowering_smallest(self):
-        assert np.allclose(lowering(2), [[0, 1], [0, 0]])
-
     def test_cutoff_too_small(self):
-        with pytest.raises(ValueError):
-            lowering(1)
+        with pytest.raises(ValueError, match="Fock cutoff must be >= 2"):
+            build_mode_operators(1, make_system().mode1, PhysicalConstants())
 
     def test_position_matrix_element(self):
         ops = build_mode_operators(3, make_system().mode1,
@@ -207,11 +218,26 @@ class TestModeOperators:
         assert ops.x[0, 1] == pytest.approx(1 / np.sqrt(2))
         assert ops.x[1, 0] == pytest.approx(1 / np.sqrt(2))
 
-    def test_ladder_adjoint_and_number(self):
-        ops = build_mode_operators(8, make_system().mode1,
-                                   PhysicalConstants())
-        assert np.allclose(ops.a_dag, ops.a.conj().T)
-        assert np.allclose(ops.number, np.diag(np.arange(8)))
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_table_is_the_untruncated_products(self, dim):
+        # every diagonal -2..2 of x, p, x^2, p^2 and (xp + px)/2 against
+        # the dense products three levels up, cropped to the cutoff
+        system = make_system(m1=0.3, w1=1.7, hbar=0.8)
+        mode, constants = system.mode1, system.constants
+        x, p = dense_quadratures(dim + 3, mode, constants)
+        dense = np.stack([x, p, x @ x, p @ p,
+                          0.5 * (x @ p + p @ x)])[:, :dim, :dim]
+        table = quadrature_diagonals(dim, mode, constants)
+        assert len(table) == 3
+        for k, diagonal in enumerate(table):
+            assert diagonal.shape == (5, dim - k)
+            for got, d in ((diagonal, k), (diagonal.conj(), -k)):
+                want = np.diagonal(dense, d, 1, 2)
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), d
+        # the dense x and p are the table's diagonal 1 and its conjugate
+        ops = build_mode_operators(dim, mode, constants)
+        assert np.array_equal(ops.x, x[:dim, :dim])
+        assert np.array_equal(ops.p, p[:dim, :dim])
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_cutoff_squares_differ_only_at_the_top_level(self, dim):
@@ -497,6 +523,28 @@ class TestEvolveDensity:
                                  kraus_operators(1.0, 1.0, 4))
         assert np.trace(doubled).real == pytest.approx(2.0, abs=1e-12)
 
+    def test_positivity_floor_is_the_eigenvalue_floor(self):
+        # Hermitian, unit-trace densities whose smallest eigenvalue is just
+        # above and just below the floor -1e-10; the Cholesky test of
+        # rho + 1e-10 I decides as the smallest eigenvalue does
+        rng = np.random.default_rng(23)
+        dim = 6
+        basis = np.linalg.qr(rng.normal(size=(dim, dim))
+                             + 1j * rng.normal(size=(dim, dim)))[0]
+        for lowest, accepted in ((-1e-10 + 1e-11, True),
+                                 (-1e-10 - 1e-11, False)):
+            spectrum = np.concatenate(([lowest], rng.random(dim - 1)))
+            spectrum[1:] *= (1.0 - lowest) / spectrum[1:].sum()
+            rho = (basis * spectrum) @ basis.conj().T
+            rho = 0.5 * (rho + rho.conj().T)
+            assert abs(np.trace(rho).real - 1.0) <= 1e-14
+            assert (np.min(np.linalg.eigvalsh(rho)) >= -1e-10) == accepted
+            if accepted:
+                check_density(rho)
+            else:
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    check_density(rho)
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             evolve_density(fock_density(0, 4), kraus_operators(1.0, 1.0, 6))
@@ -556,6 +604,24 @@ class TestHeisenbergMoment:
                     assert np.array_equal(row, want), k
                     assert np.array_equal(heisenberg_diagonal(x, k, ks), want)
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 17, 32])
+    def test_real_bands_map_conjugate_diagonals_to_conjugates(self, dim):
+        # the oracle maps diagonals 0, 1, 2 and conjugates for -1, -2: for
+        # the real bands kraus_operators returns, bit for bit the kernel's
+        # own image of diagonal -k
+        rng = np.random.default_rng(dim + 2)
+        batch = kraus_operators(0.8, np.array([0.0, 0.05, 0.7, 3.0, 1e200]),
+                                dim)
+        table = quadrature_diagonals(dim, make_system().mode1,
+                                     PhysicalConstants())
+        for k in range(1, min(dim, 3)):
+            size = dim - k
+            noise = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2,
+                                                                       size))
+            for x in (table[k], noise):
+                assert np.array_equal(heisenberg_diagonal(x.conj(), -k, batch),
+                                      heisenberg_diagonal(x, k, batch).conj())
+
     @pytest.mark.parametrize("dim", [2, 5, 16])
     def test_channel_keeps_each_diagonal(self, dim):
         # band closure: an operator on diagonal k has its image, in either
@@ -579,22 +645,19 @@ class TestHeisenbergMoment:
 
     def test_annihilation_decay_on_coherent_state(self):
         dim, kappa, t = 20, 0.5, 1.2
-        system = make_system(k1=kappa, k2=kappa)
-        ops = build_mode_operators(dim, system.mode1, system.constants)
         rho0 = coherent_pair_density(1.0, 0.0, dim)
         ks = kraus_operators(kappa, t, dim)
-        val = np.trace(np.kron(heisenberg_evolve(ops.a, ks), np.eye(dim))
-                       @ rho0)
+        val = np.trace(np.kron(heisenberg_evolve(lowering(dim), ks),
+                               np.eye(dim)) @ rho0)
         assert val.real == pytest.approx(np.exp(-kappa * t), abs=1e-9)
         assert val.imag == pytest.approx(0.0, abs=1e-9)
 
     def test_number_decay_on_single_excitation(self):
         dim, kappa, t = 12, 0.7, 0.9
-        system = make_system(k1=kappa, k2=kappa)
-        ops = build_mode_operators(dim, system.mode1, system.constants)
+        number = np.diag(np.arange(dim)).astype(complex)
         rho0 = np.kron(fock_density(1, dim), fock_density(0, dim))
         ks = kraus_operators(kappa, t, dim)
-        val = np.trace(np.kron(heisenberg_evolve(ops.number, ks),
+        val = np.trace(np.kron(heisenberg_evolve(number, ks),
                                np.eye(dim)) @ rho0)
         assert val.real == pytest.approx(np.exp(-2 * kappa * t), abs=1e-12)
 
@@ -764,21 +827,27 @@ class TestOracleMoments:
 
     def test_working_set_does_not_grow_with_the_grid(self):
         system = make_system(k1=0.4, k2=0.9)
-        dim = 16
-        rho0 = random_density(dim * dim, np.random.default_rng(22))
-        bound = 2 * fock._CHUNK_BYTES
-        # a fraction of one (T, D, D) complex array of the long grid
-        assert 4 * bound < 5000 * dim * dim * 16
-        for n_times in (1, 5000):
-            times = np.linspace(0.0, 4.0, n_times)
-            tracemalloc.start()
-            try:
-                oracle = moment_trajectory(rho0, system, times, dim)
-                mean, cov = oracle.mean, oracle.cov
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak - mean.nbytes - cov.nbytes <= bound, n_times
+        # |3> otimes |5> at D = 64: the 256 MiB density stays zero pages but
+        # one; there the working set meets the budget itself
+        number = np.zeros((64 * 64, 64 * 64), dtype=complex)
+        number[3 * 64 + 5, 3 * 64 + 5] = 1.0
+        for dim, rho0, long, bound in (
+                (16, random_density(16 * 16, np.random.default_rng(22)), 5000,
+                 2 * fock._CHUNK_BYTES),
+                (64, number, 200, fock._CHUNK_BYTES)):
+            # a fraction of one (T, D, D) complex array of the long grid
+            assert 4 * bound < long * dim * dim * 16
+            for n_times in (1, long):
+                times = np.linspace(0.0, 4.0, n_times)
+                tracemalloc.start()
+                try:
+                    oracle = moment_trajectory(rho0, system, times, dim)
+                    mean, cov = oracle.mean, oracle.cov
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak - mean.nbytes - cov.nbytes <= bound, (dim,
+                                                                  n_times)
 
     def test_cutoff_convergence(self):
         system = make_system(k1=0.3, k2=0.7)
