@@ -23,6 +23,12 @@ model.MomentState, so it was checked when it was built.
 
 The oracle command makes one fock.moment_trajectory call, which returns
 the moments with their per-time margins, and formats what it returns.
+
+numpy, analytic and fock are imported where evolve and oracle use them,
+and where a density or moments are parsed. So structure and
+classicality on a vacuum or coherent scenario run on the standard
+library, and the arrays they read are checked without numpy
+(_float_shape).
 """
 
 from __future__ import annotations
@@ -34,14 +40,16 @@ import math
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import analytic, fock, structures
+from . import structures
 from .model import (QUADRATURES, Lct, ModeParams, MomentState,
                     PhysicalConstants, TwoModeSystem, assert_physical,
                     check_lct, lct_from_position_block, vacuum_state,
                     vacuum_variances)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ParseError(Exception):
@@ -76,7 +84,10 @@ class Scenario:
     # coherent displacements (the vacuum is (0, 0)), a physical MomentState,
     # or a checked (fock_dim^2, fock_dim^2) density matrix
     initial: tuple[complex, complex] | MomentState | np.ndarray
-    times: np.ndarray
+    # the checked time grid: n_steps samples from t_start to t_end
+    t_start: float
+    t_end: float
+    n_steps: int
     engine: str
     fock_dim: int
     lct: Lct | None
@@ -85,6 +96,11 @@ class Scenario:
     def __post_init__(self):  # dataclasses.replace runs it for --seed too
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def times(self) -> np.ndarray:
+        import numpy as np
+        return np.linspace(self.t_start, self.t_end, self.n_steps)
 
 
 _MISSING = object()
@@ -125,21 +141,40 @@ def _parse_mode(d: dict, label: str) -> ModeParams:
         raise ValueError(f"{label}: {exc}") from exc
 
 
-def _floats(value, what: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what} is not numeric: {exc}") from exc
+#: Most dimensions an array may have, numpy's own limit.
+_MAX_DIMS = 64
+
+
+def _float_shape(value, what: str, dims: int = _MAX_DIMS) -> tuple[int, ...]:
+    """The shape of value as an array of floats: value is a number, or
+    lists nesting numbers to one depth, at most dims deep, with one length
+    per level. ParseError for anything else: booleans, strings and null
+    are not numbers, and a ragged or too deep nest is not an array."""
+    if _is_number(value):
+        return ()
+    if not isinstance(value, list):
+        raise ParseError(f"{what} is not numeric: got "
+                         f"{type(value).__name__}")
+    if not dims:
+        raise ParseError(f"{what} is not numeric: nested deeper than "
+                         f"{_MAX_DIMS} lists")
+    if set(map(type, value)) <= {int, float}:  # a row of numbers, or []
+        return (len(value),)
+    shapes = {_float_shape(v, what, dims - 1) for v in value}
+    if len(shapes) > 1:
+        raise ParseError(f"{what} is not numeric: ragged nested lists")
+    return (len(value),) + shapes.pop()
 
 
 def _parse_lct(d: dict) -> Lct:
     if not isinstance(d, dict) or "M" not in d:
         raise ParseError("lct spec must be an object with key 'M'")
     _known(d, "lct.", "M", "N")
-    m = _floats(d["M"], "lct position block")
+    _float_shape(d["M"], "lct position block")
     if "N" not in d:
-        return lct_from_position_block(m)
-    lct = Lct(M=m, N=_floats(d["N"], "lct momentum block"))
+        return lct_from_position_block(d["M"])
+    _float_shape(d["N"], "lct momentum block")
+    lct = Lct(M=d["M"], N=d["N"])
     check_lct(lct)
     return lct
 
@@ -190,8 +225,6 @@ def load_scenario(path: str) -> Scenario:
             f"n_steps {n_steps} needs a {grid_bytes / 2 ** 20:.3g} MiB "
             f"covariance trajectory; the limit is 128 MiB "
             f"(n_steps <= 1048576)")
-    times = np.linspace(t_start, t_end, n_steps)
-
     engine = _get(raw, "engine", str, "analytic")
     if engine not in ("analytic", "fock", "both"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -203,8 +236,9 @@ def load_scenario(path: str) -> Scenario:
                              system, fock_dim)
     lct = _parse_lct(raw["lct"]) if "lct" in raw else None
     seed = _get(raw, "seed", int, 0)
-    return Scenario(system=system, initial=initial, times=times,
-                    engine=engine, fock_dim=fock_dim, lct=lct, seed=seed)
+    return Scenario(system=system, initial=initial, t_start=t_start,
+                    t_end=t_end, n_steps=n_steps, engine=engine,
+                    fock_dim=fock_dim, lct=lct, seed=seed)
 
 
 def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
@@ -225,12 +259,14 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
         return tuple(pair)
     if kind == "moments":
         _known(d, "initial.", "type", "mean", "cov")
-        mean = _floats(_get(d, "mean", list), "initial mean")
-        cov = _floats(_get(d, "cov", list), "initial cov")
+        mean = _get(d, "mean", list)
+        shape = _float_shape(mean, "initial mean")
+        cov = _get(d, "cov", list)
+        _float_shape(cov, "initial cov")
         try:
-            if mean.shape != (4,):  # a MomentState may also be a stack
+            if shape != (4,):  # a MomentState may also be a stack
                 raise ValueError(f"mean must be a 4-vector, got shape "
-                                 f"{mean.shape}")
+                                 f"{shape}")
             state = MomentState(mean=mean, cov=cov)
             assert_physical(state, system.constants.hbar)
         except ValueError as exc:
@@ -238,16 +274,20 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
         return state
     if kind == "density":
         _known(d, "initial.", "type", "real", "imag")
-        rho = _floats(_get(d, "real", list), "density matrix").astype(complex)
+        import numpy as np
+        from . import fock
+        real = _get(d, "real", list)
+        shape = _float_shape(real, "density matrix")
+        rho = np.asarray(real, dtype=float).astype(complex)
         if d.get("imag") is not None:
-            imag = _floats(d["imag"], "density matrix")
-            if imag.shape != rho.shape:
-                raise ValueError(f"density imag shape {imag.shape} does not "
-                                 f"match real shape {rho.shape}")
-            rho = rho + 1j * imag
-        if rho.shape != (dim * dim, dim * dim):
+            imag_shape = _float_shape(d["imag"], "density matrix")
+            if imag_shape != shape:
+                raise ValueError(f"density imag shape {imag_shape} does not "
+                                 f"match real shape {shape}")
+            rho = rho + 1j * np.asarray(d["imag"], dtype=float)
+        if shape != (dim * dim, dim * dim):
             raise ValueError(
-                f"density matrix shape {rho.shape} does not match "
+                f"density matrix shape {shape} does not match "
                 f"fock_dim^2 = {dim * dim}")
         fock.check_density(rho)
         return rho
@@ -256,6 +296,8 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
 
 def initial_moment_state(scenario: Scenario) -> MomentState:
     """The initial moments; a density's come from the Fock engine at t = 0."""
+    import numpy as np
+    from . import fock
     system, initial = scenario.system, scenario.initial
     if isinstance(initial, MomentState):
         return initial
@@ -272,6 +314,8 @@ def initial_moment_state(scenario: Scenario) -> MomentState:
 
 def initial_density(scenario: Scenario) -> np.ndarray:
     """The initial two-mode density; a coherent pair's is built here."""
+    import numpy as np
+    from . import fock
     initial, dim = scenario.initial, scenario.fock_dim
     if dim ** 4 * 16 > _FOCK_BUDGET_BYTES:
         raise ValueError(
@@ -292,6 +336,8 @@ def _trajectory_csv(times: np.ndarray, state: MomentState,
                     lct: Lct | None) -> str:
     """CSV of a trajectory on the (T,) grid `times`, plus its moments in
     the LCT frame (structures.transform_state) when an LCT is given."""
+    import numpy as np
+    from . import analytic
     q = QUADRATURES
     upper = np.triu_indices(4)
     header = (["t"] + [f"mean_{a}" for a in q]
@@ -328,6 +374,7 @@ def _decay_fit_slope(times: np.ndarray, cov: np.ndarray) -> float | None:
     """Least-squares slope of log|cov(x1,x2)| vs t, in closed form: the
     centered times, divided by their span so that no square underflows,
     against the centered logs. None if degenerate."""
+    import numpy as np
     c = np.abs(cov[:, 0, 2])
     mask = c > 1e-290
     t = times[mask]
@@ -341,11 +388,14 @@ def _decay_fit_slope(times: np.ndarray, cov: np.ndarray) -> float | None:
 def _engine_deviation(a, f) -> np.ndarray:
     """Per-time max-norm distance between the (T, 4) means and (T, 4, 4)
     covariances of two trajectories."""
+    import numpy as np
     return np.maximum(np.max(np.abs(a.mean - f.mean), axis=1),
                       np.max(np.abs(a.cov - f.cov), axis=(1, 2)))
 
 
 def run_evolve(scenario: Scenario, out_dir: str) -> None:
+    import numpy as np
+    from . import analytic, fock
     system, times = scenario.system, scenario.times
     rho0 = (initial_density(scenario) if scenario.engine in ("fock", "both")
             else None)
@@ -383,6 +433,7 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
 
 
 def run_oracle(scenario: Scenario, out_dir: str) -> None:
+    from . import analytic, fock
     system, dim, times = scenario.system, scenario.fock_dim, scenario.times
     oracle = fock.moment_trajectory(initial_density(scenario), system, times,
                                     dim)
@@ -413,8 +464,9 @@ def run_structure(scenario: Scenario, out_dir: str) -> None:
         raise ValueError("the structure command needs an 'lct' entry "
                               "in the scenario")
     report = structures.evaluate_structure(scenario.lct.M, scenario.system)
-    lines = (["position block M: " + _fmt_all(report.lct.M.ravel()),
-              "momentum block N: " + _fmt_all(report.lct.N.ravel())]
+    m, n = report.lct.M, report.lct.N
+    lines = (["position block M: " + _fmt_all(m[0] + m[1]),
+              "momentum block N: " + _fmt_all(n[0] + n[1])]
              + _report_lines(report, "residual", "family_distance"))
     _atomic_write(os.path.join(out_dir, "structure.txt"),
                   "\n".join(lines) + "\n")
@@ -427,7 +479,8 @@ def run_classicality(scenario: Scenario, out_dir: str) -> None:
     lines = ([f"seed: {scenario.seed}",
               f"restarts: {config.restarts}",
               f"best residual: {_fmt(report.residual)}",
-              "best position block M: " + _fmt_all(report.lct.M.ravel())]
+              "best position block M: "
+              + _fmt_all(report.lct.M[0] + report.lct.M[1])]
              + _report_lines(report, "family_distance"))
     _atomic_write(os.path.join(out_dir, "classicality.txt"),
                   "\n".join(lines) + "\n")

@@ -1,12 +1,20 @@
 """Shared physical types: mode parameters, Gaussian moment states, and
-linear canonical transformations (LCTs) of the two-mode phase space."""
+linear canonical transformations (LCTs) of the two-mode phase space.
+
+The parameter types and the LCT, whose blocks are 2x2 float tuples
+checked in closed form, need only the standard library. numpy is
+imported by the array code alone: MomentState, the symplectic form and
+defect, vacuum_state, checked_times, and the N of an LCT given by M."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Default tolerances; structural checks (LCT constraints, symplectic
 # positivity) use 1e-10, exact symmetries 1e-12.
@@ -17,7 +25,7 @@ SYMMETRY_TOL = 1e-12
 #: M loses about cond(M) * eps of relative accuracy, so beyond
 #: STRUCTURAL_TOL / eps (~4.5e5) N = inv(M.T) cannot be trusted to the
 #: structural tolerance. Scale-free, unlike a bound on det(M).
-MAX_CONDITION = STRUCTURAL_TOL / np.finfo(float).eps
+MAX_CONDITION = STRUCTURAL_TOL / sys.float_info.epsilon
 
 #: Quadrature labels in canonical ordering.
 QUADRATURES = ("x1", "p1", "x2", "p2")
@@ -25,6 +33,7 @@ QUADRATURES = ("x1", "p1", "x2", "p2")
 
 def symplectic_form() -> np.ndarray:
     """The 4x4 symplectic form for the (x1, p1, x2, p2) ordering."""
+    import numpy as np
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((4, 4))
     out[:2, :2] = j
@@ -105,6 +114,7 @@ class MomentState:
     cov: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         if mean.shape[-1:] != (4,) or cov.shape != mean.shape + (4,):
@@ -128,6 +138,7 @@ def symplectic_defect(state: MomentState, hbar: float = 1.0) -> float:
 
     Non-negative (up to numerical floor) for any physical Gaussian state.
     """
+    import numpy as np
     m = state.cov + 0.5j * hbar * symplectic_form()
     return float(np.min(np.linalg.eigvalsh(m)))
 
@@ -149,6 +160,7 @@ def vacuum_variances(mode: ModeParams, hbar: float) -> tuple[float, float]:
 def checked_times(t) -> np.ndarray:
     """t as a float array of at most one axis, every entry finite and
     non-negative; ValueError otherwise."""
+    import numpy as np
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError(f"times must be a scalar or a 1-D array, got shape "
@@ -171,38 +183,73 @@ def check_damped(system: TwoModeSystem) -> None:
 
 def vacuum_state(system: TwoModeSystem) -> MomentState:
     """Ground-state moments: zero mean, diagonal cov of vacuum_variances."""
+    import numpy as np
     hbar = system.constants.hbar
     diag = [v for mode in system.modes for v in vacuum_variances(mode, hbar)]
     return MomentState(mean=np.zeros(4), cov=np.diag(diag))
 
 
-@dataclass(frozen=True)
+#: A 2x2 matrix as a pair of float rows.
+Block = tuple[tuple[float, float], tuple[float, float]]
+
+
+def _block(value) -> Block | None:
+    """A 2x2 matrix (nested sequence or array) as a Block, or None unless it
+    is 2x2 and finite."""
+    try:
+        rows = tuple(tuple(map(float, row)) for row in value)
+    except (TypeError, ValueError):
+        return None
+    if (len(rows) != 2 or any(len(row) != 2 for row in rows)
+            or not all(map(math.isfinite, rows[0] + rows[1]))):
+        return None
+    return rows
+
+
 class Lct:
     """Linear canonical transformation mixing positions with positions and
     momenta with momenta.
 
     M rows are the position coefficients (alpha, beta); N rows the momentum
-    coefficients (gamma, delta). Canonicity requires M @ N.T == I, i.e.
-    N = inv(M.T).
+    coefficients (gamma, delta), both Blocks. Canonicity requires
+    M @ N.T == I, i.e. N = inv(M.T). An Lct given M alone must pass the
+    cond(M) test of check_lct, and takes numpy's inv(M.T) as its N when N
+    is first read.
     """
 
-    M: np.ndarray
-    N: np.ndarray
+    __slots__ = ("M", "_N")
 
-    def __post_init__(self):
-        m = np.asarray(self.M, dtype=float)
-        n = np.asarray(self.N, dtype=float)
-        if m.shape != (2, 2) or n.shape != (2, 2):
-            raise ValueError("M and N must be 2x2 matrices")
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(n))):
-            raise ValueError("M and N must be finite")
-        object.__setattr__(self, "M", m)
-        object.__setattr__(self, "N", n)
+    def __init__(self, M, N=None):
+        self.M, self._N = _block(M), None if N is None else _block(N)
+        if self.M is None or (N is not None and self._N is None):
+            raise ValueError("M and N must be finite 2x2 matrices")
+        if N is None and (conditioning := _condition_violation(self.M)):
+            raise ValueError(f"position block: {conditioning}")
+
+    @property
+    def N(self) -> Block:
+        if self._N is None:
+            import numpy as np
+            self._N = tuple(map(tuple,
+                                np.linalg.inv(np.array(self.M).T).tolist()))
+        return self._N
+
+    def __repr__(self) -> str:
+        return f"Lct(M={self.M}, N={self.N})"
 
 
-def _condition_violation(m: np.ndarray) -> str | None:
-    """Why a position block is too ill-conditioned to invert, if it is."""
-    cond = float(np.linalg.cond(m))
+def _condition_violation(m: Block) -> str | None:
+    """Why a position block is too ill-conditioned to invert, if it is.
+    cond(M) = smax/smin = smax^2/|det M|, where smax^2 and smin^2 are the
+    roots of l^2 - |M|_F^2 l + det(M)^2, taken after an exact power-of-two
+    scaling that keeps every square in float range; inf if singular."""
+    (a, b), (c, e) = m
+    k = -math.frexp(max(abs(a), abs(b), abs(c), abs(e)))[1]
+    a, b, c, e = (math.ldexp(v, k) for v in (a, b, c, e))
+    det = abs(a * e - b * c)
+    frobenius = a * a + b * b + c * c + e * e
+    gap = math.sqrt(max((frobenius - 2 * det) * (frobenius + 2 * det), 0.0))
+    cond = (frobenius + gap) / 2 / det if det else math.inf
     if not cond <= MAX_CONDITION:
         return (f"cond(M) = {cond:.3e} exceeds {MAX_CONDITION:.2e}: "
                 f"singular or ill-conditioned")
@@ -213,12 +260,11 @@ def check_lct(lct: Lct) -> None:
     """Raise ValueError("invalid LCT: ...") listing each violated
     canonicity constraint with its residual, and cond(M) if too large."""
     violations = []
-    residual = lct.M @ lct.N.T - np.eye(2)
     labels = (("sum alpha_i gamma_i - 1", "sum alpha_i delta_i"),
               ("sum beta_i gamma_i", "sum beta_i delta_i - 1"))
-    for i in range(2):
-        for j in range(2):
-            r = residual[i, j]
+    for i, row in enumerate(lct.M):
+        for j, col in enumerate(lct.N):
+            r = row[0] * col[0] + row[1] * col[1] - (i == j)  # (M N^T - I)_ij
             if abs(r) > STRUCTURAL_TOL:
                 violations.append(f"{labels[i][j]} = {r:.3e}")
     if conditioning := _condition_violation(lct.M):
@@ -227,11 +273,9 @@ def check_lct(lct: Lct) -> None:
         raise ValueError("invalid LCT: " + "; ".join(violations))
 
 
-def lct_from_position_block(M: np.ndarray) -> Lct:
+def lct_from_position_block(M) -> Lct:
     """Build a valid Lct from its position block alone, with N = inv(M.T)."""
-    m = np.asarray(M, dtype=float)
-    if m.shape != (2, 2) or not np.all(np.isfinite(m)):
+    m = _block(M)
+    if m is None:
         raise ValueError("position block must be a finite 2x2 matrix")
-    if conditioning := _condition_violation(m):
-        raise ValueError(f"position block: {conditioning}")
-    return Lct(M=m, N=np.linalg.inv(m.T))
+    return Lct(M=m)

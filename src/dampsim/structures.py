@@ -21,17 +21,23 @@ and frequencies.
 The search runs ``_nelder_mead`` (a pure-Python port of scipy's
 Nelder-Mead) on the residual over M', where no mass, frequency or hbar
 enters, and maps the best block back once, M = M' diag(s). So the search
-and its trace depend on the seed alone.
+and its trace depend on the seed alone. Its starts are
+numpy.random.default_rng(seed).uniform(-2, 2) draws, bit for bit, from
+``_uniform_draws``, a standard-library port of numpy's SeedSequence and
+PCG64; only transform_state imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .model import (Block, Lct, MomentState, TwoModeSystem, check_damped,
+                    check_lct)
 
-from .model import Lct, MomentState, TwoModeSystem, check_damped, check_lct
+if TYPE_CHECKING:
+    import numpy as np
 
 # Nelder-Mead limits per restart (iterations, function and simplex
 # tolerances), and the trivial-family exclusion margin
@@ -44,13 +50,13 @@ EXCLUSION_MARGIN = 1e-3
 def center_of_mass_lct() -> Lct:
     """The center-of-mass / relative-coordinate transform: X_A is the mean
     position, xi_B the position difference."""
-    return Lct(M=np.array([[0.5, 0.5], [1.0, -1.0]]),
-               N=np.array([[1.0, 1.0], [0.5, -0.5]]))
+    return Lct(M=((0.5, 0.5), (1.0, -1.0)), N=((1.0, 1.0), (0.5, -0.5)))
 
 
 def lct_matrix(lct: Lct) -> np.ndarray:
     """Embed the LCT as a 4x4 map from (x1, p1, x2, p2) to
     (X_A, P_A, xi_B, pi_B)."""
+    import numpy as np
     s = np.zeros((4, 4))
     s[0::2, 0::2] = lct.M  # rows alpha, beta
     s[1::2, 1::2] = lct.N  # rows gamma, delta
@@ -62,6 +68,7 @@ def transform_state(state: MomentState, lct: Lct) -> MomentState:
     (X_A, P_A, xi_B, pi_B), at the state's leading shape. The product
     s cov s^T is symmetric only up to rounding, so its upper triangle is
     kept and mirrored into the lower one."""
+    import numpy as np
     check_lct(lct)
     s = lct_matrix(lct)
     cov = s @ state.cov @ s.T
@@ -123,7 +130,7 @@ def classicality_residual(lct: Lct, system: TwoModeSystem) -> float:
 
 
 def classical_family(system: TwoModeSystem, theta: float,
-                     scales: tuple[float, float]) -> np.ndarray:
+                     scales: tuple[float, float]) -> Block:
     """Position block diag(scales) R(theta) diag(sqrt(m_i omega_i)).
 
     Its rescaled rows are orthogonal, so every member (nonzero scales)
@@ -132,8 +139,9 @@ def classical_family(system: TwoModeSystem, theta: float,
     off the multiples of pi/2 mix the modes.
     """
     c, s = math.cos(theta), math.sin(theta)
-    return (np.diag(scales) @ np.array([[c, -s], [s, c]])
-            @ np.diag(_mode_scales(system)))
+    s1, s2 = _mode_scales(system)
+    u, w = scales
+    return ((u * c * s1, u * -s * s2), (w * s * s1, w * c * s2))
 
 
 def _objective(v: list[float]) -> float:
@@ -198,6 +206,66 @@ def _nelder_mead(f, x0: list[float]) -> tuple[list[float], float, int]:
         it += 1
 
 
+_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
+
+
+def _seed_sequence_words(seed: int) -> list[int]:
+    """numpy.random.SeedSequence(seed).generate_state(4, np.uint64): the
+    entropy's 32-bit words (least significant first) hashed into a pool of
+    four, mixed, and drawn out as eight 32-bit words."""
+    words = (seed.bit_length() + 31) // 32 or 1
+    entropy = [seed >> 32 * i & _M32 for i in range(words)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _uniform_draws(seed: int, low: float, high: float):
+    """The draws of numpy.random.default_rng(seed).uniform(low, high), one
+    at a time and bit for bit: PCG64 (a 128-bit LCG with the XSL-RR output)
+    seeded from SeedSequence(seed), and 53-bit doubles."""
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    s_hi, s_lo, i_hi, i_lo = _seed_sequence_words(seed)
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+    state = ((inc + (s_hi << 64 | s_lo)) * mult + inc) & _M128
+    while True:
+        state = (state * mult + inc) & _M128
+        word, rot = ((state >> 64) ^ state) & _M64, state >> 122
+        word = (word >> rot | word << (64 - rot)) & _M64
+        yield low + (high - low) * ((word >> 11) * (1.0 / 2 ** 53))
+
+
+def _distance_to_identity(m: Block) -> float:
+    """Frobenius distance of m to the identity: the search's tie-break."""
+    (a, b), (c, e) = m
+    return math.hypot(a - 1.0, b, c, e - 1.0)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 32
@@ -218,29 +286,29 @@ class StructureReport:
 @dataclass(frozen=True)
 class RestartResult:
     index: int
-    rescaled_block: np.ndarray  # M' = M diag(1/s), where the search runs
+    rescaled_block: Block  # M' = M diag(1/s), where the search runs
     residual: float
     iterations: int
     trivial: bool
 
 
-def trivial_mixing_distance(M: np.ndarray) -> float:
-    """Normalized Frobenius distance of M to the nearest scaled permutation
-    (mode relabeling/rescaling, i.e. a structure equivalent to 1+2)."""
-    norm = np.linalg.norm(M)
+def trivial_mixing_distance(M) -> float:
+    """Normalized Frobenius distance of the 2x2 block M to the nearest
+    scaled permutation (mode relabeling/rescaling, i.e. a structure
+    equivalent to 1+2)."""
+    (a, b), (c, e) = M
+    norm = math.hypot(a, b, c, e)
     if norm == 0:
         return 0.0
-    off_diag = np.hypot(M[0, 1], M[1, 0])
-    on_diag = np.hypot(M[0, 0], M[1, 1])
-    return float(min(off_diag, on_diag) / norm)
+    return min(math.hypot(b, c), math.hypot(a, e)) / norm
 
 
-def evaluate_structure(M: np.ndarray, system: TwoModeSystem) -> StructureReport:
+def evaluate_structure(M, system: TwoModeSystem) -> StructureReport:
     """Full report for the canonical LCT with position block M, read from
     ``_rescaled`` of M' = M diag(1/s). M is taken as checked: the momentum
     block is N = N' diag(1/s), N' = inv(M'.T) = adj(M')^T / d."""
     s1, s2 = _mode_scales(system)
-    (a, b), (c, e) = np.asarray(M, dtype=float).tolist()
+    (a, b), (c, e) = ((float(v) for v in row) for row in M)
     a, b, c, e = a / s1, b / s2, c / s1, e / s2
     k, d, dot, ratio, distance, residual = _rescaled(a, b, c, e)
     a, b, c, e = (math.ldexp(v, k) for v in (a, b, c, e))
@@ -267,15 +335,15 @@ def search_classical_structure(
     Raises if every restart lands in the trivial family.
     """
     scales = _mode_scales(system)
-    rng = np.random.default_rng(config.seed)
+    draws = _uniform_draws(config.seed, -2.0, 2.0)
 
     trace: list[RestartResult] = []
     for i in range(config.restarts):
-        start = rng.uniform(-2.0, 2.0, size=4)
+        start = [next(draws) for _ in range(4)]
         while abs(start[0] * start[3] - start[1] * start[2]) < 0.1:
-            start = rng.uniform(-2.0, 2.0, size=4)
-        x, fun, nit = _nelder_mead(_objective, start.tolist())
-        m = np.array(x).reshape(2, 2)
+            start = [next(draws) for _ in range(4)]
+        x, fun, nit = _nelder_mead(_objective, start)
+        m = (tuple(x[:2]), tuple(x[2:]))
         trace.append(RestartResult(
             index=i, rescaled_block=m, residual=fun, iterations=nit,
             trivial=trivial_mixing_distance(m) < EXCLUSION_MARGIN))
@@ -284,8 +352,9 @@ def search_classical_structure(
     if not candidates:
         raise RuntimeError("every restart converged to a trivial "
                            "(mode-relabeling) structure")
-    best = min(candidates,
-               key=lambda r: (r.residual,
-                              np.linalg.norm(r.rescaled_block - np.eye(2)),
-                              r.index))
-    return evaluate_structure(best.rescaled_block * scales, system), trace
+    best = min(candidates, key=lambda r: (
+        r.residual, _distance_to_identity(r.rescaled_block), r.index))
+    (a, b), (c, e) = best.rescaled_block
+    s1, s2 = scales
+    return evaluate_structure(((a * s1, b * s2), (c * s1, e * s2)),
+                              system), trace

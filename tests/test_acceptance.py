@@ -190,11 +190,11 @@ def test_criterion_6_nonclassicality_of_alternates():
     assert time.monotonic() - start < 60.0
     assert report_mass.residual > 1e-4, \
         (f"nontrivial classical structure found for unequal masses: "
-         f"M = {report_mass.lct.M.tolist()}, "
+         f"M = {np.array(report_mass.lct.M).tolist()}, "
          f"residual = {report_mass.residual:g}")
     assert report_detuned.residual > 1e-4, \
         (f"nontrivial classical structure found for detuned frequencies: "
-         f"M = {report_detuned.lct.M.tolist()}, "
+         f"M = {np.array(report_detuned.lct.M).tolist()}, "
          f"residual = {report_detuned.residual:g}")
 
 

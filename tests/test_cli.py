@@ -107,6 +107,19 @@ class TestExitCodes:
             base_scenario(lct={"M": [[1.0, 0.0], [0.0, 1.0]], "N": ragged}),
             base_scenario(lct={"M": ragged}),
         ]
+        # nor is a nest deeper than numpy's 64 dimensions an array
+        deep = 1.0
+        for _ in range(65):
+            deep = [deep]
+        malformed_values.append(base_scenario(lct={"M": deep}))
+        # booleans, numeric strings and null are not numbers in an array
+        # either, as they are not in a scalar key
+        identity = [[1.0, 0.0], [0.0, 1.0]]
+        for entry in (True, "0.0", None):
+            block = [[1.0, entry], [0.0, 1.0]]
+            malformed_values += [base_scenario(lct={"M": block}),
+                                 base_scenario(lct={"M": identity,
+                                                    "N": block})]
         for text in ("{not json", nan_kappa, inf_t_end, huge_kappa,
                      *map(json.dumps, malformed_values)):
             path.write_text(text)
@@ -717,7 +730,17 @@ class TestInitialStates:
                       "cov": [[1.0, 0.0], [0.0]]},
                      {"type": "density"},
                      {"type": "density", "real": [[0.5, 0.5], ["a", 0.5]]},
-                     {"type": "coherent", "alpha1": ["a", 1]}]
+                     {"type": "coherent", "alpha1": ["a", 1]},
+                     {"type": "moments", "mean": ["1.3", "0", "0", "0"],
+                      "cov": np.eye(4).tolist()},
+                     {"type": "moments", "mean": [0.0, 0.0, 0.0, False],
+                      "cov": np.eye(4).tolist()},
+                     {"type": "moments", "mean": [0.0] * 4,
+                      "cov": [[True, 0.0, 0.0, 0.0]] + np.eye(4)[1:].tolist()},
+                     {"type": "density",
+                      "real": [[True, 0.0, 0.0, 0.0]] + rho[1:].tolist()},
+                     {"type": "density", "real": rho.tolist(),
+                      "imag": [["0", 0.0, 0.0, 0.0]] + rho[1:].tolist()}]
         invalid = [{"type": "moments", "mean": [0.0] * 4, "cov": unphysical},
                    {"type": "moments", "mean": [0.0, 0.0, 0.0, "INF"],
                     "cov": np.eye(4).tolist()},
@@ -908,18 +931,26 @@ def test_any_scenario_exits_with_a_documented_code(scenario):
             assert code in (0, 1, 2, 3, 4)
 
 
-def test_cli_import_leaves_scipy_unloaded(tmp_path):
+def test_cli_leaves_numpy_and_scipy_unloaded(tmp_path):
+    # importing the CLI, loading a scenario without a density, and the
+    # structure and classicality commands all run on the standard library
     src = os.path.dirname(os.path.dirname(dampsim.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    config = write_scenario(tmp_path, base_scenario())
-    # importing the CLI, and running the search, both leave scipy unloaded
-    argv = ["classicality", "--config", config, "--output", str(tmp_path)]
-    code = ("import sys, dampsim.cli; print('scipy' in sys.modules); "
-            f"code = dampsim.cli.main({argv!r}); "
-            "print(code, 'scipy' in sys.modules)")
+    config = write_scenario(tmp_path, base_scenario(
+        lct={"M": [[0.5, 0.5], [1.0, -1.0]]}))
+    steps = ["import dampsim.cli", f"dampsim.cli.load_scenario({config!r})"]
+    argvs = [[command, "--config", config, "--output", str(tmp_path)]
+             for command in ("structure", "classicality")]
+    steps += [f"assert dampsim.cli.main({argv!r}) == 0" for argv in argvs]
+    code = "import sys\n" + "".join(
+        f"{step}\nprint(sorted({{'numpy', 'scipy'}} & set(sys.modules)))\n"
+        for step in steps)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.splitlines() == ["False", "0 False"]
+    assert out.stdout.splitlines() == ["[]"] * 4
+    assert sorted(os.listdir(tmp_path)) == [
+        "classicality.txt", "scenario.json", "search_trace.csv",
+        "structure.txt"]
 
 
 def test_package_exports_resolve():

@@ -172,6 +172,6 @@ class TestLct:
             if abs(np.linalg.det(m)) < 0.1:
                 continue
             lct = lct_from_position_block(m)
-            residual = lct.M @ lct.N.T - np.eye(2)
+            residual = np.array(lct.M) @ np.array(lct.N).T - np.eye(2)
             assert np.max(np.abs(residual)) < 1e-10
             checked += 1

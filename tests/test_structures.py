@@ -28,7 +28,8 @@ class TestCenterOfMassLct:
 
     def test_alpha_delta_orthogonality(self):
         lct = center_of_mass_lct()
-        assert lct.M[0] @ lct.N[1] == pytest.approx(0.0, abs=1e-15)
+        assert np.array(lct.M[0]) @ np.array(lct.N[1]) == \
+            pytest.approx(0.0, abs=1e-15)
 
     def test_position_block_invertible(self):
         assert np.linalg.det(center_of_mass_lct().M) == pytest.approx(-1.0)
@@ -225,7 +226,8 @@ class TestClassicalityResidual:
     def test_scaling_leaves_zero_set_unchanged(self):
         system = make_system()
         for c in (0.5, 2.0):
-            lct = lct_from_position_block(c * center_of_mass_lct().M)
+            lct = lct_from_position_block(
+                c * np.array(center_of_mass_lct().M))
             assert classicality_residual(lct, system) < 1e-12
 
     def test_nontrivial_zero_exists_even_for_unequal_masses(self):
@@ -317,8 +319,18 @@ class TestNelderMead:
             assert fun == float(ref.fun)
             assert nit == ref.nit
             # the search runs this very minimization, whatever the system
-            assert restart.rescaled_block.ravel().tolist() == x
+            assert np.array(restart.rescaled_block).ravel().tolist() == x
             assert (restart.residual, restart.iterations) == (fun, nit)
+
+    def test_starts_match_numpy_bit_for_bit(self):
+        # the standard-library PCG64 behind the search's starts, pinned to
+        # numpy itself whether or not scipy is installed; 2 ** 32 and
+        # 2 ** 64 + 1 are two and three entropy words, 2 ** 130 is five,
+        # more than the pool of four
+        for seed in [*range(201), 2 ** 32, 2 ** 64 + 1, 2 ** 130]:
+            draws = structures._uniform_draws(seed, -2.0, 2.0)
+            want = np.random.default_rng(seed).uniform(-2.0, 2.0, size=60)
+            assert [next(draws) for _ in range(60)] == want.tolist(), seed
 
     def test_minimizes_a_quadratic(self):
         x, fun, nit = structures._nelder_mead(
@@ -347,7 +359,7 @@ class TestClassicalFamily:
     def test_search_result_lies_in_family(self, system):
         report, _ = search_classical_structure(system, SearchConfig(seed=6))
         s = np.array([np.sqrt(m.mass * m.omega) for m in system.modes])
-        rows = report.lct.M / s
+        rows = np.array(report.lct.M) / s
         norms = np.linalg.norm(rows, axis=1)
         # the residual is at least (rows[0] . rows[1])^2
         cosine = rows[0] @ rows[1] / (norms[0] * norms[1])
