@@ -49,9 +49,18 @@ def asymptotic_state(system: TwoModeSystem) -> MomentState:
 
 def uncertainty_products(cov: np.ndarray) -> np.ndarray:
     """Delta q * Delta p of the two sectors (quadrature pairs 0-1 and 2-3)
-    of a (..., 4, 4) covariance stack; shape (..., 2)."""
+    of a (..., 4, 4) covariance stack; shape (..., 2).
+
+    sqrt(var_q var_p) from the variances' mantissas in [1/2, 1) and their
+    exponent sum e: sqrt(m_q m_p 2^(e mod 2)) 2^(e div 2). That is
+    sqrt(var_q * var_p) bit for bit where the product is a normal float,
+    since scaling by 2^e commutes with the rounding there, and stays in
+    float range where the product would overflow or underflow but its root
+    does not (hbar = 1e300 or 1e-300 at the vacuum)."""
     var = np.diagonal(cov, axis1=-2, axis2=-1)
-    return np.sqrt(var[..., 0::2] * var[..., 1::2])
+    (m_q, e_q), (m_p, e_p) = np.frexp(var[..., 0::2]), np.frexp(var[..., 1::2])
+    e = e_q + e_p
+    return np.ldexp(np.sqrt(m_q * m_p * (1 + e % 2)), e // 2)
 
 
 def uncertainty_product(state: MomentState,

@@ -18,15 +18,17 @@ That kernel takes the bands of one time; kraus_operators also builds a
 (T,) grid of them as bands (T, D, D), row k bit for bit the set at
 times[k]. The channel maps each diagonal of an operator to itself, and
 _heisenberg_diagonal maps one at every time of such a grid, O(D^2) per
-time, bit for bit the dense image's diagonal. The moments read diagonals
-0, 1 and 2 of x, p, x^2, p^2 and (xp + px)/2 off their number-basis
-matrix elements, no dense operator formed, and -1, -2 as conjugates.
-moment_trajectory walks a grid in chunks within _CHUNK_BYTES, with one
-band build per mode and chunk, whose moments and margins it returns; the
-cross moments meet only 4 (D-1)^2 density entries. Each margin reads the
-bands the moments apply: the completeness defect is I - E^dag(I) on
-diagonal 0, the BH residual and the cutoff population are read off K_0's
-band e^{-ktN}.
+time, bit for bit the dense image's diagonal. Diagonal k = 0, 1, 2 of
+x, p, x^2, p^2 and (xp + px)/2 is one ladder diagonal (2n+1, sqrt(n+1),
+sqrt((n+1)(n+2))) times a coefficient of the mode, and diagonal -k its
+conjugate, so by linearity the oracle maps the three ladder diagonals
+alone, one row each, and weights their images; no dense operator is
+formed. moment_trajectory walks a grid in chunks within _CHUNK_BYTES,
+with one band build per mode and chunk, whose moments and margins it
+returns; the cross moments meet only 4 (D-1)^2 density entries. Each
+margin reads the bands the moments apply: the completeness defect is
+I - E^dag(I) on diagonal 0, the BH residual and the cutoff population
+are read off K_0's band e^{-ktN}.
 
 A CPTP channel keeps a valid density valid, so the evolution functions check
 only shapes; check_density (a Cholesky factorization, O(D^6) for two
@@ -50,28 +52,29 @@ class ModeOperators(NamedTuple):
 
 
 def _quadrature_diagonals(dim: int, params: ModeParams,
-                          constants: PhysicalConstants) -> list[np.ndarray]:
-    """Diagonals k = 0, 1, 2 of x, p, x^2, p^2 and (xp + px)/2 as (5, dim-k)
-    arrays: ladder diagonals 2n+1, sqrt(n+1), sqrt((n+1)(n+2)) times a table
-    of coefficients. x^2 is the exact P x^2 P, not (PxP)^2."""
+                          constants: PhysicalConstants) -> tuple:
+    """Diagonals k = 0, 1, 2 of x, p, x^2, p^2 and (xp + px)/2 as the
+    cutoff's ladder diagonals 2n+1, sqrt(n+1), sqrt((n+1)(n+2)) and the
+    mode's (3, 5) table: diagonal k of observable c is table[k, c] times
+    ladder k, and diagonal -k its conjugate. x^2 is the exact P x^2 P, not
+    (PxP)^2."""
     if dim < 2:
         raise ValueError(f"Fock cutoff must be >= 2, got {dim}")
     vx, vp = vacuum_variances(params, constants.hbar)
     sx, sp = math.sqrt(vx), math.sqrt(vp)
     n = np.arange(dim)
-    ladder = (2.0 * n + 1.0, np.sqrt(n[1:]), np.sqrt(n[1:-1] * n[2:]))
-    table = np.array([[0, 0, vx, vp, 0],
-                      [sx, -1j * sp, 0, 0, 0],
-                      [0, 0, vx, -vp, -1j * sx * sp]])
-    return [row[:, None] * diag for row, diag in zip(table, ladder)]
+    ladders = (2.0 * n + 1.0, np.sqrt(n[1:]), np.sqrt(n[1:-1] * n[2:]))
+    return ladders, np.array([[0, 0, vx, vp, 0],
+                              [sx, -1j * sp, 0, 0, 0],
+                              [0, 0, vx, -vp, -1j * sx * sp]])
 
 
 def build_mode_operators(dim: int, params: ModeParams,
                          constants: PhysicalConstants) -> ModeOperators:
     """Dense quadrature matrices x and p of one mode."""
-    diag1 = _quadrature_diagonals(dim, params, constants)[1][:2]
+    ladders, table = _quadrature_diagonals(dim, params, constants)
     return ModeOperators(*(np.diag(d, 1) + np.diag(d.conj(), -1)
-                           for d in diag1))
+                           for d in table[1, :2, None] * ladders[1]))
 
 
 def kraus_operators(kappa: float, t: float | np.ndarray,
@@ -263,10 +266,11 @@ def fock_density(level: int, dim: int) -> np.ndarray:
 
 
 #: Bytes the oracle's working set per chunk of times may take. Per time it
-#: holds both modes' real Kraus bands and their diagonal images: 3.4 complex
-#: (D, D) arrays at D = 32 and 4.7 at D = 16 by tracemalloc, setup included.
-#: _TIME_ARRAYS covers D >= 16, so a chunk is 54 times at D = 16, 13 at
-#: D = 32 and 3 at D = 64, and the working set does not grow with the grid.
+#: holds both modes' real Kraus bands and their ladder images: 2.0 complex
+#: (D, D) arrays at D = 32, 2.2 at D = 16 and 3.4 at D = 64 by tracemalloc,
+#: setup included. _TIME_ARRAYS keeps the chunks of 54 times at D = 16, 13
+#: at D = 32 and 3 at D = 64, and the working set does not grow with the
+#: grid.
 _CHUNK_BYTES = 3 * 2 ** 19
 _TIME_ARRAYS = 7
 
@@ -290,17 +294,20 @@ class OracleTrajectory(NamedTuple):
 def _chunk_moments(kraus: tuple[np.ndarray, np.ndarray], tables: list,
                    rho_xp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Means (C, 4) and covariances (C, 4, 4) at the C times of a pair of
-    batched Kraus bands: per mode of `tables`, the five observables' images
-    on diagonals -2..2 against the reduced density, and the cross block
-    from the x and p images q1, q2 on diagonals -1, 1 against rho_xp."""
+    batched Kraus bands. Per mode of `tables`, ladder diagonal k's image
+    against the reduced density's diagonal -k is z_k, and diagonal -k, the
+    conjugate of k, adds conj(z_k): the moment of table column c is
+    Re(c_0 z_0 + 2 c_1 z_1 + 2 c_2 z_2), the 2 held in the density's
+    diagonals. The cross block takes x and p on diagonals -1, 1, table row 1
+    times the diagonal-1 image, against rho_xp."""
     local, q = [], []
-    for bands, (obs, r) in zip(kraus, tables):
-        images = [_heisenberg_diagonal(x, k, bands) for k, x in enumerate(obs)]
-        # images[-k] is diagonal -k, the conjugate of k: images are Hermitian
-        images += [images[2].conj(), images[1].conj()]
-        local.append(sum(images[k] @ r[k] for k in range(-2, 3)).real)
-        q.append(np.concatenate([images[-1][:, :2], images[1][:, :2]],
-                                axis=-1))
+    for bands, (ladders, table, r) in zip(kraus, tables):
+        images = [_heisenberg_diagonal(x, k, bands)
+                  for k, x in enumerate(ladders)]
+        z = [(image * r[k]).sum(axis=-1) for k, image in enumerate(images)]
+        local.append(sum(z[k][:, None] * table[k] for k in range(3)).real)
+        x_p = table[1, :2, None] * images[1][:, None]
+        q.append(np.concatenate([x_p.conj(), x_p], axis=-1))
     cross = (q[0] @ rho_xp @ q[1].transpose(0, 2, 1)).real
     mean = np.concatenate([local[0][:, :2], local[1][:, :2]], axis=1)
     cov = np.empty((len(mean), 4, 4))
@@ -329,8 +336,10 @@ def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,
         raise ValueError("times must be a 1-D grid, got a scalar")
     rho4 = _two_mode_tensor(rho0, dim, dim)
     densities = reduced_densities(rho0, dim)
-    tables = [(_quadrature_diagonals(dim, mode, system.constants),
-               {k: np.diagonal(r, -k) for k in range(-2, 3)})
+    # per mode the ladders, the table and diagonals 0, -1, -2 of the
+    # reduced density, the last two doubled for their conjugates
+    tables = [(*_quadrature_diagonals(dim, mode, system.constants),
+               [np.diagonal(r, -k) * (2 if k else 1) for k in range(3)])
               for mode, r in zip(system.modes, densities)]
     # tr[(q1 otimes q2) rho] = sum q1_ij q2_lk rho4[j, k, i, l], and (i, j)
     # is (u + 1, u) on diagonal -1, (u, u + 1) on 1, concatenated so

@@ -67,14 +67,18 @@ def transform_state(state: MomentState, lct: Lct) -> MomentState:
     """Moments of the alternate degrees of freedom, ordering
     (X_A, P_A, xi_B, pi_B), at the state's leading shape. The product
     s cov s^T is symmetric only up to rounding, so its upper triangle is
-    kept and mirrored into the lower one."""
+    kept and mirrored into the lower one. A frame whose moments leave float
+    range (a canonical M of entries 1e200, or 1e-200 and so N of 5e199)
+    raises FloatingPointError, a computation failure."""
     import numpy as np
     check_lct(lct)
     s = lct_matrix(lct)
-    cov = s @ state.cov @ s.T
+    with np.errstate(over="raise", invalid="raise"):
+        cov = s @ state.cov @ s.T
+        mean = (s @ state.mean[..., None])[..., 0]
     i, j = np.tril_indices(4, -1)  # i > j
     cov[..., i, j] = cov[..., j, i]
-    return MomentState(mean=(s @ state.mean[..., None])[..., 0], cov=cov)
+    return MomentState(mean=mean, cov=cov)
 
 
 def _mode_scales(system: TwoModeSystem) -> tuple[float, float]:

@@ -10,7 +10,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dampsim
@@ -80,6 +80,20 @@ def decimal_structure(scenario):
                            + (out["product_B"] - half) ** 2
                            + out["cov_xx"] ** 2 + out["cov_pp"] ** 2) / half ** 2
         return out
+
+
+def overflowing_lct_scenario(v):
+    """A coherent-state evolve scenario in the canonical LCT frame
+    M = [[v, v], [v, -v]], which overflows for v = 1e200 and 1e-200."""
+    return base_scenario(lct={"M": [[v, v], [v, -v]]})
+
+
+def extreme_hbar_scenario(hbar):
+    """The vacuum at hbar, both engines at a small cutoff."""
+    scenario = base_scenario(engine="both", fock_dim=4,
+                             initial={"type": "vacuum"})
+    scenario["system"]["hbar"] = hbar
+    return scenario
 
 
 def read_csv(path):
@@ -251,16 +265,44 @@ class TestExitCodes:
 
     def test_computation_failure_exits_4(self, tmp_path, capsys,
                                          monkeypatch):
-        # every restart "converges" to the identity block in one iteration
+        # every restart "converges" to the identity block in one iteration;
+        # and an LCT frame, canonical with cond(M) = 1, whose moments leave
+        # float range: M itself at 1e200, N = inv(M.T) at 5e199 for 1e-200
         monkeypatch.setattr(structures, "_nelder_mead",
                             lambda *a, **k: ([1.0, 0.0, 0.0, 1.0], 0.0, 1))
-        config = write_scenario(tmp_path, base_scenario())
-        assert main(["classicality", "--config", config,
-                     "--output", str(tmp_path)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "trivial" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "classicality.txt").exists()
+        cases = [("classicality", base_scenario(), "trivial",
+                  "classicality.txt")]
+        cases += [("evolve", overflowing_lct_scenario(v), "overflow",
+                   "trajectory.csv") for v in (1e200, 1e-200)]
+        for command, scenario, cause, output in cases:
+            config = write_scenario(tmp_path, scenario)
+            assert main([command, "--config", config,
+                         "--output", str(tmp_path)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: computation failed: ")
+            assert cause in err and len(err.splitlines()) == 1
+            assert "Traceback" not in err
+            assert not (tmp_path / output).exists()
+
+    def test_uncertainty_products_past_float_range_exit_0(self, tmp_path,
+                                                          capsys):
+        # var_x var_p = (hbar/2)^2 overflows at hbar 1e300 and underflows
+        # at 1e-300, but its root hbar/2 is a float
+        for hbar, want in ((1e300, "5.0000000000000003e+299"),
+                           (1e-300, "5.0000000000000001e-301")):
+            config = write_scenario(tmp_path, extreme_hbar_scenario(hbar))
+            out = tmp_path / f"out{hbar:g}"
+            assert main(["evolve", "--config", config,
+                         "--output", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            header, rows = read_csv(out / "trajectory.csv")
+            columns = [header.index(f"uncertainty_mode{i}") for i in (1, 2)]
+            assert [rows[0][i] for i in columns] == [want, want]
+            products = [float(row[i]) for row in rows for i in columns]
+            summary = (out / "summary.txt").read_text().splitlines()
+            line = [l for l in summary if l.startswith("final uncertainty")]
+            products += map(float, line[0].split(": ")[1].split())
+            assert all(abs(v - hbar / 2) <= 4e-16 * hbar for v in products)
 
     def test_extreme_masses_exit_0(self, tmp_path):
         # m omega from 1e-150 to 1e200: no float error escapes, as a
@@ -498,7 +540,7 @@ class TestOtherCommands:
             fn = getattr(fock, name)
             monkeypatch.setattr(fock, name,
                                 lambda *a, fn=fn, record=record:
-                                record.append(1) or fn(*a))
+                                record.append(a) or fn(*a))
         dim, n_times = 32, 16
         scenario = base_scenario(fock_dim=dim,
                                  time_grid={"t_start": 0.0, "t_end": 3.0,
@@ -509,11 +551,15 @@ class TestOtherCommands:
         chunks = -(-n_times // fock._chunk_size(dim))
         assert 1 < chunks < n_times
         # per mode and chunk, for the moments and the report alike, and
-        # one kernel call per mode, chunk and diagonal 0, 1, 2 (-1 and -2
-        # are their conjugates), and one for the completeness defect
+        # one kernel call per mode, chunk and ladder diagonal 0, 1, 2 (-1
+        # and -2 are their conjugates), and one for the completeness defect
         # E^dag(I) on diagonal 0
         assert len(calls["kraus_operators"]) == 2 * chunks
         assert len(calls["_heisenberg_diagonal"]) == 2 * 4 * chunks
+        # each call maps one row: a ladder diagonal or the identity's, not
+        # a stack of observables
+        assert [np.ndim(x) for x, k, bands in calls["_heisenberg_diagonal"]
+                ] == [1] * (2 * 4 * chunks)
         # the report makes one oracle call for the moments and the margins
         assert len(calls["moment_trajectory"]) == 1
         lines = (tmp_path / "oracle_report.txt").read_text().splitlines()
@@ -920,6 +966,8 @@ def mutated_scenarios(draw):
 
 
 @given(mutated_scenarios())
+@example(extreme_hbar_scenario(1e300))
+@example(overflowing_lct_scenario(1e200))
 def test_any_scenario_exits_with_a_documented_code(scenario):
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "scenario.json")

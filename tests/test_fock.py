@@ -227,14 +227,15 @@ class TestModeOperators:
         x, p = dense_quadratures(dim + 3, mode, constants)
         dense = np.stack([x, p, x @ x, p @ p,
                           0.5 * (x @ p + p @ x)])[:, :dim, :dim]
-        table = quadrature_diagonals(dim, mode, constants)
-        assert len(table) == 3
-        for k, diagonal in enumerate(table):
-            assert diagonal.shape == (5, dim - k)
+        ladders, table = quadrature_diagonals(dim, mode, constants)
+        assert len(ladders) == 3 and table.shape == (3, 5)
+        for k, (ladder, row) in enumerate(zip(ladders, table)):
+            assert ladder.shape == (dim - k,)
+            diagonal = row[:, None] * ladder
             for got, d in ((diagonal, k), (diagonal.conj(), -k)):
                 want = np.diagonal(dense, d, 1, 2)
                 assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), d
-        # the dense x and p are the table's diagonal 1 and its conjugate
+        # the dense x and p are table row 1 times ladder 1, and conjugates
         ops = build_mode_operators(dim, mode, constants)
         assert np.array_equal(ops.x, x[:dim, :dim])
         assert np.array_equal(ops.p, p[:dim, :dim])
@@ -606,19 +607,20 @@ class TestHeisenbergMoment:
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 17, 32])
     def test_real_bands_map_conjugate_diagonals_to_conjugates(self, dim):
-        # the oracle maps diagonals 0, 1, 2 and conjugates for -1, -2: for
-        # the real bands kraus_operators returns, bit for bit the kernel's
-        # own image of diagonal -k
+        # the oracle maps ladder diagonals 0, 1, 2 and takes conjugates for
+        # -1, -2: for the real bands kraus_operators returns, bit for bit
+        # the kernel's own image of diagonal -k, for the ladders and the
+        # observables table[k] times them alike
         rng = np.random.default_rng(dim + 2)
         batch = kraus_operators(0.8, np.array([0.0, 0.05, 0.7, 3.0, 1e200]),
                                 dim)
-        table = quadrature_diagonals(dim, make_system().mode1,
-                                     PhysicalConstants())
+        ladders, table = quadrature_diagonals(dim, make_system().mode1,
+                                              PhysicalConstants())
         for k in range(1, min(dim, 3)):
             size = dim - k
             noise = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2,
                                                                        size))
-            for x in (table[k], noise):
+            for x in (ladders[k], table[k][:, None] * ladders[k], noise):
                 assert np.array_equal(heisenberg_diagonal(x.conj(), -k, batch),
                                       heisenberg_diagonal(x, k, batch).conj())
 
