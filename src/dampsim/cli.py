@@ -25,10 +25,13 @@ The oracle command makes one fock.moment_trajectory call, which returns
 the moments with their per-time margins, and formats what it returns.
 
 numpy, analytic and fock are imported where evolve and oracle use them,
-and where a density or moments are parsed. So structure and
-classicality on a vacuum or coherent scenario run on the standard
-library, and the arrays they read are checked without numpy
-(_float_shape).
+and where a density or moments are parsed; fock only on a density or a
+fock engine. So structure and classicality on a vacuum or coherent
+scenario run on the standard library, and the arrays they read are
+checked without numpy (_float_shape).
+
+main runs BLAS on one thread unless the caller set OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS, or numpy was loaded before it.
 """
 
 from __future__ import annotations
@@ -297,11 +300,11 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
 def initial_moment_state(scenario: Scenario) -> MomentState:
     """The initial moments; a density's come from the Fock engine at t = 0."""
     import numpy as np
-    from . import fock
     system, initial = scenario.system, scenario.initial
     if isinstance(initial, MomentState):
         return initial
     if isinstance(initial, np.ndarray):
+        from . import fock
         return fock.two_mode_moments(initial, system, 0.0, scenario.fock_dim)
     # coherent: <x> = 2 sqrt(vx) Re(alpha), <p> = 2 sqrt(vp) Im(alpha)
     mean = []
@@ -395,7 +398,7 @@ def _engine_deviation(a, f) -> np.ndarray:
 
 def run_evolve(scenario: Scenario, out_dir: str) -> None:
     import numpy as np
-    from . import analytic, fock
+    from . import analytic
     system, times = scenario.system, scenario.times
     rho0 = (initial_density(scenario) if scenario.engine in ("fock", "both")
             else None)
@@ -404,6 +407,7 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
         trajectories["analytic"] = analytic.evolve_trajectory(
             initial_moment_state(scenario), system, times)
     if rho0 is not None:
+        from . import fock
         oracle = fock.moment_trajectory(rho0, system, times, scenario.fock_dim)
         trajectories["fock"] = MomentState(mean=oracle.mean, cov=oracle.cov)
 
@@ -513,7 +517,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The thread-count variables of OpenBLAS, OpenMP and MKL, which BLAS
+#: reads once, when numpy loads it.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # The commands' matrices are too small for a second BLAS thread,
+        # and an idle one spins on a CPU; a value already set wins.
+        for name in _BLAS_THREAD_VARS:
+            os.environ.setdefault(name, "1")
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.config)

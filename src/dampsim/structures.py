@@ -88,14 +88,20 @@ def _mode_scales(system: TwoModeSystem) -> tuple[float, float]:
     return tuple(math.sqrt(mode.mass * mode.omega) for mode in system.modes)
 
 
+#: Largest entries of M' that ``_rescaled`` leaves unscaled: below 2^256
+#: no product of two entries comes near the float range.
+_UNSCALED_TOP = 2.0 ** 256
+
+
 def _rescaled(a: float, b: float, c: float, e: float) -> tuple[float, ...]:
     """k, d, dot, ratio, family distance and residual of the rescaled block
     M' = [[a, b], [c, e]] (module docstring), for d != 0. d and dot are
-    those of 2^k M', where k >= 0 brings a largest entry below 1/2 into
-    [1/2, 1), so d stays representable for a tiny, well-conditioned M';
-    the rest are those of M' itself, unscaled exactly."""
+    those of 2^k M', where k brings a largest entry below 1/2 or of 2^256
+    and more into [1/2, 1), so d stays representable for a tiny or huge,
+    well-conditioned M'; the rest are those of M' itself, unscaled
+    exactly."""
     top = max(abs(a), abs(b), abs(c), abs(e))
-    k = -math.frexp(top)[1] if top < 0.5 else 0
+    k = -math.frexp(top)[1] if not 0.5 <= top < _UNSCALED_TOP else 0
     if k:
         a, b, c, e = (math.ldexp(v, k) for v in (a, b, c, e))
     d = a * e - b * c
@@ -165,8 +171,9 @@ def _nelder_mead(f, x0: list[float]) -> tuple[list[float], float, int]:
     maxiter=MAX_ITER, fatol=TOL, xatol=XATOL: the same initial simplex,
     coefficients (reflect 1, expand 2, contract 1/2, shrink 1/2), stable
     ordering, row-order centroid and stopping test, so the same
-    floating-point operations in the same order. Returns (x, f(x),
-    iterations).
+    floating-point operations in the same order; the test reads the
+    function spread before the simplex spread, which only skips work.
+    Returns (x, f(x), iterations).
     """
     n = len(x0)
     sim = [list(x0)]
@@ -181,8 +188,9 @@ def _nelder_mead(f, x0: list[float]) -> tuple[list[float], float, int]:
         sim, fs = [sim[j] for j in order], [fs[j] for j in order]
         best, worst = sim[0], sim[-1]
         if it >= MAX_ITER or (
+                max(abs(fs[0] - g) for g in fs[1:]) <= TOL and
                 max(abs(u - b) for x in sim[1:] for u, b in zip(x, best))
-                <= XATOL and max(abs(fs[0] - g) for g in fs[1:]) <= TOL):
+                <= XATOL):
             return best, fs[0], it
         xbar = sim[0]
         for x in sim[1:-1]:

@@ -83,8 +83,9 @@ def decimal_structure(scenario):
 
 
 def overflowing_lct_scenario(v):
-    """A coherent-state evolve scenario in the canonical LCT frame
-    M = [[v, v], [v, -v]], which overflows for v = 1e200 and 1e-200."""
+    """A coherent-state scenario in the canonical LCT frame
+    M = [[v, v], [v, -v]], whose evolve frame overflows for v = 1e200 and
+    1e-200."""
     return base_scenario(lct={"M": [[v, v], [v, -v]]})
 
 
@@ -603,6 +604,22 @@ class TestOtherCommands:
         assert float(values["family_distance"]) == pytest.approx(0.0,
                                                                  abs=1e-15)
 
+    @pytest.mark.parametrize("v, m, n", [
+        (1e200, "9.9999999999999997e+199", "4.9999999999999999e-201"),
+        (1e-200, "9.9999999999999998e-201", "4.9999999999999998e+199")])
+    def test_structure_of_a_well_conditioned_block_past_float_range(
+            self, tmp_path, v, m, n):
+        # M' = v [[1, 1], [1, -1]]: det M' = -2 v^2 is past float range,
+        # the structure is not; N = inv(M.T) has entries 1/(2 v)
+        config = write_scenario(tmp_path, overflowing_lct_scenario(v))
+        assert main(["structure", "--config", config,
+                     "--output", str(tmp_path)]) == 0
+        assert (tmp_path / "structure.txt").read_text().splitlines() == [
+            f"position block M: {m} {m} {m} -{m}",
+            f"momentum block N: {n} {n} {n} -{n}",
+            "product_A: 0.5", "product_B: 0.5", "cov_xx: 0", "cov_pp: -0",
+            "residual: 0", "family_distance: 0"]
+
     def test_structure_without_lct_exits_2(self, tmp_path):
         config = write_scenario(tmp_path, base_scenario())
         assert main(["structure", "--config", config,
@@ -999,6 +1016,53 @@ def test_cli_leaves_numpy_and_scipy_unloaded(tmp_path):
     assert sorted(os.listdir(tmp_path)) == [
         "classicality.txt", "scenario.json", "search_trace.csv",
         "structure.txt"]
+
+
+def test_only_a_density_or_a_fock_engine_loads_fock(tmp_path):
+    # an analytic evolve has no use for the Fock engine's module
+    src = os.path.dirname(os.path.dirname(dampsim.__file__))
+    config = write_scenario(tmp_path, base_scenario())
+    code = ("import sys\nfrom dampsim.cli import main\n"
+            "for command in ('evolve', 'oracle'):\n"
+            f"    assert main([command, '--config', {config!r}, "
+            f"'--output', {str(tmp_path)!r}]) == 0\n"
+            "    print('dampsim.fock' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.splitlines() == ["False", "True"]
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("prelude, action, preset, want", [
+    # main sets each variable the caller left unset to one thread
+    ("", "main", {}, [False, "1", "1", "1"]),
+    ("", "main", {"OPENBLAS_NUM_THREADS": "3"}, [False, "3", "1", "1"]),
+    # once numpy has loaded its BLAS, the variables no longer act
+    ("import numpy", "main", {}, [True, None, None, None]),
+    # the library never touches the environment
+    ("", "import dampsim.fock", {}, [True, None, None, None]),
+])
+def test_cli_runs_blas_on_one_thread_by_default(tmp_path, prelude, action,
+                                                preset, want):
+    src = os.path.dirname(os.path.dirname(dampsim.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=src)
+    config = write_scenario(tmp_path, base_scenario(
+        initial={"type": "vacuum"}, fock_dim=4))
+    if action == "main":
+        action = ("from dampsim.cli import main\n"
+                  f"assert main(['oracle', '--config', {config!r}, "
+                  f"'--output', {str(tmp_path)!r}]) == 0")
+    code = (f"import os\n{prelude}\nbefore = dict(os.environ)\n{action}\n"
+            f"print([dict(os.environ) == before] + "
+            f"[os.environ.get(k) for k in {BLAS_THREAD_VARS!r}])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == repr(want)
 
 
 def test_package_exports_resolve():
