@@ -4,7 +4,7 @@ Reads a JSON scenario file, dispatches to the analytic and/or Fock engines,
 and writes CSV time series plus plain-text summary reports. Exit codes:
 0 success, 1 scenario parse error, 2 validation error (ValueError), 3 I/O
 error, 4 computation failed (RuntimeError, e.g. a classicality search whose
-restarts all converged to trivial structures; MemoryError; ArithmeticError,
+restarts all landed on trivial structures; MemoryError; ArithmeticError,
 a float overflow or division by zero on extreme but finite parameters).
 
 Resource limits, checked before anything is allocated (exit 2): the time
@@ -389,11 +389,13 @@ def _decay_fit_slope(times: np.ndarray, cov: np.ndarray) -> float | None:
 
 
 def _engine_deviation(a, f) -> np.ndarray:
-    """Per-time max-norm distance between the (T, 4) means and (T, 4, 4)
-    covariances of two trajectories."""
+    """Per-time max over the (T, 4) means and (T, 4, 4) covariances of the
+    relative distance |a - f| / (1 + |a|), so it reads the same at every
+    hbar; a is the analytic trajectory."""
     import numpy as np
-    return np.maximum(np.max(np.abs(a.mean - f.mean), axis=1),
-                      np.max(np.abs(a.cov - f.cov), axis=(1, 2)))
+    return np.maximum(
+        np.max(np.abs(a.mean - f.mean) / (1.0 + np.abs(a.mean)), axis=1),
+        np.max(np.abs(a.cov - f.cov) / (1.0 + np.abs(a.cov)), axis=(1, 2)))
 
 
 def run_evolve(scenario: Scenario, out_dir: str) -> None:

@@ -1,6 +1,6 @@
 """Alternate A+B degrees of freedom: LCT-transformed moments, asymptotic
-uncertainty products and cross covariances, and a numerical search for
-classical-like alternate structures.
+uncertainty products and cross covariances, and classical-like alternate
+structures in closed form.
 
 At the vacuum asymptote all of these are functions of the rescaled block
 M' = M diag(1/s), s_i = sqrt(m_i omega_i), acting on an isotropic vacuum
@@ -18,18 +18,19 @@ distance |dot|/(|alpha'||beta'|) both vanish exactly on the family
 M = diag(scales) R(theta) diag(s) (``classical_family``), for any masses
 and frequencies.
 
-The search runs ``_nelder_mead`` (a pure-Python port of scipy's
-Nelder-Mead) on the residual over M', where no mass, frequency or hbar
-enters, and maps the best block back once, M = M' diag(s). So the search
-and its trace depend on the seed alone. Its starts are
-numpy.random.default_rng(seed).uniform(-2, 2) draws, bit for bit, from
-``_uniform_draws``, a standard-library port of numpy's SeedSequence and
-PCG64; only transform_state imports numpy.
+The search therefore needs no minimizer: ``_project_to_family`` maps
+each seeded start M' onto that zero set in closed form, where no mass,
+frequency or hbar enters, and the chosen block maps back once,
+M = M' diag(s). So the search and its trace depend on the seed alone.
+The starts are random.Random(seed).uniform(-2, 2) draws, a stream Python
+keeps the same for an int seed on every version. Only transform_state
+imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,11 +40,7 @@ from .model import (Block, Lct, MomentState, TwoModeSystem, check_damped,
 if TYPE_CHECKING:
     import numpy as np
 
-# Nelder-Mead limits per restart (iterations, function and simplex
-# tolerances), and the trivial-family exclusion margin
-MAX_ITER = 2000
-TOL = 1e-12
-XATOL = 1e-9
+# The trivial-family exclusion margin of trivial_mixing_distance
 EXCLUSION_MARGIN = 1e-3
 
 
@@ -154,128 +151,16 @@ def classical_family(system: TwoModeSystem, theta: float,
     return ((u * c * s1, u * -s * s2), (w * s * s1, w * c * s2))
 
 
-def _objective(v: list[float]) -> float:
-    """The search's objective: the residual of the rescaled block
-    [[v0, v1], [v2, v3]], with a steep penalty near singular blocks."""
-    a, b, c, e = v
-    det = a * e - b * c
-    if abs(det) < 1e-8:
-        return 1e6 + 1.0 / (abs(det) + 1e-12)
-    return _rescaled(a, b, c, e)[-1]
-
-
-def _nelder_mead(f, x0: list[float]) -> tuple[list[float], float, int]:
-    """Minimize f from x0 by the fixed-coefficient Nelder-Mead method.
-
-    A port of scipy.optimize.minimize(method="Nelder-Mead") with options
-    maxiter=MAX_ITER, fatol=TOL, xatol=XATOL: the same initial simplex,
-    coefficients (reflect 1, expand 2, contract 1/2, shrink 1/2), stable
-    ordering, row-order centroid and stopping test, so the same
-    floating-point operations in the same order; the test reads the
-    function spread before the simplex spread, which only skips work.
-    Returns (x, f(x), iterations).
-    """
-    n = len(x0)
-    sim = [list(x0)]
-    for k in range(n):
-        y = list(x0)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    fs = [f(x) for x in sim]
-    it = 1
-    while True:
-        order = sorted(range(n + 1), key=fs.__getitem__)
-        sim, fs = [sim[j] for j in order], [fs[j] for j in order]
-        best, worst = sim[0], sim[-1]
-        if it >= MAX_ITER or (
-                max(abs(fs[0] - g) for g in fs[1:]) <= TOL and
-                max(abs(u - b) for x in sim[1:] for u, b in zip(x, best))
-                <= XATOL):
-            return best, fs[0], it
-        xbar = sim[0]
-        for x in sim[1:-1]:
-            xbar = [u + w for u, w in zip(xbar, x)]
-        xbar = [u / n for u in xbar]
-        xr = [2 * u - w for u, w in zip(xbar, worst)]
-        fxr = f(xr)
-        if fxr < fs[0]:
-            xe = [3 * u - 2 * w for u, w in zip(xbar, worst)]
-            fxe = f(xe)
-            sim[-1], fs[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fs[-2]:
-            sim[-1], fs[-1] = xr, fxr
-        else:
-            outside = fxr < fs[-1]
-            xc = ([1.5 * u - 0.5 * w for u, w in zip(xbar, worst)] if outside
-                  else [0.5 * u + 0.5 * w for u, w in zip(xbar, worst)])
-            fxc = f(xc)
-            if (fxc <= fxr) if outside else (fxc < fs[-1]):
-                sim[-1], fs[-1] = xc, fxc
-            else:
-                for j in range(1, n + 1):
-                    sim[j] = [b + 0.5 * (u - b) for u, b in zip(sim[j], best)]
-                    fs[j] = f(sim[j])
-        it += 1
-
-
-_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
-
-
-def _seed_sequence_words(seed: int) -> list[int]:
-    """numpy.random.SeedSequence(seed).generate_state(4, np.uint64): the
-    entropy's 32-bit words (least significant first) hashed into a pool of
-    four, mixed, and drawn out as eight 32-bit words."""
-    words = (seed.bit_length() + 31) // 32 or 1
-    entropy = [seed >> 32 * i & _M32 for i in range(words)]
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const, out = 0x8B51F9DD, []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _M32
-        value = value * hash_const & _M32
-        out.append(value ^ value >> 16)
-    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-def _uniform_draws(seed: int, low: float, high: float):
-    """The draws of numpy.random.default_rng(seed).uniform(low, high), one
-    at a time and bit for bit: PCG64 (a 128-bit LCG with the XSL-RR output)
-    seeded from SeedSequence(seed), and 53-bit doubles."""
-    mult = 0x2360ED051FC65DA44385DF649FCCF645
-    s_hi, s_lo, i_hi, i_lo = _seed_sequence_words(seed)
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-    state = ((inc + (s_hi << 64 | s_lo)) * mult + inc) & _M128
-    while True:
-        state = (state * mult + inc) & _M128
-        word, rot = ((state >> 64) ^ state) & _M64, state >> 122
-        word = (word >> rot | word << (64 - rot)) & _M64
-        yield low + (high - low) * ((word >> 11) * (1.0 / 2 ** 53))
-
-
-def _distance_to_identity(m: Block) -> float:
-    """Frobenius distance of m to the identity: the search's tie-break."""
-    (a, b), (c, e) = m
-    return math.hypot(a - 1.0, b, c, e - 1.0)
+def _project_to_family(a: float, b: float, c: float, e: float) -> Block:
+    """The family member diag(u, w) R(theta) for the rescaled block
+    M' = [[a, b], [c, e]], d != 0: R(theta) is the rotation nearest
+    diag(1, sign d) M', u and |w| are the row norms of M', and w has the
+    sign of d, so reflections are members too. A member maps to itself."""
+    sign = math.copysign(1.0, a * e - b * c)
+    theta = math.atan2(sign * c - b, a + sign * e)
+    u, w = math.hypot(a, b), sign * math.hypot(c, e)
+    co, si = math.cos(theta), math.sin(theta)
+    return ((u * co, -u * si), (w * si, w * co))
 
 
 @dataclass(frozen=True)
@@ -300,7 +185,7 @@ class RestartResult:
     index: int
     rescaled_block: Block  # M' = M diag(1/s), where the search runs
     residual: float
-    iterations: int
+    iterations: int  # 0: the projection is closed form
     trivial: bool
 
 
@@ -338,35 +223,36 @@ def search_classical_structure(
         system: TwoModeSystem,
         config: SearchConfig = SearchConfig()) -> tuple[StructureReport,
                                                         list[RestartResult]]:
-    """Minimize the classicality residual over nontrivial position blocks.
+    """A nontrivial position block on the classicality residual's zero set.
 
-    Nelder-Mead on the residual of M' from seeded random starts, so the
-    same for every system; restarts converging into the excluded trivial
-    family (scaled permutations of M', within the exclusion margin) are
-    recorded but not eligible. The best M' maps back to M = M' diag(s).
-    Raises if every restart lands in the trivial family.
+    Each seeded random start M' is projected onto the family in closed
+    form, so the same for every system, with residual 0 up to rounding and
+    iterations 0; members within the exclusion margin of a scaled
+    permutation (trivial) are recorded but not eligible. The eligible
+    member that mixes the modes most (largest trivial_mixing_distance,
+    ties to the lower index) maps back to M = M' diag(s). Raises if every
+    restart lands in the trivial family.
     """
-    scales = _mode_scales(system)
-    draws = _uniform_draws(config.seed, -2.0, 2.0)
+    s1, s2 = _mode_scales(system)
+    rng = random.Random(config.seed)
 
     trace: list[RestartResult] = []
     for i in range(config.restarts):
-        start = [next(draws) for _ in range(4)]
+        start = [rng.uniform(-2.0, 2.0) for _ in range(4)]
         while abs(start[0] * start[3] - start[1] * start[2]) < 0.1:
-            start = [next(draws) for _ in range(4)]
-        x, fun, nit = _nelder_mead(_objective, start)
-        m = (tuple(x[:2]), tuple(x[2:]))
+            start = [rng.uniform(-2.0, 2.0) for _ in range(4)]
+        m = _project_to_family(*start)
         trace.append(RestartResult(
-            index=i, rescaled_block=m, residual=fun, iterations=nit,
+            index=i, rescaled_block=m, residual=_rescaled(*m[0], *m[1])[-1],
+            iterations=0,
             trivial=trivial_mixing_distance(m) < EXCLUSION_MARGIN))
 
     candidates = [r for r in trace if not r.trivial]
     if not candidates:
-        raise RuntimeError("every restart converged to a trivial "
+        raise RuntimeError("every restart landed on a trivial "
                            "(mode-relabeling) structure")
-    best = min(candidates, key=lambda r: (
-        r.residual, _distance_to_identity(r.rescaled_block), r.index))
+    best = max(candidates,
+               key=lambda r: trivial_mixing_distance(r.rescaled_block))
     (a, b), (c, e) = best.rescaled_block
-    s1, s2 = scales
     return evaluate_structure(((a * s1, b * s2), (c * s1, e * s2)),
                               system), trace

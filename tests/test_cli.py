@@ -266,11 +266,11 @@ class TestExitCodes:
 
     def test_computation_failure_exits_4(self, tmp_path, capsys,
                                          monkeypatch):
-        # every restart "converges" to the identity block in one iteration;
-        # and an LCT frame, canonical with cond(M) = 1, whose moments leave
-        # float range: M itself at 1e200, N = inv(M.T) at 5e199 for 1e-200
-        monkeypatch.setattr(structures, "_nelder_mead",
-                            lambda *a, **k: ([1.0, 0.0, 0.0, 1.0], 0.0, 1))
+        # every restart lands on the identity block; and an LCT frame,
+        # canonical with cond(M) = 1, whose moments leave float range:
+        # M itself at 1e200, N = inv(M.T) at 5e199 for 1e-200
+        monkeypatch.setattr(structures, "_project_to_family",
+                            lambda *a: ((1.0, 0.0), (0.0, 1.0)))
         cases = [("classicality", base_scenario(), "trivial",
                   "classicality.txt")]
         cases += [("evolve", overflowing_lct_scenario(v), "overflow",
@@ -532,6 +532,19 @@ class TestOtherCommands:
         assert float(line.split(":")[1]) <= 1e-8
         assert "completeness=" in report
         assert "bh_residual=" in report
+
+    def test_engine_deviation_is_relative(self, tmp_path):
+        # at hbar 1e300 the moments are ~1e300 and the engines agree to
+        # ~1e-16 of them; an absolute deviation would read ~1e284
+        config = write_scenario(tmp_path, extreme_hbar_scenario(1e300))
+        for command, name, prefix in (
+                ("oracle", "oracle_report.txt", "max engine deviation"),
+                ("evolve", "summary.txt", "max analytic-vs-fock deviation")):
+            assert main([command, "--config", config,
+                         "--output", str(tmp_path)]) == 0
+            lines = (tmp_path / name).read_text().splitlines()
+            line = [l for l in lines if l.startswith(prefix)][0]
+            assert float(line.split(":")[1]) <= 1e-8
 
     def test_oracle_builds_each_kraus_set_once_per_chunk(self, tmp_path,
                                                          monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -252,16 +253,6 @@ def random_system(rng):
                        hbar=rng.uniform(0.2, 5.0))
 
 
-def seeded_starts(seed, restarts=32):
-    """The starting points search_classical_structure draws for a seed."""
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        start = rng.uniform(-2.0, 2.0, size=4)
-        while abs(start[0] * start[3] - start[1] * start[2]) < 0.1:
-            start = rng.uniform(-2.0, 2.0, size=4)
-        yield start
-
-
 def composed_residual(lct, system):
     """The classicality residual composed from the transformed asymptotic
     covariance: products, cross covariances, then the normalized sum."""
@@ -291,53 +282,59 @@ class TestClosedFormObjective:
             count += 1
 
     def test_near_singular_penalty(self):
-        assert structures._objective([1.0, 1.0, 1.0, 1.0]) > 1e6
-        # the penalty is the search's alone: a well-conditioned block with
-        # det M' = 1e-10 reports its closed-form residual, here exactly 0
-        assert structures._objective([1e-5, 0.0, 0.0, 1e-5]) > 1e6
+        # a well-conditioned block with det M' = 1e-10 reports its
+        # closed-form residual, here exactly 0
         report = evaluate_structure(1e-5 * np.eye(2), make_system())
         assert report.residual == 0.0
 
 
-class TestNelderMead:
-    @pytest.mark.parametrize("system", [make_system(m2=2.0),
-                                        make_system(m1=1.3, w2=0.6)],
-                             ids=["unequal_mass", "detuned"])
+SEARCH_SYSTEMS = pytest.mark.parametrize(
+    "system", [make_system(m2=2.0), make_system(m1=1.3, w2=0.6)],
+    ids=["unequal_mass", "detuned"])
+
+
+class TestProjection:
+    def test_family_member_is_a_fixed_point(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            theta = rng.uniform(-np.pi, np.pi)
+            scales = tuple(rng.choice([-1, 1], size=2)
+                           * rng.uniform(0.3, 3.0, size=2))
+            member = np.array(classical_family(make_system(), theta, scales))
+            image = np.array(structures._project_to_family(*member.ravel()))
+            assert np.abs(image - member).max() <= \
+                1e-15 * np.abs(member).max()
+
+    @SEARCH_SYSTEMS
     @pytest.mark.parametrize("seed", [3, 41])
-    def test_matches_scipy_bit_for_bit(self, system, seed):
-        optimize = pytest.importorskip("scipy.optimize")
+    def test_every_restart_lands_on_the_family(self, system, seed):
         _, trace = search_classical_structure(system, SearchConfig(seed=seed))
-        for start, restart in zip(seeded_starts(seed), trace, strict=True):
-            ref = optimize.minimize(structures._objective, start,
-                                    method="Nelder-Mead",
-                                    options={"maxiter": structures.MAX_ITER,
-                                             "fatol": structures.TOL,
-                                             "xatol": structures.XATOL})
-            x, fun, nit = structures._nelder_mead(structures._objective,
-                                                  start.tolist())
-            assert x == ref.x.tolist()
-            assert fun == float(ref.fun)
-            assert nit == ref.nit
-            # the search runs this very minimization, whatever the system
-            assert np.array(restart.rescaled_block).ravel().tolist() == x
-            assert (restart.residual, restart.iterations) == (fun, nit)
+        assert len(trace) == 32
+        for restart in trace:
+            report = evaluate_structure(restart.rescaled_block, make_system())
+            assert restart.residual == report.residual <= 1e-28
+            assert report.family_distance <= 1e-15
+            assert restart.iterations == 0
 
-    def test_starts_match_numpy_bit_for_bit(self):
-        # the standard-library PCG64 behind the search's starts, pinned to
-        # numpy itself whether or not scipy is installed; 2 ** 32 and
-        # 2 ** 64 + 1 are two and three entropy words, 2 ** 130 is five,
-        # more than the pool of four
-        for seed in [*range(201), 2 ** 32, 2 ** 64 + 1, 2 ** 130]:
-            draws = structures._uniform_draws(seed, -2.0, 2.0)
-            want = np.random.default_rng(seed).uniform(-2.0, 2.0, size=60)
-            assert [next(draws) for _ in range(60)] == want.tolist(), seed
+    def test_reflection_keeps_the_sign_of_the_determinant(self):
+        (a, b), (c, e) = structures._project_to_family(0.3, 1.2, 1.1, -0.4)
+        assert a * e - b * c < 0
+        # w < 0: the second row is w (sin theta, cos theta), theta from
+        # the first row u (cos theta, -sin theta) with u > 0
+        theta = math.atan2(-b, a)
+        assert c * math.sin(theta) + e * math.cos(theta) < 0
 
-    def test_minimizes_a_quadratic(self):
-        x, fun, nit = structures._nelder_mead(
-            lambda v: (v[0] - 1.0) ** 2 + 3.0 * (v[1] + 2.0) ** 2, [0.0, 0.0])
-        assert x == pytest.approx([1.0, -2.0], abs=1e-8)
-        assert fun <= 1e-12
-        assert 1 < nit < structures.MAX_ITER
+    def test_first_start_of_seed_zero_is_pinned(self):
+        # random.Random(0).uniform(-2, 2) four times; |det| >= 0.1, so
+        # this is restart 0's start, and its member has the same row norms
+        want = [1.3776874061001925, 1.03181761176121,
+                -0.31771367667662, -0.9643329988281466]
+        rng = random.Random(0)
+        assert [rng.uniform(-2.0, 2.0) for _ in range(4)] == want
+        _, trace = search_classical_structure(make_system(), SearchConfig())
+        rows = np.array(trace[0].rescaled_block)
+        assert np.linalg.norm(rows, axis=1) == pytest.approx(
+            [math.hypot(*want[:2]), math.hypot(*want[2:])], rel=1e-15)
 
 
 class TestClassicalFamily:
@@ -410,12 +407,23 @@ class TestSearch:
             search_classical_structure(make_system(k1=0.0))
 
     def test_all_trivial_restarts_raise(self, monkeypatch):
-        # every restart "converges" to the identity block in one iteration
-        monkeypatch.setattr(structures, "_nelder_mead",
-                            lambda *a, **k: ([1.0, 0.0, 0.0, 1.0], 0.0, 1))
+        # every restart lands on the identity block
+        monkeypatch.setattr(structures, "_project_to_family",
+                            lambda *a: ((1.0, 0.0), (0.0, 1.0)))
         with pytest.raises(RuntimeError, match="trivial"):
             search_classical_structure(make_system(),
                                        SearchConfig(restarts=4, seed=1))
+
+    @SEARCH_SYSTEMS
+    def test_reports_the_most_mixing_nontrivial_restart(self, system):
+        report, trace = search_classical_structure(system,
+                                                   SearchConfig(seed=6))
+        # largest mixing distance first, then the lowest index
+        _, index = max((trivial_mixing_distance(r.rescaled_block), -r.index)
+                       for r in trace if not r.trivial)
+        s = np.array([np.sqrt(m.mass * m.omega) for m in system.modes])
+        assert np.allclose(np.array(report.lct.M) / s,
+                           trace[-index].rescaled_block, rtol=1e-15, atol=0)
 
     def test_report_fields_consistent(self):
         report, _ = search_classical_structure(make_system(),
