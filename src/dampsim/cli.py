@@ -9,16 +9,20 @@ a float overflow or division by zero on extreme but finite parameters).
 
 Resource limits, checked before anything is allocated (exit 2): the time
 grid's (n_steps, 4, 4) covariance trajectory may take at most 128 MiB
-(n_steps <= 1048576), and the two-mode density at most 1 GiB
-(fock_dim <= 90).
+(n_steps <= 1048576), and a two-mode density at the cutoff at most 1 GiB
+(fock_dim <= 90), for every fock run and for an explicit density in every
+command. An explicit density is the only D^4 array a run builds; a
+vacuum or coherent pair reaches the fock engine as its two (D, D)
+one-mode factors.
 
 Each value is checked once, where it enters; the engines trust what they
 get. load_scenario, for every command, parses keys, types and numbers
 (exit 1; a key the scenario format does not define is an error), then
 checks the parameters, time grid, initial state, LCT and seed (exit 2):
 explicit moments with MomentState and assert_physical, an explicit
-density with its shape and fock.check_density. Each command then builds
-the density it needs once. Every trajectory the CSV writer reads is a
+density with the density budget first, then its shape and
+fock.check_density. Each command then builds the initial state the fock
+engine needs once. Every trajectory the CSV writer reads is a
 model.MomentState, so it was checked when it was built.
 
 The oracle command makes one fock.moment_trajectory call, which returns
@@ -59,8 +63,9 @@ class ParseError(Exception):
     """Malformed scenario file (bad JSON, missing/unknown keys, bad types)."""
 
 
-#: Largest two-mode density matrix the fock engine may allocate:
-#: fock_dim^4 complex entries of 16 bytes each, so fock_dim <= 90.
+#: Largest two-mode density matrix at the cutoff of a fock run or an
+#: explicit density: fock_dim^4 complex entries of 16 bytes each, so
+#: fock_dim <= 90.
 _FOCK_BUDGET_BYTES = 2 ** 30
 
 #: Largest covariance trajectory a time grid may ask for: n_steps 4x4
@@ -277,6 +282,7 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
         return state
     if kind == "density":
         _known(d, "initial.", "type", "real", "imag")
+        _check_fock_budget(dim)
         import numpy as np
         from . import fock
         real = _get(d, "real", list)
@@ -315,15 +321,23 @@ def initial_moment_state(scenario: Scenario) -> MomentState:
     return MomentState(mean=np.array(mean), cov=vacuum_state(system).cov)
 
 
-def initial_density(scenario: Scenario) -> np.ndarray:
-    """The initial two-mode density; a coherent pair's is built here."""
+def _check_fock_budget(dim: int) -> None:
+    """Raise ValueError if a two-mode density at cutoff dim would pass
+    _FOCK_BUDGET_BYTES; the message holds whether or not one is built."""
+    if dim ** 4 * 16 > _FOCK_BUDGET_BYTES:
+        raise ValueError(
+            f"fock_dim {dim} is past the fock engine's cutoff limit: a "
+            f"two-mode density there takes {dim ** 4 * 16 / 2 ** 30:.3g} "
+            f"GiB, over 1 GiB (fock_dim <= 90)")
+
+
+def initial_density(scenario: Scenario) -> np.ndarray | tuple:
+    """The initial state as fock.moment_trajectory takes it: an explicit
+    density as it is, a coherent pair as its two one-mode densities."""
     import numpy as np
     from . import fock
     initial, dim = scenario.initial, scenario.fock_dim
-    if dim ** 4 * 16 > _FOCK_BUDGET_BYTES:
-        raise ValueError(
-            f"fock_dim {dim} needs a {dim ** 4 * 16 / 2 ** 30:.3g} GiB "
-            f"two-mode density matrix; the limit is 1 GiB (fock_dim <= 90)")
+    _check_fock_budget(dim)
     if isinstance(initial, np.ndarray):
         return initial
     if isinstance(initial, MomentState):
@@ -331,8 +345,7 @@ def initial_density(scenario: Scenario) -> np.ndarray:
             "the fock engine needs an initial state expressible as a "
             "density matrix; 'moments' is not")
     a1, a2 = initial
-    return np.kron(fock.coherent_density(a1, dim),
-                   fock.coherent_density(a2, dim))
+    return fock.coherent_density(a1, dim), fock.coherent_density(a2, dim)
 
 
 def _trajectory_csv(times: np.ndarray, state: MomentState,

@@ -25,10 +25,13 @@ conjugate, so by linearity the oracle maps the three ladder diagonals
 alone, one row each, and weights their images; no dense operator is
 formed. moment_trajectory walks a grid in chunks within _CHUNK_BYTES,
 with one band build per mode and chunk, whose moments and margins it
-returns; the cross moments meet only 4 (D-1)^2 density entries. Each
-margin reads the bands the moments apply: the completeness defect is
-I - E^dag(I) on diagonal 0, the BH residual and the cutoff population
-are read off K_0's band e^{-ktN}.
+returns; the cross moments meet only 4 (D-1)^2 density entries. It reads
+those entries and the two reduced densities once, off a two-mode density,
+or straight off the factors of a product state rho1 otimes rho2 given as
+the pair (rho1, rho2) of (D, D) densities, so that no D^4 array is formed
+for one. Each margin reads the bands the moments apply: the completeness
+defect is I - E^dag(I) on diagonal 0, the BH residual and the cutoff
+population are read off K_0's band e^{-ktN}.
 
 A CPTP channel keeps a valid density valid, so the evolution functions check
 only shapes; check_density (a Cholesky factorization, O(D^6) for two
@@ -321,11 +324,16 @@ def _chunk_moments(kraus: tuple[np.ndarray, np.ndarray], tables: list,
     return mean, cov
 
 
-def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,
+def moment_trajectory(rho0: np.ndarray | tuple, system: TwoModeSystem,
                       times: np.ndarray, dim: int) -> OracleTrajectory:
     """The oracle counterpart of analytic.evolve_trajectory: moments and
     margins of a two-mode density after damping at each time of the (T,)
     grid `times`, by per-mode Heisenberg evolution of the quadratures.
+
+    rho0 is the (D^2, D^2) density, or a tuple (rho1, rho2) of (D, D)
+    one-mode densities standing for rho1 otimes rho2, whose reduced
+    densities and cross entries are read off the factors; either form
+    must match the cutoff dim (ValueError otherwise).
 
     The whole grid is checked before any work starts. Per chunk and mode
     one band build serves the moments and the margins, with one kernel
@@ -334,18 +342,24 @@ def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,
     times = checked_times(times)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D grid, got a scalar")
-    rho4 = _two_mode_tensor(rho0, dim, dim)
-    densities = reduced_densities(rho0, dim)
+    # tr[(q1 otimes q2) rho] = sum q1_ij q2_lk rho4[j, k, i, l], and (i, j)
+    # is (u + 1, u) on diagonal -1, then (u, u + 1) on 1, u < dim - 1; for
+    # rho1 otimes rho2, rho4[j, k, i, l] = rho1[j, i] rho2[k, l]
+    i, j = np.r_[1:dim, :dim - 1], np.r_[:dim - 1, 1:dim]
+    if isinstance(rho0, tuple):  # rho1 otimes rho2: read off its factors
+        densities = np.asarray(rho0, dtype=complex)
+        if densities.shape != (2, dim, dim):
+            raise ValueError(f"density pair shape {densities.shape} does "
+                             f"not match cutoff {dim}")
+        rho_xp = np.outer(densities[0, j, i], densities[1, j, i])
+    else:
+        densities = reduced_densities(rho0, dim)
+        rho_xp = _two_mode_tensor(rho0, dim, dim)[j[:, None], j, i[:, None], i]
     # per mode the ladders, the table and diagonals 0, -1, -2 of the
     # reduced density, the last two doubled for their conjugates
     tables = [(*_quadrature_diagonals(dim, mode, system.constants),
                [np.diagonal(r, -k) * (2 if k else 1) for k in range(3)])
               for mode, r in zip(system.modes, densities)]
-    # tr[(q1 otimes q2) rho] = sum q1_ij q2_lk rho4[j, k, i, l], and (i, j)
-    # is (u + 1, u) on diagonal -1, (u, u + 1) on 1, concatenated so
-    u = np.arange(dim - 1)
-    i, j = np.concatenate([u + 1, u]), np.concatenate([u, u + 1])
-    rho_xp = rho4[j[:, None], j, i[:, None], i]
     out = OracleTrajectory(*(np.empty(times.shape + shape)
                              for shape in ((4,), (4, 4), (), (), ())))
     size = _chunk_size(dim)
@@ -362,9 +376,10 @@ def moment_trajectory(rho0: np.ndarray, system: TwoModeSystem,
     return out
 
 
-def two_mode_moments(rho0: np.ndarray, system: TwoModeSystem, t: float,
-                     dim: int) -> MomentState:
-    """Oracle moments of a two-mode density after damping for time t:
-    moment_trajectory at one time."""
+def two_mode_moments(rho0: np.ndarray | tuple, system: TwoModeSystem,
+                     t: float, dim: int) -> MomentState:
+    """Oracle moments of a two-mode density, or of the product state of a
+    (rho1, rho2) pair, after damping for time t: moment_trajectory at one
+    time."""
     oracle = moment_trajectory(rho0, system, np.array([t]), dim)
     return MomentState(mean=oracle.mean[0], cov=oracle.cov[0])

@@ -794,6 +794,35 @@ class TestInitialStates:
 
     @pytest.mark.parametrize("command", ["evolve", "oracle", "structure",
                                          "classicality"])
+    def test_density_budget_is_checked_before_the_density(
+            self, tmp_path, capsys, monkeypatch, command):
+        # a 1 KiB budget puts the limit between fock_dim 2 and 3
+        monkeypatch.setattr(cli, "_FOCK_BUDGET_BYTES", 2 ** 10)
+        check, calls = fock.check_density, []
+        monkeypatch.setattr(fock, "check_density",
+                            lambda rho: calls.append(1) or check(rho))
+        for dim, code in ((3, 2), (2, 0)):
+            rho = np.kron(fock.coherent_density(0.2, dim),
+                          fock.coherent_density(0.1j, dim))
+            scenario = base_scenario(fock_dim=dim,
+                                     initial={"type": "density",
+                                              "real": rho.real.tolist(),
+                                              "imag": rho.imag.tolist()},
+                                     lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
+            config = write_scenario(tmp_path, scenario)
+            calls.clear()
+            out = tmp_path / f"out-{dim}"
+            assert main([command, "--config", config,
+                         "--output", str(out)]) == code, dim
+            err = capsys.readouterr().err.splitlines()
+            if code:
+                assert len(err) == 1 and err[0].startswith("error: fock_dim 3")
+                assert calls == [] and not out.exists()
+            else:
+                assert err == [] and calls == [1]
+
+    @pytest.mark.parametrize("command", ["evolve", "oracle", "structure",
+                                         "classicality"])
     def test_initial_state_is_checked_for_every_command(self, tmp_path,
                                                         capsys, command):
         dim = 2
@@ -898,16 +927,17 @@ class TestInitialStates:
                                 for name in sorted(os.listdir(out))})
             assert len(outputs[0]) == 6
             assert outputs[0] == outputs[1] == outputs[2], engine
-        # the folded vacuum is the number state |0, 0>, bit for bit, and
-        # its mean is +0.0
+        # the folded vacuum is the number state |0> in each mode, bit for
+        # bit, and its mean is +0.0
         for dim in (2, 4, 32):
             config = write_scenario(tmp_path, base_scenario(
                 fock_dim=dim, initial={"type": "vacuum"}))
             scenario = cli.load_scenario(config)
-            rho = cli.initial_density(scenario)
-            ground = fock.fock_density(0, dim)
-            assert np.array_equal(rho, np.kron(ground, ground))
-            assert not np.signbit(rho.view(float)).any()
+            factors = cli.initial_density(scenario)
+            assert isinstance(factors, tuple) and len(factors) == 2
+            for rho in factors:
+                assert np.array_equal(rho, fock.fock_density(0, dim))
+                assert not np.signbit(rho.view(float)).any()
             mean = cli.initial_moment_state(scenario).mean
             assert np.array_equal(mean, np.zeros(4))
             assert not np.signbit(mean).any()

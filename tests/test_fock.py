@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import tracemalloc
 
@@ -850,6 +851,65 @@ class TestOracleMoments:
                     tracemalloc.stop()
                 assert peak - mean.nbytes - cov.nbytes <= bound, (dim,
                                                                   n_times)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    def test_product_pair_matches_its_kronecker_density(self, dim):
+        # the kron's partial traces carry a factor tr rho2 that is 1 only
+        # to rounding, so the moments may move in the last bits: a
+        # covariance by those of its second moment cov + mean mean^T,
+        # which cancels against mean mean^T. The margins that read no
+        # density are the same bits
+        rng = np.random.default_rng(dim)
+        edge = math.sqrt(dim / 4.0) * (1 - 2 ** -50)
+        displacements = [0j, edge * np.exp(2j * np.pi * rng.random()),
+                         rng.random() * edge * np.exp(2j * np.pi
+                                                      * rng.random())]
+        times = np.linspace(0.0, 4.0, fock._chunk_size(dim) + 3)
+        for a1, a2 in itertools.product(displacements, repeat=2):
+            m1, w1, m2, w2 = rng.uniform(0.5, 2.0, size=4)
+            k1, k2 = rng.uniform(0.0, 2.0, size=2)
+            system = make_system(m1, w1, k1, m2, w2, k2,
+                                 hbar=rng.uniform(0.3, 7.0))
+            pair = coherent_density(a1, dim), coherent_density(a2, dim)
+            got = moment_trajectory(pair, system, times, dim)
+            want = moment_trajectory(np.kron(*pair), system, times, dim)
+            second = want.cov + want.mean[:, :, None] * want.mean[:, None]
+            for g, w, v in ((got.mean, want.mean, want.mean),
+                            (got.cov, want.cov, second)):
+                assert np.all(np.abs(g - w) <= 1e-14 * (1 + np.abs(v))), \
+                    (a1, a2)
+            assert np.array_equal(got.completeness, want.completeness)
+            assert np.array_equal(got.bh_residual, want.bh_residual)
+            assert np.all(np.abs(got.fock_tail - want.fock_tail)
+                          <= 1e-15 * want.fock_tail), (a1, a2)
+            single = two_mode_moments(pair, system, times[-1], dim)
+            assert np.array_equal(single.mean, got.mean[-1])
+            assert np.array_equal(single.cov, got.cov[-1])
+
+    def test_pair_of_the_wrong_shape_is_rejected(self):
+        dim, system, times = 4, make_system(), np.array([0.0, 1.0])
+        ground = fock_density(0, dim)
+        for pair in ((ground, fock_density(0, dim + 1)),
+                     (ground[:, :-1], ground[:, :-1]),
+                     (ground, ground, ground), (ground,),
+                     (fock_density(0, dim + 1),) * 2):
+            with pytest.raises(ValueError):
+                moment_trajectory(pair, system, times, dim)
+            with pytest.raises(ValueError):
+                two_mode_moments(pair, system, 1.0, dim)
+
+    def test_pair_working_set_is_no_two_mode_density(self):
+        # the kron of two D = 64 factors would take 256 MiB
+        dim = 64
+        pair = coherent_density(1.5 - 2j, dim), coherent_density(3.0, dim)
+        times = np.linspace(0.0, 4.0, 4)
+        tracemalloc.start()
+        try:
+            moment_trajectory(pair, make_system(k1=0.4, k2=0.9), times, dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_cutoff_convergence(self):
         system = make_system(k1=0.3, k2=0.7)
