@@ -32,16 +32,28 @@ numpy, analytic and fock are imported where evolve and oracle use them,
 and where a density or moments are parsed; fock only on a density or a
 fock engine. So structure and classicality on a vacuum or coherent
 scenario run on the standard library, and the arrays they read are
-checked without numpy (_float_shape).
+checked without numpy (_float_shape). structures is imported where
+structure, classicality and an LCT frame of evolve use it, so oracle, an
+evolve without an LCT and load_scenario do without it.
 
 main runs BLAS on one thread unless the caller set OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS, or numpy was loaded before it.
+
+process_main, the entry of `python -m dampsim.cli` and of the dampsim
+script, runs main with the cyclic garbage collector off and calls
+gc.freeze() when it returns. A command frees its arrays, lists and tuples
+by reference counting and has written and closed every output before main
+returns, so the collector's passes over the ~21k containers that numpy
+leaves tracked, during the run and again at interpreter exit, find nothing
+to free. main itself leaves the collector alone: a process that calls it,
+such as a test session calling it hundreds of times, keeps collecting.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -49,7 +61,6 @@ import sys
 import tempfile
 from typing import TYPE_CHECKING
 
-from . import structures
 from .model import (QUADRATURES, Lct, ModeParams, MomentState,
                     PhysicalConstants, TwoModeSystem, assert_physical,
                     check_lct, lct_from_position_block, vacuum_state,
@@ -57,6 +68,8 @@ from .model import (QUADRATURES, Lct, ModeParams, MomentState,
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .structures import StructureReport
 
 
 class ParseError(Exception):
@@ -362,6 +375,7 @@ def _trajectory_csv(times: np.ndarray, state: MomentState,
     columns = [times[:, None], state.mean, state.cov[:, upper[0], upper[1]],
                analytic.uncertainty_products(state.cov)]
     if lct is not None:
+        from . import structures
         alt = structures.transform_state(state, lct)
         header += ["mean_XA", "mean_PA", "mean_xiB", "mean_piB",
                    "product_A", "product_B", "cov_XA_xiB", "cov_PA_piB"]
@@ -386,13 +400,23 @@ def _atomic_write(path: str, content: str) -> None:
         raise
 
 
+#: The largest |cov(x1,x2)| / sqrt(var_x1 var_x2) that counts as zero in the
+#: decay fit. On a product state, where it is exactly 0, the oracle reads
+#: rounding noise of at most 5.9e-14 of it (160 random systems, D = 2 to 90,
+#: |alpha|^2 up to D/4): about eps times the raw moment |<x1><x2>|, which
+#: reaches D sqrt(var_x1 var_x2). The floor keeps a margin of 17 over that.
+_CROSS_COV_FLOOR = 1e-12
+
+
 def _decay_fit_slope(times: np.ndarray, cov: np.ndarray) -> float | None:
-    """Least-squares slope of log|cov(x1,x2)| vs t, in closed form: the
-    centered times, divided by their span so that no square underflows,
-    against the centered logs. None if degenerate."""
+    """Least-squares slope of log|cov(x1,x2)| vs t over the times where it
+    is above _CROSS_COV_FLOOR, in closed form: the centered times, divided
+    by their span so that no square underflows, against the centered logs.
+    None if degenerate."""
     import numpy as np
     c = np.abs(cov[:, 0, 2])
-    mask = c > 1e-290
+    scale = np.sqrt(cov[:, 0, 0]) * np.sqrt(cov[:, 2, 2])  # cannot overflow
+    mask = c > _CROSS_COV_FLOOR * scale
     t = times[mask]
     if t.size < 2 or (span := float(np.ptp(t))) == 0:
         return None
@@ -470,8 +494,7 @@ def run_oracle(scenario: Scenario, out_dir: str) -> None:
                   "\n".join(lines) + "\n")
 
 
-def _report_lines(report: structures.StructureReport, *names: str
-                  ) -> list[str]:
+def _report_lines(report: StructureReport, *names: str) -> list[str]:
     """The "name: value" lines of a structure report: its products and
     cross covariances, then the named fields."""
     return [f"{name}: {_fmt(getattr(report, name))}"
@@ -479,6 +502,7 @@ def _report_lines(report: structures.StructureReport, *names: str
 
 
 def run_structure(scenario: Scenario, out_dir: str) -> None:
+    from . import structures
     if scenario.lct is None:
         raise ValueError("the structure command needs an 'lct' entry "
                               "in the scenario")
@@ -492,6 +516,7 @@ def run_structure(scenario: Scenario, out_dir: str) -> None:
 
 
 def run_classicality(scenario: Scenario, out_dir: str) -> None:
+    from . import structures
     config = structures.SearchConfig(seed=scenario.seed)
     report, trace = structures.search_classical_structure(scenario.system,
                                                           config)
@@ -566,5 +591,14 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def process_main() -> None:
+    """The dampsim process: main with the cyclic collector off, then the
+    heap frozen, so that exit does not sweep it; exits with main's code."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

@@ -1,8 +1,11 @@
+import ast
 import decimal
+import gc
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -496,6 +499,18 @@ class TestEvolve:
             slope = [line.split(": ")[1] for line in summary
                      if line.startswith("covariance decay fit slope")]
             assert math.isfinite(float(slope[0]))
+
+    def test_product_state_has_no_fit_slope_on_any_engine(self, tmp_path):
+        # the cross covariance of a product state is exactly 0, which the
+        # oracle reads as rounding noise; no engine fits a decay to that
+        with open(os.path.join(DATA_DIR, "golden_scenario.json")) as fh:
+            scenario = json.load(fh)
+        for engine in ("analytic", "fock", "both"):
+            config = write_scenario(tmp_path, dict(scenario, engine=engine))
+            assert main(["evolve", "--config", config,
+                         "--output", str(tmp_path)]) == 0
+            summary = (tmp_path / "summary.txt").read_text().splitlines()
+            assert "covariance decay fit slope (x1,x2): n/a" in summary
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         config = write_scenario(tmp_path, base_scenario(engine="both"))
@@ -1076,6 +1091,27 @@ def test_only_a_density_or_a_fock_engine_loads_fock(tmp_path):
     assert out.stdout.splitlines() == ["False", "True"]
 
 
+def test_only_an_lct_command_loads_structures(tmp_path):
+    # loading a scenario, oracle and an evolve without an LCT frame have
+    # no use for the structures module
+    src = os.path.dirname(os.path.dirname(dampsim.__file__))
+    plain = write_scenario(tmp_path, base_scenario(engine="both"))
+    framed = write_scenario(tmp_path, base_scenario(
+        lct={"M": [[0.5, 0.5], [1.0, -1.0]]}), "framed.json")
+    steps = [f"cli.load_scenario({framed!r})"]
+    steps += [f"assert cli.main([{command!r}, '--config', {config!r}, "
+              f"'--output', {str(tmp_path)!r}]) == 0"
+              for command, config in (("oracle", plain), ("evolve", plain),
+                                      ("evolve", framed))]
+    code = "import sys\nfrom dampsim import cli\n" + "".join(
+        f"{step}\nprint('dampsim.structures' in sys.modules)\n"
+        for step in steps)
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.splitlines() == ["False", "False", "False", "True"]
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 
@@ -1106,6 +1142,91 @@ def test_cli_runs_blas_on_one_thread_by_default(tmp_path, prelude, action,
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == repr(want)
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path):
+    # a process that calls main, as this test session does hundreds of
+    # times, keeps its collector on and its heap unfrozen
+    ok = write_scenario(tmp_path, base_scenario(
+        lct={"M": [[0.5, 0.5], [1.0, -1.0]]}))
+    bad = write_scenario(tmp_path, base_scenario(seed=-1), "bad.json")
+    before = gc.isenabled(), gc.get_freeze_count()
+    for command in cli._COMMANDS:
+        for config, code in ((ok, 0), (bad, 2)):
+            assert main([command, "--config", config,
+                         "--output", str(tmp_path)]) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_process_entry_runs_a_command_without_the_collector(tmp_path):
+    src = os.path.dirname(os.path.dirname(dampsim.__file__))
+    config = write_scenario(tmp_path, base_scenario())
+    code = ("import gc, sys\nfrom dampsim import cli\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n"
+            "seen = []\n"
+            "cli._COMMANDS['evolve'] = lambda scenario, out: "
+            "seen.append(gc.isenabled())\n"
+            f"sys.argv = ['dampsim', 'evolve', '--config', {config!r}, "
+            f"'--output', {str(tmp_path)!r}]\n"
+            "try:\n"
+            "    cli.process_main()\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, seen, gc.get_freeze_count() > 0)\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.splitlines() == ["True 0", "0 [False] True"]
+
+
+def test_script_entry_is_the_module_entry():
+    # the installed dampsim script and python -m dampsim.cli run one function
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        scripts = fh.read().split("[project.scripts]\n", 1)[1]
+    target = re.match(r'dampsim = "dampsim\.cli:(\w+)"\n', scripts).group(1)
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    block, = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(node) for node in block.body] == [f"{target}()"]
+
+
+def test_process_entry_keeps_exit_codes_and_stderr(tmp_path, capsys):
+    src = os.path.dirname(os.path.dirname(dampsim.__file__))
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = str(tmp_path / "out")
+    cases = [
+        (["structure", "--config", write_scenario(tmp_path, base_scenario(
+            lct={"M": [[0.5, 0.5], [1.0, -1.0]]}), "ok.json"),
+          "--output", out], 0),
+        (["evolve", "--config", str(bad_json), "--output", out], 1),
+        (["oracle", "--config", write_scenario(
+            tmp_path, base_scenario(seed=-1), "seed.json"),
+          "--output", out], 2),
+        (["evolve", "--config", str(tmp_path / "missing.json"),
+          "--output", out], 3),
+        (["evolve", "--config", write_scenario(tmp_path, base_scenario()),
+          "--output", str(blocker / "sub")], 3),
+        (["evolve", "--config", write_scenario(
+            tmp_path, overflowing_lct_scenario(1e200), "overflow.json"),
+          "--output", out], 4),
+        (["oracle", "--output", out], 2),  # argparse: --config is required
+    ]
+    for argv, want in cases:
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        proc = subprocess.run([sys.executable, "-m", "dampsim.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert code == want and (proc.returncode, proc.stderr) == (code, err)
+        assert (err == "") == (want == 0), argv
 
 
 def test_package_exports_resolve():
