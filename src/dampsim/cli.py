@@ -34,7 +34,10 @@ fock engine. So structure and classicality on a vacuum or coherent
 scenario run on the standard library, and the arrays they read are
 checked without numpy (_float_shape). structures is imported where
 structure, classicality and an LCT frame of evolve use it, so oracle, an
-evolve without an LCT and load_scenario do without it.
+evolve without an LCT and load_scenario do without it. Scenario, like
+the records of model and structures, is a read-only model.Record, not a
+dataclass: dataclasses takes 8-13 ms to import, since it loads inspect
+(and ast, dis, tokenize), which nothing else here needs before numpy.
 
 main runs BLAS on one thread unless the caller set OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS, or numpy was loaded before it.
@@ -52,7 +55,6 @@ such as a test session calling it hundreds of times, keeps collecting.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import math
@@ -62,9 +64,9 @@ import tempfile
 from typing import TYPE_CHECKING
 
 from .model import (QUADRATURES, Lct, ModeParams, MomentState,
-                    PhysicalConstants, TwoModeSystem, assert_physical,
-                    check_lct, lct_from_position_block, vacuum_state,
-                    vacuum_variances)
+                    PhysicalConstants, Record, TwoModeSystem,
+                    assert_physical, check_lct, lct_from_position_block,
+                    vacuum_state, vacuum_variances)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -99,24 +101,30 @@ def _fmt_all(values) -> str:
     return " ".join(map(_fmt, values))
 
 
-@dataclasses.dataclass(frozen=True)
-class Scenario:
-    system: TwoModeSystem
-    # coherent displacements (the vacuum is (0, 0)), a physical MomentState,
-    # or a checked (fock_dim^2, fock_dim^2) density matrix
-    initial: tuple[complex, complex] | MomentState | np.ndarray
-    # the checked time grid: n_steps samples from t_start to t_end
-    t_start: float
-    t_end: float
-    n_steps: int
-    engine: str
-    fock_dim: int
-    lct: Lct | None
-    seed: int
+class Scenario(Record):
+    """A checked scenario. initial holds coherent displacements (the
+    vacuum is (0, 0)), a physical MomentState, or a checked
+    (fock_dim^2, fock_dim^2) density matrix; the time grid is n_steps
+    samples from t_start to t_end."""
 
-    def __post_init__(self):  # dataclasses.replace runs it for --seed too
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+    __slots__ = ("system", "initial", "t_start", "t_end", "n_steps",
+                 "engine", "fock_dim", "lct", "seed")
+
+    def __init__(self, system: TwoModeSystem,
+                 initial: tuple[complex, complex] | MomentState | np.ndarray,
+                 t_start: float, t_end: float, n_steps: int, engine: str,
+                 fock_dim: int, lct: Lct | None, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        super().__init__(system=system, initial=initial, t_start=t_start,
+                         t_end=t_end, n_steps=n_steps, engine=engine,
+                         fock_dim=fock_dim, lct=lct, seed=seed)
+
+    def with_seed(self, seed: int) -> Scenario:
+        """This scenario with another seed, checked as in __init__."""
+        return Scenario(self.system, self.initial, self.t_start, self.t_end,
+                        self.n_steps, self.engine, self.fock_dim, self.lct,
+                        seed)
 
     @property
     def times(self) -> np.ndarray:
@@ -573,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.config)
         if getattr(args, "seed", None) is not None:
-            scenario = dataclasses.replace(scenario, seed=args.seed)
+            scenario = scenario.with_seed(args.seed)
         os.makedirs(args.output, exist_ok=True)
         _COMMANDS[args.command](scenario, args.output)
     except ParseError as exc:

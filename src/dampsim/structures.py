@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import (Block, Lct, MomentState, TwoModeSystem, check_damped,
-                    check_lct)
+from .model import (Block, Lct, MomentState, Record, TwoModeSystem,
+                    check_damped, check_lct)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -163,30 +162,37 @@ def _project_to_family(a: float, b: float, c: float, e: float) -> Block:
     return ((u * co, -u * si), (w * si, w * co))
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    restarts: int = 32
-    seed: int = 0
+class SearchConfig(Record):
+    __slots__ = ("restarts", "seed")
+
+    def __init__(self, restarts: int = 32, seed: int = 0):
+        super().__init__(restarts=restarts, seed=seed)
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    lct: Lct
-    product_A: float
-    product_B: float
-    cov_xx: float
-    cov_pp: float
-    residual: float
-    family_distance: float
+class StructureReport(Record):
+    __slots__ = ("lct", "product_A", "product_B", "cov_xx", "cov_pp",
+                 "residual", "family_distance")
+
+    def __init__(self, lct: Lct, product_A: float, product_B: float,
+                 cov_xx: float, cov_pp: float, residual: float,
+                 family_distance: float):
+        super().__init__(lct=lct, product_A=product_A, product_B=product_B,
+                         cov_xx=cov_xx, cov_pp=cov_pp, residual=residual,
+                         family_distance=family_distance)
 
 
-@dataclass(frozen=True)
-class RestartResult:
-    index: int
-    rescaled_block: Block  # M' = M diag(1/s), where the search runs
-    residual: float
-    iterations: int  # 0: the projection is closed form
-    trivial: bool
+class RestartResult(Record):
+    """One restart: rescaled_block is M' = M diag(1/s), where the search
+    runs; iterations is 0, as the projection is closed form."""
+
+    __slots__ = ("index", "rescaled_block", "residual", "iterations",
+                 "trivial")
+
+    def __init__(self, index: int, rescaled_block: Block, residual: float,
+                 iterations: int, trivial: bool):
+        super().__init__(index=index, rescaled_block=rescaled_block,
+                         residual=residual, iterations=iterations,
+                         trivial=trivial)
 
 
 def trivial_mixing_distance(M) -> float:

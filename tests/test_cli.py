@@ -1056,7 +1056,8 @@ def test_any_scenario_exits_with_a_documented_code(scenario):
 
 def test_cli_leaves_numpy_and_scipy_unloaded(tmp_path):
     # importing the CLI, loading a scenario without a density, and the
-    # structure and classicality commands all run on the standard library
+    # structure and classicality commands all run on the standard library,
+    # and none of them imports dataclasses or inspect (plain-class records)
     src = os.path.dirname(os.path.dirname(dampsim.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     config = write_scenario(tmp_path, base_scenario(
@@ -1065,8 +1066,9 @@ def test_cli_leaves_numpy_and_scipy_unloaded(tmp_path):
     argvs = [[command, "--config", config, "--output", str(tmp_path)]
              for command in ("structure", "classicality")]
     steps += [f"assert dampsim.cli.main({argv!r}) == 0" for argv in argvs]
+    modules = {"numpy", "scipy", "dataclasses", "inspect"}
     code = "import sys\n" + "".join(
-        f"{step}\nprint(sorted({{'numpy', 'scipy'}} & set(sys.modules)))\n"
+        f"{step}\nprint(sorted({modules!r} & set(sys.modules)))\n"
         for step in steps)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from dampsim import cli, model, structures
 from dampsim.model import (Lct, ModeParams, MomentState, PhysicalConstants,
                            TwoModeSystem, check_lct, lct_from_position_block,
                            symplectic_defect, symplectic_form, vacuum_state)
@@ -102,6 +103,59 @@ class TestMomentState:
                                 cov=np.broadcast_to(np.eye(4), lead + (4, 4)))
             assert state.mean.shape == lead + (4,)
             assert state.cov.shape == lead + (4, 4)
+
+
+class TestRecords:
+    def test_fields_are_read_only(self):
+        # one of each read-only record the package builds
+        system = make_system()
+        report, trace = structures.search_classical_structure(system)
+        built = [PhysicalConstants(), ModeParams(1.0, 1.0, 0.5), system,
+                 vacuum_state(system),
+                 cli.Scenario(system, (0j, 0j), 0.0, 1.0, 3, "analytic", 8,
+                              None, 0),
+                 structures.SearchConfig(), report, trace[0]]
+        assert len({type(record) for record in built}) == 8
+        for record in built:
+            for name in type(record).__slots__:
+                value = getattr(record, name)
+                with pytest.raises(AttributeError, match="read-only"):
+                    setattr(record, name, value)
+                with pytest.raises(AttributeError, match="read-only"):
+                    delattr(record, name)
+                assert getattr(record, name) is value
+            with pytest.raises(AttributeError):
+                record.extra = 1.0
+
+    def test_defaults(self):
+        mode = ModeParams(1.0, 2.0, 0.5)
+        system = TwoModeSystem(mode, mode)
+        assert isinstance(system.constants, PhysicalConstants)
+        assert system.constants.hbar == 1.0
+        assert system.modes == (mode, mode)
+        config = structures.SearchConfig()
+        assert (config.restarts, config.seed) == (32, 0)
+        config = structures.SearchConfig(seed=7)
+        assert (config.restarts, config.seed) == (32, 7)
+
+    def test_post_init_runs_once_per_moment_state(self, monkeypatch):
+        # the hook perfbench's tracer wraps to count constructions
+        calls = []
+        check = MomentState.__post_init__
+
+        def counted(state):
+            calls.append(state)
+            check(state)
+
+        monkeypatch.setattr(model.MomentState, "__post_init__", counted)
+        state = MomentState([0.0] * 4, np.eye(4).tolist())
+        assert len(calls) == 1 and calls[0] is state
+        assert isinstance(state.mean, np.ndarray)
+        vacuum_state(make_system())
+        assert len(calls) == 2
+        with pytest.raises(ValueError, match="finite"):
+            MomentState(np.full(4, np.nan), np.eye(4))
+        assert len(calls) == 3
 
 
 class TestVacuumState:
