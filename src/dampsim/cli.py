@@ -16,12 +16,13 @@ vacuum or coherent pair reaches the fock engine as its two (D, D)
 one-mode factors.
 
 Each value is checked once, where it enters; the engines trust what they
-get. load_scenario, for every command, parses keys, types and numbers
-(exit 1; a key the scenario format does not define is an error), then
-checks the parameters, time grid, initial state, LCT and seed (exit 2):
-explicit moments with MomentState and assert_physical, an explicit
-density with the density budget first, then its shape and
-fock.check_density. Each command then builds the initial state the fock
+get. load_scenario, for every command, reads the file as UTF-8 and parses
+keys, types and numbers (exit 1; a key the scenario format does not
+define is an error), then checks the parameters, time grid, initial
+state, LCT and seed (exit 2): explicit moments with MomentState and
+assert_physical, an explicit density with the density budget first, then
+its shape and fock.check_density. It checks the seed of classicality
+--seed there too, which replaces the file's. Each command then builds the initial state the fock
 engine needs once. Every trajectory the CSV writer reads is a
 model.MomentState, so it was checked when it was built.
 
@@ -34,10 +35,14 @@ fock engine. So structure and classicality on a vacuum or coherent
 scenario run on the standard library, and the arrays they read are
 checked without numpy (_float_shape). structures is imported where
 structure, classicality and an LCT frame of evolve use it, so oracle, an
-evolve without an LCT and load_scenario do without it. Scenario, like
-the records of model and structures, is a read-only model.Record, not a
-dataclass: dataclasses takes 8-13 ms to import, since it loads inspect
-(and ast, dis, tokenize), which nothing else here needs before numpy.
+evolve without an LCT and load_scenario do without it. Scenario is a
+read-only model.Record, not a dataclass, which would import inspect.
+
+main puts each run together and is the one writer. It loads the
+scenario, runs the command, which returns its {file name: text}, and
+only then writes each file to a temporary file in the output directory
+and renames it into place, so the files have the caller's umask and a
+command that fails writes none.
 
 main runs BLAS on one thread unless the caller set OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS, or numpy was loaded before it.
@@ -60,7 +65,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import TYPE_CHECKING
 
 from .model import (QUADRATURES, Lct, ModeParams, MomentState,
@@ -105,26 +109,10 @@ class Scenario(Record):
     """A checked scenario. initial holds coherent displacements (the
     vacuum is (0, 0)), a physical MomentState, or a checked
     (fock_dim^2, fock_dim^2) density matrix; the time grid is n_steps
-    samples from t_start to t_end."""
+    samples from t_start to t_end. load_scenario builds it."""
 
     __slots__ = ("system", "initial", "t_start", "t_end", "n_steps",
                  "engine", "fock_dim", "lct", "seed")
-
-    def __init__(self, system: TwoModeSystem,
-                 initial: tuple[complex, complex] | MomentState | np.ndarray,
-                 t_start: float, t_end: float, n_steps: int, engine: str,
-                 fock_dim: int, lct: Lct | None, seed: int):
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        super().__init__(system=system, initial=initial, t_start=t_start,
-                         t_end=t_end, n_steps=n_steps, engine=engine,
-                         fock_dim=fock_dim, lct=lct, seed=seed)
-
-    def with_seed(self, seed: int) -> Scenario:
-        """This scenario with another seed, checked as in __init__."""
-        return Scenario(self.system, self.initial, self.t_start, self.t_end,
-                        self.n_steps, self.engine, self.fock_dim, self.lct,
-                        seed)
 
     @property
     def times(self) -> np.ndarray:
@@ -220,12 +208,15 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str, seed: int | None = None) -> Scenario:
+    """The checked scenario of the JSON file at path; a given seed, checked
+    as the file's own is, replaces the file's."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=_reject_constant,
                             parse_int=_parse_int)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RFC 8259 JSON is UTF-8; a nest past the recursion limit is unread
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("scenario root must be a JSON object")
@@ -264,10 +255,14 @@ def load_scenario(path: str) -> Scenario:
     initial = _parse_initial(_get(raw, "initial", dict, {"type": "vacuum"}),
                              system, fock_dim)
     lct = _parse_lct(raw["lct"]) if "lct" in raw else None
-    seed = _get(raw, "seed", int, 0)
+    file_seed = _get(raw, "seed", int, 0)
+    for value in (file_seed, seed):
+        if value is not None and value < 0:
+            raise ValueError(f"seed must be >= 0, got {value}")
     return Scenario(system=system, initial=initial, t_start=t_start,
                     t_end=t_end, n_steps=n_steps, engine=engine,
-                    fock_dim=fock_dim, lct=lct, seed=seed)
+                    fock_dim=fock_dim, lct=lct,
+                    seed=file_seed if seed is None else seed)
 
 
 def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
@@ -395,13 +390,15 @@ def _trajectory_csv(times: np.ndarray, state: MomentState,
                      + [fmt % tuple(row) for row in rows]) + "\n"
 
 
-def _atomic_write(path: str, content: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+def _atomic_write(directory: str, name: str, text: str) -> None:
+    """Write text to directory/name through a temporary file there, named
+    for this process and renamed into place, so it has the caller's umask
+    and a reader never sees it half written."""
+    tmp = os.path.join(directory, f".tmp-{os.getpid()}-{name}")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, os.path.join(directory, name))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -443,7 +440,7 @@ def _engine_deviation(a, f) -> np.ndarray:
         np.max(np.abs(a.cov - f.cov) / (1.0 + np.abs(a.cov)), axis=(1, 2)))
 
 
-def run_evolve(scenario: Scenario, out_dir: str) -> None:
+def run_evolve(scenario: Scenario) -> dict[str, str]:
     import numpy as np
     from . import analytic
     system, times = scenario.system, scenario.times
@@ -459,9 +456,7 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
         trajectories["fock"] = MomentState(mean=oracle.mean, cov=oracle.cov)
 
     state = trajectories.get("analytic", trajectories.get("fock"))
-    _atomic_write(os.path.join(out_dir, "trajectory.csv"),
-                  _trajectory_csv(times, state, scenario.lct))
-
+    csv = _trajectory_csv(times, state, scenario.lct)
     summary = [f"engine: {scenario.engine}",
                f"samples: {len(times)}",
                f"t_final: {_fmt(times[-1])}",
@@ -479,11 +474,10 @@ def run_evolve(scenario: Scenario, out_dir: str) -> None:
         summary.append(f"max analytic-vs-fock deviation: {_fmt(dev.max())}")
     if rho0 is not None:
         summary.append(f"max fock_tail: {_fmt(oracle.fock_tail.max())}")
-    _atomic_write(os.path.join(out_dir, "summary.txt"),
-                  "\n".join(summary) + "\n")
+    return {"trajectory.csv": csv, "summary.txt": "\n".join(summary) + "\n"}
 
 
-def run_oracle(scenario: Scenario, out_dir: str) -> None:
+def run_oracle(scenario: Scenario) -> dict[str, str]:
     from . import analytic, fock
     system, dim, times = scenario.system, scenario.fock_dim, scenario.times
     oracle = fock.moment_trajectory(initial_density(scenario), system, times,
@@ -498,8 +492,7 @@ def run_oracle(scenario: Scenario, out_dir: str) -> None:
                                        oracle.bh_residual, dev,
                                        oracle.fock_tail)]
     lines.append(f"max engine deviation: {_fmt(dev.max())}")
-    _atomic_write(os.path.join(out_dir, "oracle_report.txt"),
-                  "\n".join(lines) + "\n")
+    return {"oracle_report.txt": "\n".join(lines) + "\n"}
 
 
 def _report_lines(report: StructureReport, *names: str) -> list[str]:
@@ -509,7 +502,7 @@ def _report_lines(report: StructureReport, *names: str) -> list[str]:
             for name in ("product_A", "product_B", "cov_xx", "cov_pp") + names]
 
 
-def run_structure(scenario: Scenario, out_dir: str) -> None:
+def run_structure(scenario: Scenario) -> dict[str, str]:
     from . import structures
     if scenario.lct is None:
         raise ValueError("the structure command needs an 'lct' entry "
@@ -519,11 +512,10 @@ def run_structure(scenario: Scenario, out_dir: str) -> None:
     lines = (["position block M: " + _fmt_all(m[0] + m[1]),
               "momentum block N: " + _fmt_all(n[0] + n[1])]
              + _report_lines(report, "residual", "family_distance"))
-    _atomic_write(os.path.join(out_dir, "structure.txt"),
-                  "\n".join(lines) + "\n")
+    return {"structure.txt": "\n".join(lines) + "\n"}
 
 
-def run_classicality(scenario: Scenario, out_dir: str) -> None:
+def run_classicality(scenario: Scenario) -> dict[str, str]:
     from . import structures
     config = structures.SearchConfig(seed=scenario.seed)
     report, trace = structures.search_classical_structure(scenario.system,
@@ -534,13 +526,11 @@ def run_classicality(scenario: Scenario, out_dir: str) -> None:
               "best position block M: "
               + _fmt_all(report.lct.M[0] + report.lct.M[1])]
              + _report_lines(report, "family_distance"))
-    _atomic_write(os.path.join(out_dir, "classicality.txt"),
-                  "\n".join(lines) + "\n")
     rows = ["restart,residual,iterations,trivial"]
     rows += [f"{r.index},{_fmt(r.residual)},{r.iterations},"
              f"{int(r.trivial)}" for r in trace]
-    _atomic_write(os.path.join(out_dir, "search_trace.csv"),
-                  "\n".join(rows) + "\n")
+    return {"classicality.txt": "\n".join(lines) + "\n",
+            "search_trace.csv": "\n".join(rows) + "\n"}
 
 
 _COMMANDS = {"evolve": run_evolve, "oracle": run_oracle,
@@ -579,11 +569,10 @@ def main(argv: list[str] | None = None) -> int:
             os.environ.setdefault(name, "1")
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.config)
-        if getattr(args, "seed", None) is not None:
-            scenario = scenario.with_seed(args.seed)
+        scenario = load_scenario(args.config, getattr(args, "seed", None))
         os.makedirs(args.output, exist_ok=True)
-        _COMMANDS[args.command](scenario, args.output)
+        for name, text in _COMMANDS[args.command](scenario).items():
+            _atomic_write(args.output, name, text)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

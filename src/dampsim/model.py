@@ -240,9 +240,12 @@ class Lct:
 
     def __init__(self, M, N=None):
         self.M, self._N = _block(M), None if N is None else _block(N)
-        if self.M is None or (N is not None and self._N is None):
-            raise ValueError("M and N must be finite 2x2 matrices")
-        if N is None and (conditioning := _condition_violation(self.M)):
+        if N is not None:
+            if self.M is None or self._N is None:
+                raise ValueError("M and N must be finite 2x2 matrices")
+        elif self.M is None:
+            raise ValueError("position block must be a finite 2x2 matrix")
+        elif conditioning := _condition_violation(self.M):
             raise ValueError(f"position block: {conditioning}")
 
     @property
@@ -294,7 +297,4 @@ def check_lct(lct: Lct) -> None:
 
 def lct_from_position_block(M) -> Lct:
     """Build a valid Lct from its position block alone, with N = inv(M.T)."""
-    m = _block(M)
-    if m is None:
-        raise ValueError("position block must be a finite 2x2 matrix")
-    return Lct(M=m)
+    return Lct(M)

@@ -124,6 +124,7 @@ class TestExitCodes:
             base_scenario(lct={"M": [[1.0, 0.0], [0.0, 1.0]], "N": {}}),
             base_scenario(lct={"M": [[1.0, 0.0], [0.0, 1.0]], "N": ragged}),
             base_scenario(lct={"M": ragged}),
+            base_scenario(lct=[[1.0, 0.0], [0.0, 1.0]]),  # not an object
         ]
         # nor is a nest deeper than numpy's 64 dimensions an array
         deep = 1.0
@@ -138,9 +139,14 @@ class TestExitCodes:
             malformed_values += [base_scenario(lct={"M": block}),
                                  base_scenario(lct={"M": identity,
                                                     "N": block})]
-        for text in ("{not json", nan_kappa, inf_t_end, huge_kappa,
-                     *map(json.dumps, malformed_values)):
-            path.write_text(text)
+        # JSON is UTF-8 whatever the locale, and a nest past the decoder's
+        # recursion limit is unreadable, not a failed computation
+        not_utf8 = b'\xff\xfe{"a":1}'
+        too_deep = "[" * 100000
+        for text in ("{not json", nan_kappa, inf_t_end, huge_kappa, not_utf8,
+                     too_deep, *map(json.dumps, malformed_values)):
+            path.write_bytes(text if isinstance(text, bytes)
+                             else text.encode())
             capsys.readouterr()
             assert main(["evolve", "--config", str(path),
                          "--output", str(tmp_path)]) == 1
@@ -257,6 +263,15 @@ class TestExitCodes:
                      "--output", str(tmp_path)]) == 2
 
     def test_oversized_fock_dim_exits_2(self, tmp_path, capsys):
+        # the engine and fock_dim are checked for every command, and
+        # fock_dim from below too
+        for bad, message in (({"engine": "quantum"}, "unknown engine"),
+                             ({"fock_dim": 1}, "fock_dim must be >= 2")):
+            config = write_scenario(tmp_path, base_scenario(**bad))
+            for command in cli._COMMANDS:
+                assert main([command, "--config", config,
+                             "--output", str(tmp_path)]) == 2
+                assert message in capsys.readouterr().err
         config = write_scenario(tmp_path, base_scenario(engine="fock",
                                                         fock_dim=1000))
         assert main(["evolve", "--config", config,
@@ -397,14 +412,30 @@ class TestExitCodes:
         blocker.write_text("")
         assert main(["evolve", "--config", config,
                      "--output", str(blocker / "sub")]) == 3
+        # a directory where trajectory.csv goes fails the rename, and the
+        # temporary file is removed
+        out = tmp_path / "out"
+        (out / "trajectory.csv").mkdir(parents=True)
+        assert main(["evolve", "--config", config, "--output", str(out)]) == 3
+        assert os.listdir(out) == ["trajectory.csv"]
+        assert os.listdir(out / "trajectory.csv") == []
 
-    def test_no_partial_files_on_error(self, tmp_path):
+    def test_no_partial_files_on_error(self, tmp_path, monkeypatch):
         scenario = base_scenario()
         scenario["system"]["mode1"]["kappa"] = -1.0
         config = write_scenario(tmp_path, scenario)
         out = tmp_path / "out"
         main(["evolve", "--config", config, "--output", str(out)])
         assert not (out / "trajectory.csv").exists()
+        # nor after the work has started: the summary fails once the
+        # trajectory is built, and no file is written
+        def fail(*args):
+            raise FloatingPointError("overflow encountered")
+
+        monkeypatch.setattr(cli, "_decay_fit_slope", fail)
+        config = write_scenario(tmp_path, base_scenario())
+        assert main(["evolve", "--config", config, "--output", str(out)]) == 4
+        assert os.listdir(out) == []
 
 
 class TestEvolve:
@@ -653,14 +684,22 @@ class TestOtherCommands:
         assert main(["structure", "--config", config,
                      "--output", str(tmp_path)]) == 2
 
-    def test_invalid_lct_exits_2(self, tmp_path):
-        # not canonical; ill-conditioned (cond ~ 4e10, det 1e-10)
-        for lct in ({"M": [[1.0, 0.0], [0.0, 1.0]],
-                     "N": [[2.0, 0.0], [0.0, 1.0]]},
-                    {"M": [[1.0, 1.0], [1.0, 1.0 + 1e-10]]}):
+    def test_invalid_lct_exits_2(self, tmp_path, capsys):
+        # not canonical; ill-conditioned (cond ~ 4e10, det 1e-10); numeric
+        # blocks that are not 2x2, M alone or with N
+        identity = [[1.0, 0.0], [0.0, 1.0]]
+        for lct, message in (
+                ({"M": identity, "N": [[2.0, 0.0], [0.0, 1.0]]},
+                 "invalid LCT"),
+                ({"M": [[1.0, 1.0], [1.0, 1.0 + 1e-10]]}, "cond(M)"),
+                ({"M": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]},
+                 "position block must be a finite 2x2 matrix"),
+                ({"M": identity, "N": [1.0, 0.0]},
+                 "M and N must be finite 2x2 matrices")):
             config = write_scenario(tmp_path, base_scenario(lct=lct))
             assert main(["structure", "--config", config,
                          "--output", str(tmp_path)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_classicality_resonant(self, tmp_path):
         config = write_scenario(tmp_path, base_scenario(seed=5))
@@ -1146,6 +1185,24 @@ def test_cli_runs_blas_on_one_thread_by_default(tmp_path, prelude, action,
     assert out.stdout.strip() == repr(want)
 
 
+def test_output_files_have_the_callers_umask(tmp_path):
+    config = write_scenario(tmp_path, base_scenario(
+        lct={"M": [[0.5, 0.5], [1.0, -1.0]]}))
+    for umask in (0o022, 0o027):
+        out = tmp_path / f"out{umask:o}"
+        old = os.umask(umask)
+        try:
+            for command in cli._COMMANDS:
+                assert main([command, "--config", config,
+                             "--output", str(out)]) == 0
+        finally:
+            os.umask(old)
+        modes = {name: os.stat(out / name).st_mode & 0o777
+                 for name in os.listdir(out)}
+        assert len(modes) == 6
+        assert set(modes.values()) == {0o666 & ~umask}, modes
+
+
 def test_main_leaves_the_collector_as_it_was(tmp_path):
     # a process that calls main, as this test session does hundreds of
     # times, keeps its collector on and its heap unfrozen
@@ -1166,8 +1223,8 @@ def test_process_entry_runs_a_command_without_the_collector(tmp_path):
     code = ("import gc, sys\nfrom dampsim import cli\n"
             "print(gc.isenabled(), gc.get_freeze_count())\n"
             "seen = []\n"
-            "cli._COMMANDS['evolve'] = lambda scenario, out: "
-            "seen.append(gc.isenabled())\n"
+            "cli._COMMANDS['evolve'] = lambda scenario: "
+            "seen.append(gc.isenabled()) or {}\n"
             f"sys.argv = ['dampsim', 'evolve', '--config', {config!r}, "
             f"'--output', {str(tmp_path)!r}]\n"
             "try:\n"

@@ -112,8 +112,9 @@ class TestRecords:
         report, trace = structures.search_classical_structure(system)
         built = [PhysicalConstants(), ModeParams(1.0, 1.0, 0.5), system,
                  vacuum_state(system),
-                 cli.Scenario(system, (0j, 0j), 0.0, 1.0, 3, "analytic", 8,
-                              None, 0),
+                 cli.Scenario(system=system, initial=(0j, 0j), t_start=0.0,
+                              t_end=1.0, n_steps=3, engine="analytic",
+                              fock_dim=8, lct=None, seed=0),
                  structures.SearchConfig(), report, trace[0]]
         assert len({type(record) for record in built}) == 8
         for record in built:
