@@ -16,15 +16,20 @@ vacuum or coherent pair reaches the fock engine as its two (D, D)
 one-mode factors.
 
 Each value is checked once, where it enters; the engines trust what they
-get. load_scenario, for every command, reads the file as UTF-8 and parses
-keys, types and numbers (exit 1; a key the scenario format does not
-define is an error), then checks the parameters, time grid, initial
-state, LCT and seed (exit 2): explicit moments with MomentState and
-assert_physical, an explicit density with the density budget first, then
-its shape and fock.check_density. It checks the seed of classicality
---seed there too, which replaces the file's. Each command then builds the initial state the fock
-engine needs once. Every trajectory the CSV writer reads is a
-model.MomentState, so it was checked when it was built.
+get. load_scenario, for every command, reads the file as UTF-8 JSON and
+rejects an unknown root key (exit 1), then takes one entry at a time:
+system (hbar, mode1, mode2, the vacuum variances), time_grid, engine,
+fock_dim, initial, lct, seed. It parses each entry's keys, types and
+numbers (exit 1; a missing, mistyped or undefined key is named by its
+path) and checks its values (exit 2) before the next, so the first bad
+entry sets the exit code: a negative kappa with n_steps "x" exits 2.
+Explicit moments are checked with MomentState and assert_physical, an
+explicit density with the density budget first, then its shape and
+fock.check_density, an lct by model.Lct and, given N, the cond(M) bound
+of an M alone. The seed of classicality --seed is checked last and
+replaces the file's. Each command then builds the initial state the fock
+engine needs once; every trajectory the CSV writer reads is a
+model.MomentState, checked when it was built.
 
 The oracle command makes one fock.moment_trajectory call, which returns
 the moments with their per-time margins, and formats what it returns.
@@ -38,11 +43,9 @@ structure, classicality and an LCT frame of evolve use it, so oracle, an
 evolve without an LCT and load_scenario do without it. Scenario is a
 read-only model.Record, not a dataclass, which would import inspect.
 
-main puts each run together and is the one writer. It loads the
-scenario, runs the command, which returns its {file name: text}, and
-only then writes each file to a temporary file in the output directory
-and renames it into place, so the files have the caller's umask and a
-command that fails writes none.
+main puts each run together and is the one writer: it loads the
+scenario, runs the command, which returns its {file name: text}, and only
+then writes them all (_write_files), so a run that fails leaves no file.
 
 main runs BLAS on one thread unless the caller set OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS, or numpy was loaded before it.
@@ -65,12 +68,13 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from typing import TYPE_CHECKING
 
 from .model import (QUADRATURES, Lct, ModeParams, MomentState,
                     PhysicalConstants, Record, TwoModeSystem,
-                    assert_physical, check_lct, lct_from_position_block,
-                    vacuum_state, vacuum_variances)
+                    assert_physical, condition_violation, vacuum_state,
+                    vacuum_variances)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -127,16 +131,17 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _get(d: dict, key: str, kind, default=_MISSING):
+def _get(d: dict, prefix: str, key: str, kind, default=_MISSING):
+    """d[key] as kind, or default; a ParseError names prefix + key."""
     if key not in d:
         if default is _MISSING:
-            raise ParseError(f"missing scenario key: {key!r}")
+            raise ParseError(f"missing scenario key: {prefix + key!r}")
         return default
     value = d[key]
     if kind is float and _is_number(value):
         return float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ParseError(f"scenario key {key!r} has wrong type: "
+        raise ParseError(f"scenario key {prefix + key!r} has wrong type: "
                          f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -148,12 +153,13 @@ def _known(d: dict, prefix: str, *keys: str) -> None:
             raise ParseError(f"unknown scenario key: {prefix + key!r}")
 
 
-def _parse_mode(d: dict, label: str) -> ModeParams:
-    _known(d, f"system.{label}.", "mass", "omega", "kappa")
+def _parse_mode(sysd: dict, label: str) -> ModeParams:
+    d, prefix = _get(sysd, "system.", label, dict), f"system.{label}."
+    _known(d, prefix, "mass", "omega", "kappa")
     try:
-        return ModeParams(mass=_get(d, "mass", float),
-                          omega=_get(d, "omega", float),
-                          kappa=_get(d, "kappa", float))
+        return ModeParams(mass=_get(d, prefix, "mass", float),
+                          omega=_get(d, prefix, "omega", float),
+                          kappa=_get(d, prefix, "kappa", float))
     except ValueError as exc:
         raise ValueError(f"{label}: {exc}") from exc
 
@@ -189,10 +195,12 @@ def _parse_lct(d: dict) -> Lct:
     _known(d, "lct.", "M", "N")
     _float_shape(d["M"], "lct position block")
     if "N" not in d:
-        return lct_from_position_block(d["M"])
+        return Lct(d["M"])
     _float_shape(d["N"], "lct momentum block")
     lct = Lct(M=d["M"], N=d["N"])
-    check_lct(lct)
+    # a scenario's M meets the cond(M) bound whether or not it gives N
+    if conditioning := condition_violation(lct.M):
+        raise ValueError(f"invalid LCT: {conditioning}")
     return lct
 
 
@@ -223,18 +231,19 @@ def load_scenario(path: str, seed: int | None = None) -> Scenario:
     _known(raw, "", "system", "initial", "time_grid", "engine", "fock_dim",
            "lct", "seed")
 
-    sysd = _get(raw, "system", dict)
+    sysd = _get(raw, "", "system", dict)
     _known(sysd, "system.", "hbar", "mode1", "mode2")
-    constants = PhysicalConstants(hbar=_get(sysd, "hbar", float, 1.0))
-    system = TwoModeSystem(mode1=_parse_mode(_get(sysd, "mode1", dict), "mode1"),
-                           mode2=_parse_mode(_get(sysd, "mode2", dict), "mode2"),
+    constants = PhysicalConstants(hbar=_get(sysd, "system.", "hbar", float,
+                                            1.0))
+    system = TwoModeSystem(mode1=_parse_mode(sysd, "mode1"),
+                           mode2=_parse_mode(sysd, "mode2"),
                            constants=constants)
 
-    grid = _get(raw, "time_grid", dict)
+    grid = _get(raw, "", "time_grid", dict)
     _known(grid, "time_grid.", "t_start", "t_end", "n_steps")
-    t_start = _get(grid, "t_start", float)
-    t_end = _get(grid, "t_end", float)
-    n_steps = _get(grid, "n_steps", int)
+    t_start = _get(grid, "time_grid.", "t_start", float)
+    t_end = _get(grid, "time_grid.", "t_end", float)
+    n_steps = _get(grid, "time_grid.", "n_steps", int)
     if not 0 <= t_start < t_end < math.inf or n_steps < 1:
         raise ValueError(
             f"time grid requires finite 0 <= t_start < t_end, n_steps >= 1; "
@@ -243,19 +252,20 @@ def load_scenario(path: str, seed: int | None = None) -> Scenario:
     if grid_bytes > _GRID_BUDGET_BYTES:
         raise ValueError(
             f"n_steps {n_steps} needs a {grid_bytes / 2 ** 20:.3g} MiB "
-            f"covariance trajectory; the limit is 128 MiB "
-            f"(n_steps <= 1048576)")
-    engine = _get(raw, "engine", str, "analytic")
+            f"covariance trajectory; the limit is "
+            f"{_GRID_BUDGET_BYTES / 2 ** 20:.3g} MiB "
+            f"(n_steps <= {_GRID_BUDGET_BYTES // (4 * 4 * 8)})")
+    engine = _get(raw, "", "engine", str, "analytic")
     if engine not in ("analytic", "fock", "both"):
         raise ValueError(f"unknown engine {engine!r}")
-    fock_dim = _get(raw, "fock_dim", int, 32)
+    fock_dim = _get(raw, "", "fock_dim", int, 32)
     if fock_dim < 2:
         raise ValueError(f"fock_dim must be >= 2, got {fock_dim}")
 
-    initial = _parse_initial(_get(raw, "initial", dict, {"type": "vacuum"}),
-                             system, fock_dim)
+    initial = _parse_initial(_get(raw, "", "initial", dict,
+                                  {"type": "vacuum"}), system, fock_dim)
     lct = _parse_lct(raw["lct"]) if "lct" in raw else None
-    file_seed = _get(raw, "seed", int, 0)
+    file_seed = _get(raw, "", "seed", int, 0)
     for value in (file_seed, seed):
         if value is not None and value < 0:
             raise ValueError(f"seed must be >= 0, got {value}")
@@ -267,7 +277,7 @@ def load_scenario(path: str, seed: int | None = None) -> Scenario:
 
 def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
     """The checked initial state, as Scenario.initial holds it."""
-    kind = _get(d, "type", str)
+    kind = _get(d, "initial.", "type", str)
     if kind == "vacuum":
         _known(d, "initial.", "type")
         return 0j, 0j
@@ -283,9 +293,9 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
         return tuple(pair)
     if kind == "moments":
         _known(d, "initial.", "type", "mean", "cov")
-        mean = _get(d, "mean", list)
+        mean = _get(d, "initial.", "mean", list)
         shape = _float_shape(mean, "initial mean")
-        cov = _get(d, "cov", list)
+        cov = _get(d, "initial.", "cov", list)
         _float_shape(cov, "initial cov")
         try:
             if shape != (4,):  # a MomentState may also be a stack
@@ -301,7 +311,7 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
         _check_fock_budget(dim)
         import numpy as np
         from . import fock
-        real = _get(d, "real", list)
+        real = _get(d, "initial.", "real", list)
         shape = _float_shape(real, "density matrix")
         rho = np.asarray(real, dtype=float).astype(complex)
         if d.get("imag") is not None:
@@ -344,7 +354,8 @@ def _check_fock_budget(dim: int) -> None:
         raise ValueError(
             f"fock_dim {dim} is past the fock engine's cutoff limit: a "
             f"two-mode density there takes {dim ** 4 * 16 / 2 ** 30:.3g} "
-            f"GiB, over 1 GiB (fock_dim <= 90)")
+            f"GiB, over {_FOCK_BUDGET_BYTES / 2 ** 30:.3g} GiB (fock_dim <= "
+            f"{math.isqrt(math.isqrt(_FOCK_BUDGET_BYTES // 16))})")
 
 
 def initial_density(scenario: Scenario) -> np.ndarray | tuple:
@@ -390,18 +401,26 @@ def _trajectory_csv(times: np.ndarray, state: MomentState,
                      + [fmt % tuple(row) for row in rows]) + "\n"
 
 
-def _atomic_write(directory: str, name: str, text: str) -> None:
-    """Write text to directory/name through a temporary file there, named
-    for this process and renamed into place, so it has the caller's umask
-    and a reader never sees it half written."""
-    tmp = os.path.join(directory, f".tmp-{os.getpid()}-{name}")
+def _write_files(directory: str, files: dict[str, str]) -> None:
+    """Write each {name: text} to a temporary file in directory, named for
+    this process, and only then rename them all into place, so they have
+    the caller's umask and a reader never sees one half written. On any
+    failure the temporaries and the files already renamed are removed."""
+    temporaries = [os.path.join(directory, f".tmp-{os.getpid()}-{name}")
+                   for name in files]
+    made = []
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, os.path.join(directory, name))
+        for tmp, text in zip(temporaries, files.values()):
+            made.append(tmp)
+            with open(tmp, "w") as fh:
+                fh.write(text)
+        for tmp, name in zip(temporaries, files):
+            os.replace(tmp, path := os.path.join(directory, name))
+            made.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for path in made:
+            with suppress(OSError):  # renamed already, or never made
+                os.unlink(path)
         raise
 
 
@@ -571,8 +590,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.config, getattr(args, "seed", None))
         os.makedirs(args.output, exist_ok=True)
-        for name, text in _COMMANDS[args.command](scenario).items():
-            _atomic_write(args.output, name, text)
+        _write_files(args.output, _COMMANDS[args.command](scenario))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

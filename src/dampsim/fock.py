@@ -41,17 +41,15 @@ modes) runs once on each density a caller supplies.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import (MomentState, ModeParams, PhysicalConstants, TwoModeSystem,
-                    checked_times, vacuum_variances)
+from .model import (MomentState, ModeParams, PhysicalConstants, Record,
+                    TwoModeSystem, checked_times, vacuum_variances)
 
 
-class ModeOperators(NamedTuple):
-    x: np.ndarray
-    p: np.ndarray
+class ModeOperators(Record):
+    __slots__ = ("x", "p")
 
 
 def _quadrature_diagonals(dim: int, params: ModeParams,
@@ -76,8 +74,9 @@ def build_mode_operators(dim: int, params: ModeParams,
                          constants: PhysicalConstants) -> ModeOperators:
     """Dense quadrature matrices x and p of one mode."""
     ladders, table = _quadrature_diagonals(dim, params, constants)
-    return ModeOperators(*(np.diag(d, 1) + np.diag(d.conj(), -1)
-                           for d in table[1, :2, None] * ladders[1]))
+    x, p = (np.diag(d, 1) + np.diag(d.conj(), -1)
+            for d in table[1, :2, None] * ladders[1])
+    return ModeOperators(x=x, p=p)
 
 
 def kraus_operators(kappa: float, t: float | np.ndarray,
@@ -283,15 +282,12 @@ def _chunk_size(dim: int) -> int:
     return max(1, _CHUNK_BYTES // (_TIME_ARRAYS * dim * dim * 16))
 
 
-class OracleTrajectory(NamedTuple):
+class OracleTrajectory(Record):
     """Oracle means (T, 4) and covariances (T, 4, 4) on a (T,) grid, and per
     time the largest over both modes of the completeness defect, the BH
     identity residual and the population at the cutoff."""
-    mean: np.ndarray
-    cov: np.ndarray
-    completeness: np.ndarray
-    bh_residual: np.ndarray
-    fock_tail: np.ndarray
+
+    __slots__ = ("mean", "cov", "completeness", "bh_residual", "fock_tail")
 
 
 def _chunk_moments(kraus: tuple[np.ndarray, np.ndarray], tables: list,
@@ -360,20 +356,21 @@ def moment_trajectory(rho0: np.ndarray | tuple, system: TwoModeSystem,
     tables = [(*_quadrature_diagonals(dim, mode, system.constants),
                [np.diagonal(r, -k) * (2 if k else 1) for k in range(3)])
               for mode, r in zip(system.modes, densities)]
-    out = OracleTrajectory(*(np.empty(times.shape + shape)
-                             for shape in ((4,), (4, 4), (), (), ())))
+    mean, cov = np.empty(times.shape + (4,)), np.empty(times.shape + (4, 4))
+    margins = np.empty((3,) + times.shape)  # in OracleTrajectory's order
     size = _chunk_size(dim)
     for start in range(0, len(times), size):
         index = slice(start, start + size)
         kraus = tuple(kraus_operators(mode.kappa, times[index], dim)
                       for mode in system.modes)
-        out.mean[index], out.cov[index] = _chunk_moments(kraus, tables, rho_xp)
-        margins = [(completeness_defect(bands), _bh_residual(bands),
-                    top_level_population(r, bands))
-                   for bands, r in zip(kraus, densities)]
-        for field, per_mode in zip(out[2:], zip(*margins)):
-            field[index] = np.max(per_mode, axis=0)
-    return out
+        mean[index], cov[index] = _chunk_moments(kraus, tables, rho_xp)
+        margins[:, index] = np.max([(completeness_defect(bands),
+                                     _bh_residual(bands),
+                                     top_level_population(r, bands))
+                                    for bands, r in zip(kraus, densities)],
+                                   axis=0)
+    return OracleTrajectory(mean=mean, cov=cov, completeness=margins[0],
+                            bh_residual=margins[1], fock_tail=margins[2])
 
 
 def two_mode_moments(rho0: np.ndarray | tuple, system: TwoModeSystem,

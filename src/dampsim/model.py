@@ -6,9 +6,9 @@ checked in closed form, need only the standard library. numpy is
 imported by the array code alone: MomentState, the symplectic form and
 defect, vacuum_state, checked_times, and the N of an LCT given by M.
 
-The records are plain __slots__ classes on Record, each with its own
-__init__. A frozen dataclass would cost the import of dataclasses and
-inspect, 8-13 ms, plus 1.0-1.7 ms per class to exec generated methods."""
+Every record of the package is a read-only __slots__ class on Record. A
+frozen dataclass would cost the import of dataclasses and inspect,
+8-13 ms, plus 1.0-1.7 ms per class to exec generated methods."""
 
 from __future__ import annotations
 
@@ -46,9 +46,10 @@ def symplectic_form() -> np.ndarray:
 
 class Record:
     """Base of the read-only records: a subclass names its fields in
-    __slots__ and its __init__ sets each once, through Record.__init__.
-    Assigning or deleting a field afterwards raises AttributeError, so a
-    value checked when it was built stays checked."""
+    __slots__ and is built by keyword, Record.__init__ setting each once.
+    It writes its own __init__ only to check its fields or give them
+    defaults. Assigning or deleting a field afterwards raises
+    AttributeError, so a value checked when it was built stays checked."""
 
     __slots__ = ()
 
@@ -225,42 +226,53 @@ def _block(value) -> Block | None:
     return rows
 
 
-class Lct:
+class Lct(Record):
     """Linear canonical transformation mixing positions with positions and
     momenta with momenta.
 
     M rows are the position coefficients (alpha, beta); N rows the momentum
     coefficients (gamma, delta), both Blocks. Canonicity requires
-    M @ N.T == I, i.e. N = inv(M.T). An Lct given M alone must pass the
-    cond(M) test of check_lct, and takes numpy's inv(M.T) as its N when N
-    is first read.
+    M @ N.T == I, i.e. N = inv(M.T). Construction is the one check: a
+    given N must meet M N^T = I within STRUCTURAL_TOL ("invalid LCT: ..."
+    with each residual); M alone must pass condition_violation, and N is
+    then numpy's inv(M.T), computed where it is read.
     """
 
     __slots__ = ("M", "_N")
 
     def __init__(self, M, N=None):
-        self.M, self._N = _block(M), None if N is None else _block(N)
+        m, n = _block(M), None if N is None else _block(N)
         if N is not None:
-            if self.M is None or self._N is None:
+            if m is None or n is None:
                 raise ValueError("M and N must be finite 2x2 matrices")
-        elif self.M is None:
+            labels = (("sum alpha_i gamma_i - 1", "sum alpha_i delta_i"),
+                      ("sum beta_i gamma_i", "sum beta_i delta_i - 1"))
+            violations = []
+            for i, row in enumerate(m):
+                for j, col in enumerate(n):
+                    r = row[0] * col[0] + row[1] * col[1] - (i == j)
+                    if not abs(r) <= STRUCTURAL_TOL:  # (M N^T - I)_ij, or NaN
+                        violations.append(f"{labels[i][j]} = {r:.3e}")
+            if violations:
+                raise ValueError("invalid LCT: " + "; ".join(violations))
+        elif m is None:
             raise ValueError("position block must be a finite 2x2 matrix")
-        elif conditioning := _condition_violation(self.M):
+        elif conditioning := condition_violation(m):
             raise ValueError(f"position block: {conditioning}")
+        super().__init__(M=m, _N=n)
 
     @property
     def N(self) -> Block:
-        if self._N is None:
-            import numpy as np
-            self._N = tuple(map(tuple,
-                                np.linalg.inv(np.array(self.M).T).tolist()))
-        return self._N
+        if self._N is not None:
+            return self._N
+        import numpy as np
+        return tuple(map(tuple, np.linalg.inv(np.array(self.M).T).tolist()))
 
     def __repr__(self) -> str:
         return f"Lct(M={self.M}, N={self.N})"
 
 
-def _condition_violation(m: Block) -> str | None:
+def condition_violation(m: Block) -> str | None:
     """Why a position block is too ill-conditioned to invert, if it is.
     cond(M) = smax/smin = smax^2/|det M|, where smax^2 and smin^2 are the
     roots of l^2 - |M|_F^2 l + det(M)^2, taken after an exact power-of-two
@@ -276,23 +288,6 @@ def _condition_violation(m: Block) -> str | None:
         return (f"cond(M) = {cond:.3e} exceeds {MAX_CONDITION:.2e}: "
                 f"singular or ill-conditioned")
     return None
-
-
-def check_lct(lct: Lct) -> None:
-    """Raise ValueError("invalid LCT: ...") listing each violated
-    canonicity constraint with its residual, and cond(M) if too large."""
-    violations = []
-    labels = (("sum alpha_i gamma_i - 1", "sum alpha_i delta_i"),
-              ("sum beta_i gamma_i", "sum beta_i delta_i - 1"))
-    for i, row in enumerate(lct.M):
-        for j, col in enumerate(lct.N):
-            r = row[0] * col[0] + row[1] * col[1] - (i == j)  # (M N^T - I)_ij
-            if abs(r) > STRUCTURAL_TOL:
-                violations.append(f"{labels[i][j]} = {r:.3e}")
-    if conditioning := _condition_violation(lct.M):
-        violations.append(conditioning)
-    if violations:
-        raise ValueError("invalid LCT: " + "; ".join(violations))
 
 
 def lct_from_position_block(M) -> Lct:

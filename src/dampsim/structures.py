@@ -34,7 +34,7 @@ import random
 from typing import TYPE_CHECKING
 
 from .model import (Block, Lct, MomentState, Record, TwoModeSystem,
-                    check_damped, check_lct)
+                    check_damped)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,7 +67,6 @@ def transform_state(state: MomentState, lct: Lct) -> MomentState:
     range (a canonical M of entries 1e200, or 1e-200 and so N of 5e199)
     raises FloatingPointError, a computation failure."""
     import numpy as np
-    check_lct(lct)
     s = lct_matrix(lct)
     with np.errstate(over="raise", invalid="raise"):
         cov = s @ state.cov @ s.T
@@ -112,7 +111,6 @@ def _rescaled(a: float, b: float, c: float, e: float) -> tuple[float, ...]:
 def asymptotic_products(lct: Lct, system: TwoModeSystem) -> tuple[float, float]:
     """Asymptotic Delta X_A * Delta P_A and Delta xi_B * Delta pi_B, both
     (hbar/2)|alpha'||beta'|/|d| >= hbar/2 for a canonical LCT."""
-    check_lct(lct)
     report = evaluate_structure(lct.M, system)
     return report.product_A, report.product_B
 
@@ -122,7 +120,6 @@ def asymptotic_cross_covariances(lct: Lct,
     """Asymptotic A-B covariances cov_xx = (hbar/2) alpha'.beta' and
     cov_pp = (hbar/2) gamma'.delta' = -cov_xx/d^2; the mixed x-p ones
     vanish identically at the vacuum asymptote."""
-    check_lct(lct)
     report = evaluate_structure(lct.M, system)
     return report.cov_xx, report.cov_pp
 
@@ -131,7 +128,6 @@ def classicality_residual(lct: Lct, system: TwoModeSystem) -> float:
     """Scalar defect of the classicality criterion, ((prod_A - hbar/2)^2 +
     (prod_B - hbar/2)^2 + cov_xx^2 + cov_pp^2) / (hbar/2)^2: zero iff both
     products sit at hbar/2 and both cross covariances vanish."""
-    check_lct(lct)
     return evaluate_structure(lct.M, system).residual
 
 
@@ -173,13 +169,6 @@ class StructureReport(Record):
     __slots__ = ("lct", "product_A", "product_B", "cov_xx", "cov_pp",
                  "residual", "family_distance")
 
-    def __init__(self, lct: Lct, product_A: float, product_B: float,
-                 cov_xx: float, cov_pp: float, residual: float,
-                 family_distance: float):
-        super().__init__(lct=lct, product_A=product_A, product_B=product_B,
-                         cov_xx=cov_xx, cov_pp=cov_pp, residual=residual,
-                         family_distance=family_distance)
-
 
 class RestartResult(Record):
     """One restart: rescaled_block is M' = M diag(1/s), where the search
@@ -187,12 +176,6 @@ class RestartResult(Record):
 
     __slots__ = ("index", "rescaled_block", "residual", "iterations",
                  "trivial")
-
-    def __init__(self, index: int, rescaled_block: Block, residual: float,
-                 iterations: int, trivial: bool):
-        super().__init__(index=index, rescaled_block=rescaled_block,
-                         residual=residual, iterations=iterations,
-                         trivial=trivial)
 
 
 def trivial_mixing_distance(M) -> float:
@@ -209,7 +192,8 @@ def trivial_mixing_distance(M) -> float:
 def evaluate_structure(M, system: TwoModeSystem) -> StructureReport:
     """Full report for the canonical LCT with position block M, read from
     ``_rescaled`` of M' = M diag(1/s). M is taken as checked: the momentum
-    block is N = N' diag(1/s), N' = inv(M'.T) = adj(M')^T / d."""
+    block is N = N' diag(1/s), N' = inv(M'.T) = adj(M')^T / d, and the
+    report's Lct checks M N^T = I."""
     s1, s2 = _mode_scales(system)
     (a, b), (c, e) = ((float(v) for v in row) for row in M)
     a, b, c, e = a / s1, b / s2, c / s1, e / s2

@@ -153,10 +153,23 @@ class TestExitCodes:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ")
 
-    def test_missing_key_exits_1(self, tmp_path):
-        config = write_scenario(tmp_path, {"system": {}})
-        assert main(["evolve", "--config", config,
-                     "--output", str(tmp_path)]) == 1
+    def test_missing_key_exits_1(self, tmp_path, capsys):
+        # a missing or mistyped key is named by its path, as an unknown one
+        no_kappa = base_scenario()
+        del no_kappa["system"]["mode2"]["kappa"]
+        text_steps = base_scenario()
+        text_steps["time_grid"]["n_steps"] = "x"
+        for scenario, message in (
+                ({"system": {}}, "missing scenario key: 'system.mode1'"),
+                (no_kappa, "missing scenario key: 'system.mode2.kappa'"),
+                (base_scenario(initial={"type": "moments", "mean": [0] * 4}),
+                 "missing scenario key: 'initial.cov'"),
+                (text_steps, "scenario key 'time_grid.n_steps' has wrong "
+                             "type: expected int, got str")):
+            config = write_scenario(tmp_path, scenario)
+            assert main(["evolve", "--config", config,
+                         "--output", str(tmp_path)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         # a misspelt key fails rather than being ignored: "engin": "fock"
@@ -199,6 +212,15 @@ class TestExitCodes:
             assert main(["evolve", "--config", str(path),
                          "--output", str(tmp_path)]) == 2
             assert "kappa" in capsys.readouterr().err
+        # the system is checked before the time grid is read, so a bad
+        # kappa comes first even beside a parse error there
+        scenario = base_scenario()
+        scenario["system"]["mode1"]["kappa"] = -0.5
+        scenario["time_grid"]["n_steps"] = "x"
+        config = write_scenario(tmp_path, scenario)
+        assert main(["evolve", "--config", config,
+                     "--output", str(tmp_path)]) == 2
+        assert "kappa" in capsys.readouterr().err
 
     def test_bad_time_grid_exits_2(self, tmp_path, capsys):
         # 1e400 is a valid JSON number that parses to inf
@@ -221,7 +243,8 @@ class TestExitCodes:
                          "--output", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ")
-            assert "n_steps" in err[0]
+            assert err[0].endswith("the limit is 128 MiB "
+                                   "(n_steps <= 1048576)")
 
     def test_coherent_displacement_past_float_range_exits_2(self, tmp_path,
                                                             capsys):
@@ -419,6 +442,13 @@ class TestExitCodes:
         assert main(["evolve", "--config", config, "--output", str(out)]) == 3
         assert os.listdir(out) == ["trajectory.csv"]
         assert os.listdir(out / "trajectory.csv") == []
+        # a directory where summary.txt goes fails the second rename, and
+        # the trajectory.csv already renamed is removed with the temporary
+        out = tmp_path / "out2"
+        (out / "summary.txt").mkdir(parents=True)
+        assert main(["evolve", "--config", config, "--output", str(out)]) == 3
+        assert os.listdir(out) == ["summary.txt"]
+        assert os.listdir(out / "summary.txt") == []
 
     def test_no_partial_files_on_error(self, tmp_path, monkeypatch):
         scenario = base_scenario()
@@ -871,6 +901,7 @@ class TestInitialStates:
             err = capsys.readouterr().err.splitlines()
             if code:
                 assert len(err) == 1 and err[0].startswith("error: fock_dim 3")
+                assert err[0].endswith("(fock_dim <= 2)")
                 assert calls == [] and not out.exists()
             else:
                 assert err == [] and calls == [1]
@@ -1201,6 +1232,36 @@ def test_output_files_have_the_callers_umask(tmp_path):
                  for name in os.listdir(out)}
         assert len(modes) == 6
         assert set(modes.values()) == {0o666 & ~umask}, modes
+
+
+TRACE_CHILD = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                           "perfbench", "trace_child.py")
+
+
+@pytest.mark.parametrize("command, spans", [
+    ("evolve", ["model.moment_state"]),
+    ("oracle", ["cli.initial_density", "model.moment_state"]),
+    ("structure", []),
+    ("classicality", ["structures.search_classical_structure"]),
+])
+def test_traced_benchmark_harness_runs_every_command(tmp_path, command,
+                                                     spans):
+    # the traced harness finds cli._COMMANDS' values among the public
+    # functions and wraps MomentState.__post_init__; each command must
+    # still run under it and leave the spans the layer metrics read
+    src = os.path.dirname(os.path.dirname(dampsim.__file__))
+    config = write_scenario(tmp_path, base_scenario(
+        engine="both", fock_dim=4, lct={"M": [[0.5, 0.5], [1.0, -1.0]]}))
+    trace = tmp_path / "spans.json"
+    out = subprocess.run(
+        [sys.executable, TRACE_CHILD, str(trace), "tiny", "0", "cli",
+         command, "--config", config, "--output", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    names = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    want = {"cli.load_scenario", f"cli.run_{command}", *spans}
+    assert want <= names, want - names
 
 
 def test_main_leaves_the_collector_as_it_was(tmp_path):

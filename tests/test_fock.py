@@ -808,8 +808,9 @@ class TestOracleMoments:
             monkeypatch.setattr(fock, "_chunk_size",
                                 lambda dim, size=size: size)
             rechunked = moment_trajectory(rho0, system, times, dim)
-            for got, want in zip(rechunked, oracle):
-                assert np.array_equal(got, want), size
+            for name in fock.OracleTrajectory.__slots__:
+                assert np.array_equal(getattr(rechunked, name),
+                                      getattr(oracle, name)), (name, size)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_bad_time_mid_grid_raises_before_any_work(self, monkeypatch,

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from dampsim import cli, model, structures
 from dampsim.model import (Lct, ModeParams, MomentState, PhysicalConstants,
-                           TwoModeSystem, check_lct, lct_from_position_block,
+                           TwoModeSystem, lct_from_position_block,
                            symplectic_defect, symplectic_form, vacuum_state)
 
 
@@ -115,8 +115,9 @@ class TestRecords:
                  cli.Scenario(system=system, initial=(0j, 0j), t_start=0.0,
                               t_end=1.0, n_steps=3, engine="analytic",
                               fock_dim=8, lct=None, seed=0),
-                 structures.SearchConfig(), report, trace[0]]
-        assert len({type(record) for record in built}) == 8
+                 structures.SearchConfig(), report, trace[0],
+                 Lct(M=((0.5, 0.5), (1.0, -1.0)))]
+        assert len({type(record) for record in built}) == 9
         for record in built:
             for name in type(record).__slots__:
                 value = getattr(record, name)
@@ -191,20 +192,23 @@ class TestVacuumState:
 
 class TestLct:
     def test_identity_is_valid(self):
-        check_lct(Lct(M=np.eye(2), N=np.eye(2)))
+        Lct(M=np.eye(2), N=np.eye(2))
 
     def test_center_of_mass_coefficients_valid(self):
-        lct = Lct(M=np.array([[0.5, 0.5], [1.0, -1.0]]),
-                  N=np.array([[1.0, 1.0], [0.5, -0.5]]))
-        check_lct(lct)
+        Lct(M=np.array([[0.5, 0.5], [1.0, -1.0]]),
+            N=np.array([[1.0, 1.0], [0.5, -0.5]]))
 
     def test_constructed_violation_reported(self):
         # alpha=(1,0), gamma=(0,1): sum alpha_i gamma_i = 0, not 1
-        lct = Lct(M=np.array([[1.0, 0.0], [1.0, 1.0]]),
-                  N=np.array([[0.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(ValueError,
                            match="^invalid LCT: sum alpha_i gamma_i - 1 = "):
-            check_lct(lct)
+            Lct(M=np.array([[1.0, 0.0], [1.0, 1.0]]),
+                N=np.array([[0.0, 1.0], [1.0, 1.0]]))
+        # M N^T past float range, inf - inf on the diagonal: NaN is no pass
+        big = 1e200
+        with pytest.raises(ValueError,
+                           match="^invalid LCT: sum alpha_i gamma_i - 1 = nan"):
+            Lct(M=[[big, big], [big, -big]], N=[[big, -big], [big, big]])
 
     def test_from_position_block_identity(self):
         lct = lct_from_position_block(np.eye(2))
@@ -213,7 +217,7 @@ class TestLct:
     def test_from_position_block_center_of_mass(self):
         lct = lct_from_position_block(np.array([[0.5, 0.5], [1.0, -1.0]]))
         assert np.allclose(lct.N, [[1.0, 1.0], [0.5, -0.5]])
-        check_lct(lct)
+        Lct(M=lct.M, N=lct.N)
 
     def test_singular_block_rejected(self):
         with pytest.raises(ValueError, match="singular"):

@@ -1,13 +1,14 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from dampsim import structures
+from dampsim import model, structures
 from dampsim.analytic import asymptotic_state, evolve_state, evolve_trajectory
-from dampsim.model import (Lct, MomentState, check_lct,
-                           lct_from_position_block, vacuum_state)
+from dampsim.model import (Lct, MomentState, lct_from_position_block,
+                           vacuum_state)
 from dampsim.structures import (SearchConfig, asymptotic_cross_covariances,
                                 asymptotic_products, center_of_mass_lct,
                                 classical_family, classicality_residual,
@@ -25,7 +26,7 @@ class TestCenterOfMassLct:
         assert np.allclose(lct.M[1], [1.0, -1.0])  # beta
         assert np.allclose(lct.N[0], [1.0, 1.0])  # gamma
         assert np.allclose(lct.N[1], [0.5, -0.5])  # delta
-        check_lct(lct)
+        Lct(M=lct.M, N=lct.N)
 
     def test_alpha_delta_orthogonality(self):
         lct = center_of_mass_lct()
@@ -34,6 +35,53 @@ class TestCenterOfMassLct:
 
     def test_position_block_invertible(self):
         assert np.linalg.det(center_of_mass_lct().M) == pytest.approx(-1.0)
+
+
+class TestOwnLctsAreAccepted:
+    def test_blocks_up_to_the_condition_bound_are_canonical(self):
+        # an M the cond(M) test passes, even near its bound, yields an N
+        # that meets M N^T = I within STRUCTURAL_TOL: numpy's inv(M.T) of
+        # Lct(M), and the closed form of evaluate_structure at any masses
+        rng = np.random.default_rng(26)
+        top = math.log10(model.MAX_CONDITION)
+        checked = worst = 0
+        while checked < 2400:
+            cond = 10.0 ** rng.uniform(4.0, top)
+            u, v = (np.array([[math.cos(a), -math.sin(a)],
+                              [math.sin(a), math.cos(a)]])
+                    for a in rng.uniform(0.0, 2.0 * math.pi, size=2))
+            signs = np.diag(rng.choice([-1.0, 1.0], size=2))
+            m = 10.0 ** rng.uniform(-3.0, 3.0) * (u @ np.diag([1.0, 1 / cond])
+                                                  @ signs @ v)
+            if (np.linalg.cond(m) < 1e4
+                    or model.condition_violation(m.tolist()) is not None):
+                continue
+            m1, w1, m2, w2 = 10.0 ** rng.uniform(-4.0, 4.0, size=4)
+            system = make_system(m1=m1, w1=w1, m2=m2, w2=w2)
+            for lct in (Lct(m), evaluate_structure(m, system).lct):
+                residual = np.array(lct.M) @ np.array(lct.N).T - np.eye(2)
+                worst = max(worst, np.max(np.abs(residual)))
+                Lct(M=lct.M, N=lct.N)
+            checked += 1
+        assert worst <= model.STRUCTURAL_TOL
+
+    def test_extreme_mass_structures_are_taken_back(self):
+        # the search reports a canonical LCT far past the cond(M) bound of
+        # an M alone (cond(M) ~ 1e175 at masses 1e-150 and 1e200), and the
+        # package's own functions take it back
+        past_bound = 0
+        for m1, m2 in itertools.product((1e-150, 1.0, 1e150, 1e200),
+                                        repeat=2):
+            system = make_system(m1=m1, m2=m2)
+            report, _ = search_classical_structure(system)
+            lct = report.lct
+            past_bound += model.condition_violation(lct.M) is not None
+            out = transform_state(vacuum_state(system), lct)
+            assert np.sqrt(out.cov[0, 0] * out.cov[1, 1]) == \
+                pytest.approx(0.5, rel=1e-12)
+            assert asymptotic_products(lct, system) == \
+                pytest.approx((0.5, 0.5), rel=1e-12)
+        assert past_bound == 12  # every pair of unequal masses
 
 
 class TestTransformState:
@@ -57,9 +105,9 @@ class TestTransformState:
         assert out.cov[0, 2] == pytest.approx(0.125)
 
     def test_invalid_lct_rejected(self):
-        bad = Lct(M=np.eye(2), N=2.0 * np.eye(2))
         with pytest.raises(ValueError, match="invalid LCT"):
-            transform_state(vacuum_state(make_system()), bad)
+            transform_state(vacuum_state(make_system()),
+                            Lct(M=np.eye(2), N=2.0 * np.eye(2)))
 
     def test_rounding_asymmetry_of_the_product_is_not_rejected(self):
         # s cov s^T rounds asymmetrically beyond the 1e-12 symmetry check
@@ -133,17 +181,18 @@ class TestAsymptoticQuantities:
                 pytest.approx((0.0, 0.0), abs=1e-15)
 
     @pytest.mark.parametrize("bad", [
-        Lct(M=np.eye(2), N=2.0 * np.eye(2)),        # M N^T = 2 I
-        Lct(M=np.ones((2, 2)), N=np.ones((2, 2))),  # singular M
+        (np.eye(2), 2.0 * np.eye(2)),        # M N^T = 2 I
+        (np.ones((2, 2)), np.ones((2, 2))),  # singular M
     ])
     @pytest.mark.parametrize("quantity", [asymptotic_products,
                                           asymptotic_cross_covariances,
                                           classicality_residual])
     def test_invalid_lct_rejected(self, quantity, bad):
         # as transform_state does: read as M alone, M = I, N = 2I has the
-        # products (0.5, 0.5) and residual 0, and a singular M divides by 0
+        # products (0.5, 0.5) and residual 0, and a singular M divides by
+        # 0; the Lct itself rejects both
         with pytest.raises(ValueError, match="invalid LCT"):
-            quantity(bad, make_system())
+            quantity(Lct(*bad), make_system())
 
     def test_undamped_mode_rejected(self):
         with pytest.raises(ValueError, match="kappa"):
