@@ -25,11 +25,11 @@ path) and checks its values (exit 2) before the next, so the first bad
 entry sets the exit code: a negative kappa with n_steps "x" exits 2.
 Explicit moments are checked with MomentState and assert_physical, an
 explicit density with the density budget first, then its shape and
-fock.check_density, an lct by model.Lct and, given N, the cond(M) bound
-of an M alone. The seed of classicality --seed is checked last and
-replaces the file's. Each command then builds the initial state the fock
-engine needs once; every trajectory the CSV writer reads is a
-model.MomentState, checked when it was built.
+fock.check_density, a coherent displacement for finite parts, an lct by
+model.Lct and, given N, the cond(M) bound of an M alone. Each command
+then builds the initial state the fock engine needs once; every
+trajectory the CSV writer reads is a model.MomentState, checked when it
+was built.
 
 The oracle command makes one fock.moment_trajectory call, which returns
 the moments with their per-time margins, and formats what it returns.
@@ -40,8 +40,7 @@ fock engine. So structure and classicality on a vacuum or coherent
 scenario run on the standard library, and the arrays they read are
 checked without numpy (_float_shape). structures is imported where
 structure, classicality and an LCT frame of evolve use it, so oracle, an
-evolve without an LCT and load_scenario do without it. Scenario is a
-read-only model.Record, not a dataclass, which would import inspect.
+evolve without an LCT and load_scenario do without it.
 
 main puts each run together and is the one writer: it loads the
 scenario, runs the command, which returns its {file name: text}, and only
@@ -216,9 +215,8 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
-def load_scenario(path: str, seed: int | None = None) -> Scenario:
-    """The checked scenario of the JSON file at path; a given seed, checked
-    as the file's own is, replaces the file's."""
+def load_scenario(path: str) -> Scenario:
+    """The checked scenario of the JSON file at path."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=_reject_constant,
@@ -265,14 +263,12 @@ def load_scenario(path: str, seed: int | None = None) -> Scenario:
     initial = _parse_initial(_get(raw, "", "initial", dict,
                                   {"type": "vacuum"}), system, fock_dim)
     lct = _parse_lct(raw["lct"]) if "lct" in raw else None
-    file_seed = _get(raw, "", "seed", int, 0)
-    for value in (file_seed, seed):
-        if value is not None and value < 0:
-            raise ValueError(f"seed must be >= 0, got {value}")
+    seed = _get(raw, "", "seed", int, 0)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return Scenario(system=system, initial=initial, t_start=t_start,
                     t_end=t_end, n_steps=n_steps, engine=engine,
-                    fock_dim=fock_dim, lct=lct,
-                    seed=file_seed if seed is None else seed)
+                    fock_dim=fock_dim, lct=lct, seed=seed)
 
 
 def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
@@ -290,6 +286,9 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
             if not all(map(_is_number, parts)):
                 raise ParseError(f"{key} must be a number or [re, im] pair")
             pair.append(complex(*parts))
+        for key, alpha in zip(("alpha1", "alpha2"), pair):
+            if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+                raise ValueError(f"initial.{key} must be finite, got {alpha}")
         return tuple(pair)
     if kind == "moments":
         _known(d, "initial.", "type", "mean", "cov")
@@ -569,8 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON scenario file")
         p.add_argument("--output", default=".", help="output directory")
-    sub.choices["classicality"].add_argument(
-        "--seed", type=int, default=None, help="override the scenario seed")
     return parser
 
 
@@ -588,7 +585,7 @@ def main(argv: list[str] | None = None) -> int:
             os.environ.setdefault(name, "1")
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.config, getattr(args, "seed", None))
+        scenario = load_scenario(args.config)
         os.makedirs(args.output, exist_ok=True)
         _write_files(args.output, _COMMANDS[args.command](scenario))
     except ParseError as exc:

@@ -84,7 +84,11 @@ def _mode_scales(system: TwoModeSystem) -> tuple[float, float]:
 
 
 #: Largest entries of M' that ``_rescaled`` leaves unscaled: below 2^256
-#: no product of two entries comes near the float range.
+#: no product of two entries comes near the float range. Scaling every
+#: block would give the same bits for blocks of one scale, but not for
+#: one whose entries span ~1e175 (masses 1e-150 and 1e200): in [1/2, 1)
+#: its small entries are ~1e-175, so d is too and dot/d/d overflows to a
+#: reported cov_pp of -inf, where unscaled it is a finite -3.6e199.
 _UNSCALED_TOP = 2.0 ** 256
 
 

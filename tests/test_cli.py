@@ -418,13 +418,11 @@ class TestExitCodes:
                 assert label in err[0] and "vacuum variances" in err[0]
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
-        # every command checks the scenario's seed; only classicality,
-        # the one command that reads it, takes --seed
-        cases = [(command, -1, []) for command in cli._COMMANDS]
-        cases.append(("classicality", 5, ["--seed", "-1"]))
-        for command, seed, flag in cases:
-            config = write_scenario(tmp_path, base_scenario(seed=seed))
-            assert main([command, "--config", config, *flag,
+        # every command checks the scenario's seed, though only
+        # classicality reads it
+        config = write_scenario(tmp_path, base_scenario(seed=-1))
+        for command in cli._COMMANDS:
+            assert main([command, "--config", config,
                          "--output", str(tmp_path)]) == 2
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and "seed" in err[0]
@@ -788,24 +786,28 @@ class TestOtherCommands:
                          if field.startswith("bh_residual=")]
             assert residuals == ["bh_residual=0"] * 5
 
-    def test_seed_flag_only_on_classicality(self, tmp_path, capsys):
+    def test_no_command_takes_a_seed_flag(self, tmp_path, capsys):
+        # the scenario file is a run's only input
         config = write_scenario(tmp_path, base_scenario())
-        for command in ("evolve", "oracle", "structure"):
+        for command in cli._COMMANDS:
             with pytest.raises(SystemExit) as exc:
                 main([command, "--config", config, "--seed", "3"])
             assert exc.value.code == 2
             assert "--seed" in capsys.readouterr().err
 
-    def test_seed_flag_overrides_scenario(self, tmp_path):
-        config = write_scenario(tmp_path, base_scenario(seed=5))
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["classicality", "--config", config, "--seed", "9",
-                     "--output", str(out1)]) == 0
-        assert main(["classicality", "--config", config, "--seed", "9",
-                     "--output", str(out2)]) == 0
-        assert (out1 / "classicality.txt").read_text() == \
-            (out2 / "classicality.txt").read_text()
-        assert "seed: 9" in (out1 / "classicality.txt").read_text()
+    def test_scenario_seed_drives_the_search(self, tmp_path):
+        outs = [tmp_path / name for name in ("a", "b", "c")]
+        for seed, out in zip((9, 9, 5), outs):
+            config = write_scenario(tmp_path, base_scenario(seed=seed),
+                                    f"s{seed}.json")
+            assert main(["classicality", "--config", config,
+                         "--output", str(out)]) == 0
+        files = [{name: (out / name).read_bytes()
+                  for name in ("classicality.txt", "search_trace.csv")}
+                 for out in outs]
+        assert files[0] == files[1]
+        assert b"seed: 9" in files[0]["classicality.txt"]
+        assert files[2]["search_trace.csv"] != files[0]["search_trace.csv"]
 
 
 class TestInitialStates:
@@ -934,6 +936,7 @@ class TestInitialStates:
         invalid = [{"type": "moments", "mean": [0.0] * 4, "cov": unphysical},
                    {"type": "moments", "mean": [0.0, 0.0, 0.0, "INF"],
                     "cov": np.eye(4).tolist()},
+                   {"type": "coherent", "alpha1": ["INF", 0]},
                    {"type": "density", "real": [[1.0]]},
                    {"type": "density", "real": asymmetric.tolist()},
                    {"type": "density", "real": (2 * rho).tolist()},
@@ -957,6 +960,17 @@ class TestInitialStates:
                 err = capsys.readouterr().err.splitlines()
                 assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_non_finite_displacement_is_named(self, tmp_path, capsys):
+        scenario = base_scenario(initial={"type": "coherent", "alpha1": 1.0,
+                                          "alpha2": [0.5, "INF"]})
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(scenario).replace('"INF"', "-1e400"))
+        for command in cli._COMMANDS:
+            assert main([command, "--config", str(config),
+                         "--output", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "error: initial.alpha2 must be finite, got (0.5-infj)"]
 
     def test_imag_shape_is_named(self, tmp_path, capsys):
         rho = np.eye(4) / 4
