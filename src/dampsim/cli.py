@@ -13,7 +13,9 @@ grid's (n_steps, 4, 4) covariance trajectory may take at most 128 MiB
 (fock_dim <= 90), for every fock run and for an explicit density in every
 command. An explicit density is the only D^4 array a run builds; a
 vacuum or coherent pair reaches the fock engine as its two (D, D)
-one-mode factors.
+one-mode factors. An analytic evolve with an LCT frame peaks at about
+1.3 KB a row, ten times the row's covariance matrix: 134 MB at 65536
+rows and 388 MB at 262144, so about 1.4 GB at the cap.
 
 Each value is checked once, where it enters; the engines trust what they
 get. load_scenario, for every command, reads the file as UTF-8 JSON and
@@ -40,11 +42,15 @@ fock engine. So structure and classicality on a vacuum or coherent
 scenario run on the standard library, and the arrays they read are
 checked without numpy (_float_shape). structures is imported where
 structure, classicality and an LCT frame of evolve use it, so oracle, an
-evolve without an LCT and load_scenario do without it.
+evolve without an LCT and load_scenario do without it. _csv17, the exact
+vectorized "%.17g" that formats trajectory.csv, is imported by
+_trajectory_csv alone.
 
 main puts each run together and is the one writer: it loads the
 scenario, runs the command, which returns its {file name: text}, and only
-then writes them all (_write_files), so a run that fails leaves no file.
+then makes the output directory and writes them all (_write_files), so a
+run that fails leaves no file, and one whose command fails makes no
+directory either.
 
 main runs BLAS on one thread unless the caller set OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS, or numpy was loaded before it.
@@ -92,11 +98,13 @@ _FOCK_BUDGET_BYTES = 2 ** 30
 
 #: Largest covariance trajectory a time grid may ask for: n_steps 4x4
 #: float64 matrices, so n_steps <= 2^20. A whole evolve run, CSV text
-#: included, takes about 20 times this per row, so the budget bounds it.
+#: included, peaks at about 10 times this per row (1.3 KB), so the budget
+#: bounds it.
 _GRID_BUDGET_BYTES = 2 ** 27
 
 
 #: The float format of every output file; 17 digits read back bit for bit.
+#: trajectory.csv gets the same text from _csv17.
 _FLOAT_FORMAT = "%.17g"
 
 
@@ -394,10 +402,8 @@ def _trajectory_csv(times: np.ndarray, state: MomentState,
                    "product_A", "product_B", "cov_XA_xiB", "cov_PA_piB"]
         columns += [alt.mean, analytic.uncertainty_products(alt.cov),
                     alt.cov[:, [0, 1], [2, 3]]]
-    rows = np.hstack(columns).tolist()
-    fmt = ",".join([_FLOAT_FORMAT] * len(header))
-    return "\n".join([",".join(header)]
-                     + [fmt % tuple(row) for row in rows]) + "\n"
+    from ._csv17 import format_rows
+    return ",".join(header) + "\n" + format_rows(np.hstack(columns))
 
 
 def _write_files(directory: str, files: dict[str, str]) -> None:
@@ -585,9 +591,9 @@ def main(argv: list[str] | None = None) -> int:
             os.environ.setdefault(name, "1")
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.config)
+        files = _COMMANDS[args.command](load_scenario(args.config))
         os.makedirs(args.output, exist_ok=True)
-        _write_files(args.output, _COMMANDS[args.command](scenario))
+        _write_files(args.output, files)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -463,7 +463,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_decay_fit_slope", fail)
         config = write_scenario(tmp_path, base_scenario())
         assert main(["evolve", "--config", config, "--output", str(out)]) == 4
-        assert os.listdir(out) == []
+        assert not out.exists()
+
+    def test_failed_command_makes_no_output_directory(self, tmp_path):
+        # the scenario loads, but structure needs an lct: the run fails
+        # before it has files to write, so it makes no directory either
+        config = write_scenario(tmp_path, base_scenario())
+        out = tmp_path / "out"
+        assert main(["structure", "--config", config,
+                     "--output", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestEvolve:
@@ -1142,6 +1151,7 @@ def test_cli_leaves_numpy_and_scipy_unloaded(tmp_path):
     # importing the CLI, loading a scenario without a density, and the
     # structure and classicality commands all run on the standard library,
     # and none of them imports dataclasses or inspect (plain-class records)
+    # or the trajectory CSV's formatter
     src = os.path.dirname(os.path.dirname(dampsim.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     config = write_scenario(tmp_path, base_scenario(
@@ -1150,7 +1160,7 @@ def test_cli_leaves_numpy_and_scipy_unloaded(tmp_path):
     argvs = [[command, "--config", config, "--output", str(tmp_path)]
              for command in ("structure", "classicality")]
     steps += [f"assert dampsim.cli.main({argv!r}) == 0" for argv in argvs]
-    modules = {"numpy", "scipy", "dataclasses", "inspect"}
+    modules = {"numpy", "scipy", "dataclasses", "inspect", "dampsim._csv17"}
     code = "import sys\n" + "".join(
         f"{step}\nprint(sorted({modules!r} & set(sys.modules)))\n"
         for step in steps)
