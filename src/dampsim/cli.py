@@ -14,8 +14,9 @@ grid's (n_steps, 4, 4) covariance trajectory may take at most 128 MiB
 command. An explicit density is the only D^4 array a run builds; a
 vacuum or coherent pair reaches the fock engine as its two (D, D)
 one-mode factors. An analytic evolve with an LCT frame peaks at about
-1.3 KB a row, ten times the row's covariance matrix: 134 MB at 65536
-rows and 388 MB at 262144, so about 1.4 GB at the cap.
+1.4 KB a row, 11 times the row's covariance matrix, beyond a 31 MiB
+start: 48 MiB at 10000 rows, 170 MiB at 100000 and 388 MiB at 262144,
+so about 1.5 GB at the cap.
 
 Each value is checked once, where it enters; the engines trust what they
 get. load_scenario, for every command, reads the file as UTF-8 JSON and
@@ -27,11 +28,11 @@ path) and checks its values (exit 2) before the next, so the first bad
 entry sets the exit code: a negative kappa with n_steps "x" exits 2.
 Explicit moments are checked with MomentState and assert_physical, an
 explicit density with the density budget first, then its shape and
-fock.check_density, a coherent displacement for finite parts, an lct by
-model.Lct and, given N, the cond(M) bound of an M alone. Each command
-then builds the initial state the fock engine needs once; every
-trajectory the CSV writer reads is a model.MomentState, checked when it
-was built.
+fock.check_density, a coherent displacement for finite parts, and an
+lct, which gives its position block M alone (canonicity fixes N =
+inv(M^T)), by model.Lct. Each command then builds the initial state the
+fock engine needs once; every trajectory the CSV writer reads is a
+model.MomentState, checked when it was built.
 
 The oracle command makes one fock.moment_trajectory call, which returns
 the moments with their per-time margins, and formats what it returns.
@@ -78,8 +79,7 @@ from typing import TYPE_CHECKING
 
 from .model import (QUADRATURES, Lct, ModeParams, MomentState,
                     PhysicalConstants, Record, TwoModeSystem,
-                    assert_physical, condition_violation, vacuum_state,
-                    vacuum_variances)
+                    assert_physical, vacuum_state, vacuum_variances)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,7 +98,7 @@ _FOCK_BUDGET_BYTES = 2 ** 30
 
 #: Largest covariance trajectory a time grid may ask for: n_steps 4x4
 #: float64 matrices, so n_steps <= 2^20. A whole evolve run, CSV text
-#: included, peaks at about 10 times this per row (1.3 KB), so the budget
+#: included, peaks at about 11 times this per row (1.4 KB), so the budget
 #: bounds it.
 _GRID_BUDGET_BYTES = 2 ** 27
 
@@ -199,16 +199,9 @@ def _float_shape(value, what: str, dims: int = _MAX_DIMS) -> tuple[int, ...]:
 def _parse_lct(d: dict) -> Lct:
     if not isinstance(d, dict) or "M" not in d:
         raise ParseError("lct spec must be an object with key 'M'")
-    _known(d, "lct.", "M", "N")
+    _known(d, "lct.", "M")
     _float_shape(d["M"], "lct position block")
-    if "N" not in d:
-        return Lct(d["M"])
-    _float_shape(d["N"], "lct momentum block")
-    lct = Lct(M=d["M"], N=d["N"])
-    # a scenario's M meets the cond(M) bound whether or not it gives N
-    if conditioning := condition_violation(lct.M):
-        raise ValueError(f"invalid LCT: {conditioning}")
-    return lct
+    return Lct(d["M"])
 
 
 def _reject_constant(name: str):

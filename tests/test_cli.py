@@ -121,8 +121,6 @@ class TestExitCodes:
         malformed_values = [
             base_scenario(initial={"type": "coherent", "alpha1": ["a", 1]}),
             base_scenario(initial={"type": "coherent", "alpha1": [None, 1]}),
-            base_scenario(lct={"M": [[1.0, 0.0], [0.0, 1.0]], "N": {}}),
-            base_scenario(lct={"M": [[1.0, 0.0], [0.0, 1.0]], "N": ragged}),
             base_scenario(lct={"M": ragged}),
             base_scenario(lct=[[1.0, 0.0], [0.0, 1.0]]),  # not an object
         ]
@@ -133,12 +131,9 @@ class TestExitCodes:
         malformed_values.append(base_scenario(lct={"M": deep}))
         # booleans, numeric strings and null are not numbers in an array
         # either, as they are not in a scalar key
-        identity = [[1.0, 0.0], [0.0, 1.0]]
         for entry in (True, "0.0", None):
             block = [[1.0, entry], [0.0, 1.0]]
-            malformed_values += [base_scenario(lct={"M": block}),
-                                 base_scenario(lct={"M": identity,
-                                                    "N": block})]
+            malformed_values.append(base_scenario(lct={"M": block}))
         # JSON is UTF-8 whatever the locale, and a nest past the decoder's
         # recursion limit is unreadable, not a failed computation
         not_utf8 = b'\xff\xfe{"a":1}'
@@ -181,6 +176,10 @@ class TestExitCodes:
                     {"type": "density", "real": [], "cov": []}]
         cases = [(base_scenario(engin="fock"), "engin"),
                  (base_scenario(lct=dict(lct, n=1.0)), "lct.n"),
+                 # canonicity fixes N by M, so a scenario never gives it,
+                 # not even the exact inverse of this M
+                 (base_scenario(lct=dict(lct, N=[[1.0, 1.0], [0.5, -0.5]])),
+                  "lct.N"),
                  (base_scenario(time_grid={"t_start": 0.0, "t_end": 1.0,
                                            "n_steps": 2, "dt": 0.5}),
                   "time_grid.dt")]
@@ -722,17 +721,12 @@ class TestOtherCommands:
                      "--output", str(tmp_path)]) == 2
 
     def test_invalid_lct_exits_2(self, tmp_path, capsys):
-        # not canonical; ill-conditioned (cond ~ 4e10, det 1e-10); numeric
-        # blocks that are not 2x2, M alone or with N
-        identity = [[1.0, 0.0], [0.0, 1.0]]
+        # ill-conditioned (cond ~ 4e10, det 1e-10); a numeric block that
+        # is not 2x2
         for lct, message in (
-                ({"M": identity, "N": [[2.0, 0.0], [0.0, 1.0]]},
-                 "invalid LCT"),
                 ({"M": [[1.0, 1.0], [1.0, 1.0 + 1e-10]]}, "cond(M)"),
                 ({"M": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]},
-                 "position block must be a finite 2x2 matrix"),
-                ({"M": identity, "N": [1.0, 0.0]},
-                 "M and N must be finite 2x2 matrices")):
+                 "position block must be a finite 2x2 matrix")):
             config = write_scenario(tmp_path, base_scenario(lct=lct))
             assert main(["structure", "--config", config,
                          "--output", str(tmp_path)]) == 2
@@ -1102,8 +1096,7 @@ def fuzz_bases():
     rho = np.kron(coherent_density(0.3, 2), coherent_density(0.2j, 2))
     small = dict(engine="both", seed=3,
                  time_grid={"t_start": 0.0, "t_end": 2.0, "n_steps": 3},
-                 lct={"M": [[0.5, 0.5], [1.0, -1.0]],
-                      "N": [[1.0, 1.0], [0.5, -0.5]]})
+                 lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
     initials = [{"type": "coherent", "alpha1": [0.5, 0.1], "alpha2": 0.3},
                 {"type": "vacuum"},
                 {"type": "moments", "mean": [0.1, 0.0, 0.0, -0.2],

@@ -209,6 +209,13 @@ class TestLct:
         with pytest.raises(ValueError,
                            match="^invalid LCT: sum alpha_i gamma_i - 1 = nan"):
             Lct(M=[[big, big], [big, -big]], N=[[big, -big], [big, big]])
+        with pytest.raises(ValueError, match="^invalid LCT: "):
+            Lct(M=np.eye(2), N=[[2.0, 0.0], [0.0, 1.0]])
+
+    def test_blocks_must_be_2x2(self):
+        with pytest.raises(ValueError,
+                           match="^M and N must be finite 2x2 matrices$"):
+            Lct(M=np.eye(2), N=[1.0, 0.0])
 
     def test_from_position_block_identity(self):
         lct = lct_from_position_block(np.eye(2))
