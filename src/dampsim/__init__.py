@@ -9,8 +9,7 @@ import importlib
 
 _EXPORTS = {
     "model": ("Lct", "ModeParams", "MomentState", "PhysicalConstants",
-              "TwoModeSystem", "lct_from_position_block",
-              "symplectic_defect", "vacuum_state"),
+              "TwoModeSystem", "symplectic_defect", "vacuum_state"),
     "analytic": ("asymptotic_state", "evolve_state", "evolve_trajectory",
                  "uncertainty_product"),
     "fock": ("bh_identity_residual", "build_mode_operators",

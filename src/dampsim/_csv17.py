@@ -6,7 +6,7 @@ format_rows(table) returns the same text as
             for row in table.tolist())
 
 CPython's correctly rounded "%.17g" costs about 0.7 us a float, which made
-the trajectory CSV the slowest layer of an evolve run. Seventeen correctly
+cli._trajectory_csv the slowest layer of an evolve run. Seventeen correctly
 rounded digits need only 128-bit integer arithmetic (Adams, "Ryu revisited:
 printf floating point conversion", OOPSLA 2019), which numpy can do for a
 whole block of cells at once:
@@ -27,7 +27,7 @@ whole block of cells at once:
 
 A block of rows with any cell off that range (|x| < 1e-10 but not 0,
 |x| >= 1e15, inf, nan) is formatted by "%" as before, so no table is slower
-than with "%" alone.
+than with "%" alone; hbar 1e300 or 1e-300 puts every covariance there.
 """
 
 from __future__ import annotations

@@ -1,41 +1,16 @@
-"""Batch command line front end.
-
-Reads a JSON scenario file, dispatches to the analytic and/or Fock engines,
-and writes CSV time series plus plain-text summary reports. Exit codes:
-0 success, 1 scenario parse error, 2 validation error (ValueError), 3 I/O
-error, 4 computation failed (RuntimeError, e.g. a classicality search whose
-restarts all landed on trivial structures; MemoryError; ArithmeticError,
-a float overflow or division by zero on extreme but finite parameters).
-
-Resource limits, checked before anything is allocated (exit 2): the time
-grid's (n_steps, 4, 4) covariance trajectory may take at most 128 MiB
-(n_steps <= 1048576), and a two-mode density at the cutoff at most 1 GiB
-(fock_dim <= 90), for every fock run and for an explicit density in every
-command. An explicit density is the only D^4 array a run builds; a
-vacuum or coherent pair reaches the fock engine as its two (D, D)
-one-mode factors. An analytic evolve with an LCT frame peaks at about
-1.4 KB a row, 11 times the row's covariance matrix, beyond a 31 MiB
-start: 48 MiB at 10000 rows, 170 MiB at 100000 and 388 MiB at 262144,
-so about 1.5 GB at the cap.
+"""Batch command line front end: reads a JSON scenario file, runs one
+command on the analytic and/or Fock engines and writes its CSV and
+plain-text files. README states the contract: the commands and their
+files, the scenario format and its limits, the exit codes and the
+validation table.
 
 Each value is checked once, where it enters; the engines trust what they
-get. load_scenario, for every command, reads the file as UTF-8 JSON and
-rejects an unknown root key (exit 1), then takes one entry at a time:
-system (hbar, mode1, mode2, the vacuum variances), time_grid, engine,
-fock_dim, initial, lct, seed. It parses each entry's keys, types and
-numbers (exit 1; a missing, mistyped or undefined key is named by its
-path) and checks its values (exit 2) before the next, so the first bad
-entry sets the exit code: a negative kappa with n_steps "x" exits 2.
-Explicit moments are checked with MomentState and assert_physical, an
-explicit density with the density budget first, then its shape and
-fock.check_density, a coherent displacement for finite parts, and an
-lct, which gives its position block M alone (canonicity fixes N =
-inv(M^T)), by model.Lct. Each command then builds the initial state the
-fock engine needs once; every trajectory the CSV writer reads is a
-model.MomentState, checked when it was built.
-
-The oracle command makes one fock.moment_trajectory call, which returns
-the moments with their per-time margins, and formats what it returns.
+get. load_scenario, for every command, parses one scenario entry at a time
+(ParseError, exit 1) and checks its values (ValueError, exit 2) before it
+reads the next, so the first bad entry in README's order sets the exit
+code. Each command then builds the initial state the fock engine needs
+once; every trajectory the CSV writer reads is a model.MomentState,
+checked when it was built.
 
 numpy, analytic and fock are imported where evolve and oracle use them,
 and where a density or moments are parsed; fock only on a density or a
@@ -49,21 +24,7 @@ _trajectory_csv alone.
 
 main puts each run together and is the one writer: it loads the
 scenario, runs the command, which returns its {file name: text}, and only
-then makes the output directory and writes them all (_write_files), so a
-run that fails leaves no file, and one whose command fails makes no
-directory either.
-
-main runs BLAS on one thread unless the caller set OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS or MKL_NUM_THREADS, or numpy was loaded before it.
-
-process_main, the entry of `python -m dampsim.cli` and of the dampsim
-script, runs main with the cyclic garbage collector off and calls
-gc.freeze() when it returns. A command frees its arrays, lists and tuples
-by reference counting and has written and closed every output before main
-returns, so the collector's passes over the ~21k containers that numpy
-leaves tracked, during the run and again at interpreter exit, find nothing
-to free. main itself leaves the collector alone: a process that calls it,
-such as a test session calling it hundreds of times, keeps collecting.
+then makes the output directory and writes them all (_write_files).
 """
 
 from __future__ import annotations
@@ -97,9 +58,9 @@ class ParseError(Exception):
 _FOCK_BUDGET_BYTES = 2 ** 30
 
 #: Largest covariance trajectory a time grid may ask for: n_steps 4x4
-#: float64 matrices, so n_steps <= 2^20. A whole evolve run, CSV text
-#: included, peaks at about 11 times this per row (1.4 KB), so the budget
-#: bounds it.
+#: float64 matrices, so n_steps <= 2^20. A whole evolve run with an LCT
+#: frame, CSV text included, peaks at about 11 times this per row, 1.4 KB
+#: (ru_maxrss) beyond a 31 MiB start, so about 1.5 GB at the cap.
 _GRID_BUDGET_BYTES = 2 ** 27
 
 
@@ -423,10 +384,11 @@ def _write_files(directory: str, files: dict[str, str]) -> None:
 
 
 #: The largest |cov(x1,x2)| / sqrt(var_x1 var_x2) that counts as zero in the
-#: decay fit. On a product state, where it is exactly 0, the oracle reads
-#: rounding noise of at most 5.9e-14 of it (160 random systems, D = 2 to 90,
-#: |alpha|^2 up to D/4): about eps times the raw moment |<x1><x2>|, which
-#: reaches D sqrt(var_x1 var_x2). The floor keeps a margin of 17 over that.
+#: decay fit. On a product state, where it is exactly 0,
+#: fock.moment_trajectory reads rounding noise of at most 5.9e-14 of it
+#: (160 random systems, D = 2 to 90, |alpha|^2 up to D/4): about eps times
+#: the raw moment |<x1><x2>|, which reaches D sqrt(var_x1 var_x2). The
+#: floor keeps a margin of 17 over that.
 _CROSS_COV_FLOOR = 1e-12
 
 
@@ -604,7 +566,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def process_main() -> None:
     """The dampsim process: main with the cyclic collector off, then the
-    heap frozen, so that exit does not sweep it; exits with main's code."""
+    heap frozen, so that exit does not sweep it; exits with main's code.
+    A command frees its arrays, lists and tuples by reference counting and
+    has written and closed every output before main returns, so the
+    collector's passes over the ~21k containers that numpy leaves tracked,
+    during the run and again at interpreter exit, would find nothing to
+    free. main itself leaves the collector alone: a process that calls it,
+    such as a test session calling it hundreds of times, keeps collecting."""
     gc.disable()
     code = main()
     gc.freeze()

@@ -3,16 +3,17 @@ damping channel, Schroedinger-picture density evolution and
 Heisenberg-picture moments.
 
 The Kraus family is exactly finite on the truncated space (a^n = 0 for
-n >= D), so no extra truncation of the channel sum is needed. Each K_n is
-nonzero only on its n-th superdiagonal, so a Kraus set is those D bands, a
-(D, D) array that kraus_operators builds in closed form in O(D^2), with a
-cap on kappa t as the one overflow policy. The bands are real; the
-kernels take complex (phased) ones too. One private kernel applies the
-whole Schroedinger sum as D shifted, reweighted slices of the density. A
-two-mode density is a (D1 D2, D1 D2) matrix with mode-1-major index
-ordering, viewed as a (D1, D2, D1, D2) tensor; the product channel acts on
-it one mode at a time (axes (0, 2), then (1, 3)), O(D^5) elementwise work
-for D1 = D2 = D, and no two-mode operator is ever formed.
+n >= D), so no extra truncation of the channel sum is needed and trace
+preservation holds to rounding. Each K_n is nonzero only on its n-th
+superdiagonal, so a Kraus set is those D bands, a (D, D) array that
+kraus_operators builds in closed form in O(D^2), with a cap on kappa t as
+the one overflow policy. The bands are real; the kernels take complex
+(phased) ones too. One private kernel applies the whole Schroedinger sum
+as D shifted, reweighted slices of the density. A two-mode density is a
+(D1 D2, D1 D2) matrix with mode-1-major index ordering, viewed as a
+(D1, D2, D1, D2) tensor; the product channel acts on it one mode at a time
+(axes (0, 2), then (1, 3)), O(D^5) elementwise work for D1 = D2 = D, and
+no two-mode operator is ever formed.
 
 That kernel takes the bands of one time; kraus_operators also builds a
 (T,) grid of them as bands (T, D, D), row k bit for bit the set at
@@ -31,7 +32,10 @@ or straight off the factors of a product state rho1 otimes rho2 given as
 the pair (rho1, rho2) of (D, D) densities, so that no D^4 array is formed
 for one. Each margin reads the bands the moments apply: the completeness
 defect is I - E^dag(I) on diagonal 0, the BH residual and the cutoff
-population are read off K_0's band e^{-ktN}.
+population are read off K_0's band e^{-ktN}. Damping never raises a
+level, so the moments are exact on the truncated space whenever the
+observables are. The oracle takes no closed-form moment formula, so it
+stays an independent check of analytic.evolve_trajectory.
 
 A CPTP channel keeps a valid density valid, so the evolution functions check
 only shapes; check_density (a Cholesky factorization, O(D^6) for two
@@ -58,7 +62,7 @@ def _quadrature_diagonals(dim: int, params: ModeParams,
     cutoff's ladder diagonals 2n+1, sqrt(n+1), sqrt((n+1)(n+2)) and the
     mode's (3, 5) table: diagonal k of observable c is table[k, c] times
     ladder k, and diagonal -k its conjugate. x^2 is the exact P x^2 P, not
-    (PxP)^2."""
+    (PxP)^2, which is short by v_x D |D-1><D-1| (p^2 likewise)."""
     if dim < 2:
         raise ValueError(f"Fock cutoff must be >= 2, got {dim}")
     vx, vp = vacuum_variances(params, constants.hbar)
@@ -270,9 +274,10 @@ def fock_density(level: int, dim: int) -> np.ndarray:
 #: Bytes the oracle's working set per chunk of times may take. Per time it
 #: holds both modes' real Kraus bands and their ladder images: 2.0 complex
 #: (D, D) arrays at D = 32, 2.2 at D = 16 and 3.4 at D = 64 by tracemalloc,
-#: setup included. _TIME_ARRAYS keeps the chunks of 54 times at D = 16, 13
-#: at D = 32 and 3 at D = 64, and the working set does not grow with the
-#: grid.
+#: setup included. _TIME_ARRAYS keeps the chunks of 54 times at D = 16,
+#: 13 at D = 32 and 3 at D = 64, and the working set does not grow with
+#: the grid: the tracemalloc peak of moment_trajectory less its outputs,
+#: on 1000 times, is about 0.53 MiB at D = 32 and 0.79 MiB at D = 64.
 _CHUNK_BYTES = 3 * 2 ** 19
 _TIME_ARRAYS = 7
 

@@ -14,9 +14,8 @@ import pytest
 
 from dampsim import analytic, fock, structures
 from dampsim.cli import main as cli_main
-from dampsim.model import (MomentState, ModeParams, PhysicalConstants,
-                           TwoModeSystem, lct_from_position_block,
-                           symplectic_defect, vacuum_state)
+from dampsim.model import (Lct, MomentState, ModeParams, PhysicalConstants,
+                           TwoModeSystem, symplectic_defect, vacuum_state)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -142,7 +141,7 @@ def test_criterion_5_inequality_suite():
     while len(lcts) < 1000:
         m = rng.uniform(-3.0, 3.0, size=(2, 2))
         if abs(np.linalg.det(m)) >= 0.05:
-            lcts.append(lct_from_position_block(m))
+            lcts.append(Lct(m))
     systems = [random_system(rng) for _ in range(20)]
     for system in systems:
         half = system.constants.hbar / 2

@@ -1,16 +1,22 @@
-"""README's code blocks run against the package as it is."""
+"""README's code blocks run against the package as it is, and what README
+and the package's docstrings and comments cite exists."""
 
+import ast
 import copy
 import importlib
+import io
 import json
 import os
 import pkgutil
 import re
+import tokenize
 
 import dampsim
 from dampsim import cli
 
-README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+ROOT = os.path.dirname(os.path.dirname(__file__))
+README = os.path.join(ROOT, "README.md")
+MODULES = [m.name for m in pkgutil.iter_modules(dampsim.__path__)]
 
 
 def readme_text() -> str:
@@ -22,6 +28,49 @@ def readme_block(heading: str, language: str) -> str:
     """The first fenced block of the given language under a heading."""
     section = readme_text().split(heading + "\n", 1)[1]
     return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def readme_section(heading: str) -> str:
+    """The text under a `## ` heading, up to the next one."""
+    return readme_text().split(heading + "\n", 1)[1].split("\n## ", 1)[0]
+
+
+def source_notes() -> str:
+    """Every docstring and comment of the package's modules."""
+    notes = []
+    for name in MODULES:
+        with open(os.path.join(dampsim.__path__[0], name + ".py")) as fh:
+            source = fh.read()
+        notes += [ast.get_docstring(node) or ""
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef))]
+        notes += [token.string for token in
+                  tokenize.generate_tokens(io.StringIO(source).readline)
+                  if token.type == tokenize.COMMENT]
+    return "\n".join(notes)
+
+
+def unresolved(names) -> list[str]:
+    """The `module.name` pairs whose module lacks the name."""
+    return [f"{m}.{n}" for m, n in names
+            if not hasattr(importlib.import_module(f"dampsim.{m}"), n)]
+
+
+def defines(path: str, qualname: str) -> bool:
+    """Whether the Python file at path defines qualname, a `::`-separated
+    chain of classes and functions as pytest names a test."""
+    if not os.path.exists(path):
+        return False
+    with open(path) as fh:
+        body = ast.parse(fh.read()).body
+    for part in qualname.split("::"):
+        node = next((node for node in body if getattr(node, "name", None)
+                     == part), None)
+        if node is None:
+            return False
+        body = node.body
+    return True
 
 
 def test_library_example_runs():
@@ -39,13 +88,54 @@ def test_scenario_example_loads(tmp_path):
 def test_module_names_resolve():
     # every `module.name` the README cites is in the package, so a deleted
     # or renamed function cannot linger in the docs
-    modules = {m.name for m in pkgutil.iter_modules(dampsim.__path__)}
     cited = re.findall(r"`(\w+)\.(\w+)", readme_text())
-    names = [(m, n) for m, n in cited if m in modules]
+    names = [(m, n) for m, n in cited if m in MODULES]
     assert len(names) >= 20
-    missing = [f"{m}.{n}" for m, n in names
-               if not hasattr(importlib.import_module(f"dampsim.{m}"), n)]
+    assert unresolved(names) == []
+
+
+def test_docstring_names_resolve():
+    # the same for every module.name the package's docstrings and comments
+    # cite, where the design notes live
+    cited = re.findall(r"\b(\w+)\.(\w+)", source_notes())
+    names = [(m, n) for m, n in cited if m in MODULES]
+    assert len(names) >= 8
+    assert unresolved(names) == []
+
+
+def test_cited_files_resolve():
+    # every BENCH_<n>.json and tests/<file>.py::<name> that README or a
+    # docstring or comment cites exists, so a cited figure or test cannot
+    # dangle
+    text = readme_text() + source_notes()
+    benches = set(re.findall(r"\bBENCH_\d+\.json\b", text))
+    tests = set(re.findall(r"\btests/(\w+\.py)::(\w+(?:::\w+)*)", text))
+    assert benches and tests
+    missing = [bench for bench in benches
+               if not os.path.isfile(os.path.join(ROOT, bench))]
+    missing += [f"tests/{file}::{name}" for file, name in tests
+                if not defines(os.path.join(ROOT, "tests", file), name)]
     assert missing == []
+
+
+def test_output_files_resolve(tmp_path):
+    # the output files README's CLI section names, per command in its
+    # synopsis, are those each command writes on README's scenario example
+    synopsis = readme_block("## CLI", "sh")
+    listed = {command: set(files.split(" + ")) for command, files
+              in re.findall(r"dampsim (\w+) .*# (.*)", synopsis)}
+    assert set(listed) == set(cli._COMMANDS)
+    config = tmp_path / "scenario.json"
+    config.write_text(readme_block("### Scenario format (JSON)", "json"))
+    written = {}
+    for command in listed:
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(config),
+                         "--output", str(out)]) == 0
+        written[command] = set(os.listdir(out))
+    assert written == listed
+    named = re.findall(r"\b\w+\.(?:csv|txt)\b", readme_section("## CLI"))
+    assert set(named) == set().union(*written.values())
 
 
 def test_scenario_keys_resolve(tmp_path):

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from dampsim import cli, model, structures
 from dampsim.model import (Lct, ModeParams, MomentState, PhysicalConstants,
-                           TwoModeSystem, lct_from_position_block,
-                           symplectic_defect, symplectic_form, vacuum_state)
+                           TwoModeSystem, symplectic_defect, symplectic_form,
+                           vacuum_state)
 
 
 def make_system(m1=1.0, w1=1.0, k1=0.5, m2=1.0, w2=1.0, k2=0.5, hbar=1.0):
@@ -218,17 +218,17 @@ class TestLct:
             Lct(M=np.eye(2), N=[1.0, 0.0])
 
     def test_from_position_block_identity(self):
-        lct = lct_from_position_block(np.eye(2))
+        lct = Lct(np.eye(2))
         assert np.allclose(lct.N, np.eye(2))
 
     def test_from_position_block_center_of_mass(self):
-        lct = lct_from_position_block(np.array([[0.5, 0.5], [1.0, -1.0]]))
+        lct = Lct(np.array([[0.5, 0.5], [1.0, -1.0]]))
         assert np.allclose(lct.N, [[1.0, 1.0], [0.5, -0.5]])
         Lct(M=lct.M, N=lct.N)
 
     def test_singular_block_rejected(self):
         with pytest.raises(ValueError, match="singular"):
-            lct_from_position_block(np.array([[1.0, 1.0], [1.0, 1.0]]))
+            Lct(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_random_blocks_satisfy_constraints(self):
         rng = np.random.default_rng(42)
@@ -237,7 +237,7 @@ class TestLct:
             m = rng.uniform(-3.0, 3.0, size=(2, 2))
             if abs(np.linalg.det(m)) < 0.1:
                 continue
-            lct = lct_from_position_block(m)
+            lct = Lct(m)
             residual = np.array(lct.M) @ np.array(lct.N).T - np.eye(2)
             assert np.max(np.abs(residual)) < 1e-10
             checked += 1

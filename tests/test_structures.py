@@ -7,8 +7,7 @@ import pytest
 
 from dampsim import model, structures
 from dampsim.analytic import asymptotic_state, evolve_state, evolve_trajectory
-from dampsim.model import (Lct, MomentState, lct_from_position_block,
-                           vacuum_state)
+from dampsim.model import Lct, MomentState, vacuum_state
 from dampsim.structures import (SearchConfig, asymptotic_cross_covariances,
                                 asymptotic_products, center_of_mass_lct,
                                 classical_family, classicality_residual,
@@ -125,7 +124,7 @@ class TestTransformState:
             m = rng.normal(size=(2, 2))
             while np.linalg.cond(m) > 10.0:
                 m = rng.normal(size=(2, 2))
-            lct = lct_from_position_block(m)
+            lct = Lct(m)
             s = structures.lct_matrix(lct)
             product = s @ state.cov @ s.T
             asymmetric += np.max(np.abs(product - product.T)) > 1e-12
@@ -142,10 +141,8 @@ class TestTransformState:
         cov[1, 3] = cov[3, 1] = 0.27
         s0 = MomentState(mean=np.array([1.3, -0.5, -0.6, 1.2]), cov=cov)
         trajectory = evolve_trajectory(s0, system, np.linspace(0.0, 9.0, 31))
-        lct = lct_from_position_block([[0.7652840865482607,
-                                        -0.7432149197268948],
-                                       [0.9500790643898325,
-                                        0.09654854416033645]])
+        lct = Lct([[0.7652840865482607, -0.7432149197268948],
+                   [0.9500790643898325, 0.09654854416033645]])
         out = transform_state(trajectory, lct)
         assert out.mean.shape == (31, 4) and out.cov.shape == (31, 4, 4)
         for k, (mean, cov) in enumerate(zip(trajectory.mean,
@@ -211,7 +208,7 @@ class TestAsymptoticQuantities:
             system = make_system(m1=rng.uniform(0.5, 3), w1=rng.uniform(0.5, 3),
                                  m2=rng.uniform(0.5, 3), w2=rng.uniform(0.5, 3),
                                  k1=rng.uniform(0.1, 2), k2=rng.uniform(0.1, 2))
-            pa, pb = asymptotic_products(lct_from_position_block(m), system)
+            pa, pb = asymptotic_products(Lct(m), system)
             assert pa >= 0.5 - 1e-10
             assert pb >= 0.5 - 1e-10
             count += 1
@@ -222,7 +219,7 @@ class TestAsymptoticQuantities:
             m = rng.uniform(-2.0, 2.0, size=(2, 2))
             if abs(np.linalg.det(m)) < 0.2:
                 continue
-            lct = lct_from_position_block(m)
+            lct = Lct(m)
             system = make_system(m1=rng.uniform(0.5, 3), w2=rng.uniform(0.5, 3),
                                  k1=0.4, k2=0.9)
             out = transform_state(asymptotic_state(system), lct)
@@ -276,8 +273,7 @@ class TestClassicalityResidual:
     def test_scaling_leaves_zero_set_unchanged(self):
         system = make_system()
         for c in (0.5, 2.0):
-            lct = lct_from_position_block(
-                c * np.array(center_of_mass_lct().M))
+            lct = Lct(c * np.array(center_of_mass_lct().M))
             assert classicality_residual(lct, system) < 1e-12
 
     def test_nontrivial_zero_exists_even_for_unequal_masses(self):
@@ -290,7 +286,7 @@ class TestClassicalityResidual:
         m = classical_family(system, math.atan2(-1.0, math.sqrt(2.0)),
                              (math.sqrt(1.5), -math.sqrt(3.0)))
         assert np.allclose(m, [[1.0, 1.0], [1.0, -2.0]], rtol=0, atol=1e-15)
-        lct = lct_from_position_block(np.array([[1.0, 1.0], [1.0, -2.0]]))
+        lct = Lct(np.array([[1.0, 1.0], [1.0, -2.0]]))
         assert trivial_mixing_distance(lct.M) > 0.1
         assert classicality_residual(lct, system) < 1e-28
         assert evaluate_structure(lct.M, system).family_distance < 1e-15
@@ -324,7 +320,7 @@ class TestClosedFormObjective:
             if abs(np.linalg.det(m)) < 0.1:
                 continue
             system = random_system(rng)
-            lct = lct_from_position_block(m)
+            lct = Lct(m)
             expected = composed_residual(lct, system)
             value = classicality_residual(lct, system)
             assert abs(value - expected) <= 1e-12 * (1.0 + abs(expected))
