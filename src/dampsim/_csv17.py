@@ -1,6 +1,6 @@
 """CSV rows of a float64 table in "%.17g", formatted exactly with numpy.
 
-format_rows(table) returns the same text as
+format_rows(table) returns the same text, in blocks of rows, as
 
     "".join(",".join("%.17g" % v for v in row) + "\\n"
             for row in table.tolist())
@@ -220,9 +220,9 @@ def _block_text(x: np.ndarray, separators: np.ndarray, frames: np.ndarray,
     return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def format_rows(table: np.ndarray) -> str:
+def format_rows(table: np.ndarray) -> list[str]:
     """The "%.17g" CSV lines of a 2-D float64 table, each ending in a
-    newline."""
+    newline, as the texts of its blocks of _BLOCK_ROWS rows."""
     rows, cols = table.shape
     fmt = ",".join(["%.17g"] * cols) + "\n"
     separators = np.array([ord(",")] * (cols - 1) + [ord("\n")], np.uint64)
@@ -230,11 +230,9 @@ def format_rows(table: np.ndarray) -> str:
                          min(rows, _BLOCK_ROWS))
     frames = np.empty((len(_FRAMES), len(separators)), np.uint64)
     words = np.empty((len(separators), 4), np.uint64)
-    parts = []
-    for start in range(0, rows, _BLOCK_ROWS):
-        block = table[start:start + _BLOCK_ROWS]
-        text = _block_text(block.reshape(-1), separators, frames, words)
-        if text is None:
-            text = "".join([fmt % row for row in map(tuple, block.tolist())])
-        parts.append(text)
-    return "".join(parts)
+    blocks = [table[start:start + _BLOCK_ROWS]
+              for start in range(0, rows, _BLOCK_ROWS)]
+    # a block's text is never empty, so None alone falls back to "%"
+    return [_block_text(block.reshape(-1), separators, frames, words)
+            or "".join([fmt % row for row in map(tuple, block.tolist())])
+            for block in blocks]

@@ -1,5 +1,5 @@
 """Batch command line front end: reads a JSON scenario file, runs one
-command on the analytic and/or Fock engines and writes its CSV and
+command, on one engine or, for oracle, on both, and writes its CSV and
 plain-text files. README states the contract: the commands and their
 files, the scenario format and its limits, the exit codes and the
 validation table.
@@ -8,23 +8,20 @@ Each value is checked once, where it enters; the engines trust what they
 get. load_scenario, for every command, parses one scenario entry at a time
 (ParseError, exit 1) and checks its values (ValueError, exit 2) before it
 reads the next, so the first bad entry in README's order sets the exit
-code. Each command then builds the initial state the fock engine needs
-once; every trajectory the CSV writer reads is a model.MomentState,
+code. Every trajectory the CSV writer reads is a model.MomentState,
 checked when it was built.
 
-numpy, analytic and fock are imported where evolve and oracle use them,
-and where a density or moments are parsed; fock only on a density or a
-fock engine. So structure and classicality on a vacuum or coherent
-scenario run on the standard library, and the arrays they read are
-checked without numpy (_float_shape). structures is imported where
-structure, classicality and an LCT frame of evolve use it, so oracle, an
-evolve without an LCT and load_scenario do without it. _csv17, the exact
-vectorized "%.17g" that formats trajectory.csv, is imported by
-_trajectory_csv alone.
+Each module is imported where it is used: numpy by evolve, oracle and
+the parsing of moments or a density; analytic by evolve and oracle; fock
+by a density or a fock engine, oracle's too; structures by structure,
+classicality and an LCT frame of evolve; _csv17, the exact "%.17g" of
+trajectory.csv, by _trajectory_csv. So structure and classicality on a
+vacuum or coherent scenario run on the standard library, and check the
+arrays they read without numpy (_float_shape).
 
 main puts each run together and is the one writer: it loads the
-scenario, runs the command, which returns its {file name: text}, and only
-then makes the output directory and writes them all (_write_files).
+scenario, runs the command, which returns {file name: list of text},
+and only then makes the output directory and writes them (_write_files).
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from typing import TYPE_CHECKING
 
 from .model import (QUADRATURES, Lct, ModeParams, MomentState,
                     PhysicalConstants, Record, TwoModeSystem,
-                    assert_physical, vacuum_state, vacuum_variances)
+                    assert_physical, vacuum_state)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,8 +56,8 @@ _FOCK_BUDGET_BYTES = 2 ** 30
 
 #: Largest covariance trajectory a time grid may ask for: n_steps 4x4
 #: float64 matrices, so n_steps <= 2^20. A whole evolve run with an LCT
-#: frame, CSV text included, peaks at about 11 times this per row, 1.4 KB
-#: (ru_maxrss) beyond a 31 MiB start, so about 1.5 GB at the cap.
+#: frame, CSV text included, peaks at about 8 times this per row, 1.0 KB
+#: (ru_maxrss) beyond a 31 MiB start, so about 1.1 GB at the cap.
 _GRID_BUDGET_BYTES = 2 ** 27
 
 
@@ -75,6 +72,10 @@ def _fmt(v: float) -> str:
 
 def _fmt_all(values) -> str:
     return " ".join(map(_fmt, values))
+
+
+def _text(lines: list[str]) -> list[str]:
+    return [line + "\n" for line in lines]
 
 
 class Scenario(Record):
@@ -177,12 +178,23 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # a scenario says each thing once, where json.load keeps the last
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ParseError(f"duplicate scenario key: {key!r}")
+        d[key] = value
+    return d
+
+
 def load_scenario(path: str) -> Scenario:
     """The checked scenario of the JSON file at path."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=_reject_constant,
-                            parse_int=_parse_int)
+                            parse_int=_parse_int,
+                            object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         # RFC 8259 JSON is UTF-8; a nest past the recursion limit is unread
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
@@ -216,8 +228,9 @@ def load_scenario(path: str) -> Scenario:
             f"{_GRID_BUDGET_BYTES / 2 ** 20:.3g} MiB "
             f"(n_steps <= {_GRID_BUDGET_BYTES // (4 * 4 * 8)})")
     engine = _get(raw, "", "engine", str, "analytic")
-    if engine not in ("analytic", "fock", "both"):
-        raise ValueError(f"unknown engine {engine!r}")
+    if engine not in ("analytic", "fock"):
+        raise ValueError(f"unknown engine {engine!r}: evolve runs 'analytic' "
+                         "or 'fock', and the oracle command compares them")
     fock_dim = _get(raw, "", "fock_dim", int, 32)
     if fock_dim < 2:
         raise ValueError(f"fock_dim must be >= 2, got {fock_dim}")
@@ -300,12 +313,10 @@ def initial_moment_state(scenario: Scenario) -> MomentState:
         from . import fock
         return fock.two_mode_moments(initial, system, 0.0, scenario.fock_dim)
     # coherent: <x> = 2 sqrt(vx) Re(alpha), <p> = 2 sqrt(vp) Im(alpha)
-    mean = []
-    for alpha, mode in zip(initial, system.modes):
-        vx, vp = vacuum_variances(mode, system.constants.hbar)
-        mean += [2.0 * np.sqrt(vx) * alpha.real,
-                 2.0 * np.sqrt(vp) * alpha.imag]
-    return MomentState(mean=np.array(mean), cov=vacuum_state(system).cov)
+    (a1, a2), vacuum = initial, vacuum_state(system)
+    parts = [a1.real, a1.imag, a2.real, a2.imag]
+    return MomentState(mean=2.0 * np.sqrt(np.diag(vacuum.cov)) * parts,
+                       cov=vacuum.cov)
 
 
 def _check_fock_budget(dim: int) -> None:
@@ -337,9 +348,10 @@ def initial_density(scenario: Scenario) -> np.ndarray | tuple:
 
 
 def _trajectory_csv(times: np.ndarray, state: MomentState,
-                    lct: Lct | None) -> str:
-    """CSV of a trajectory on the (T,) grid `times`, plus its moments in
-    the LCT frame (structures.transform_state) when an LCT is given."""
+                    lct: Lct | None) -> list[str]:
+    """CSV chunks, header line first, of a trajectory on the (T,) grid
+    `times`, plus its moments in the LCT frame (structures.transform_state)
+    when an LCT is given."""
     import numpy as np
     from . import analytic
     q = QUADRATURES
@@ -357,11 +369,11 @@ def _trajectory_csv(times: np.ndarray, state: MomentState,
         columns += [alt.mean, analytic.uncertainty_products(alt.cov),
                     alt.cov[:, [0, 1], [2, 3]]]
     from ._csv17 import format_rows
-    return ",".join(header) + "\n" + format_rows(np.hstack(columns))
+    return [",".join(header) + "\n"] + format_rows(np.hstack(columns))
 
 
-def _write_files(directory: str, files: dict[str, str]) -> None:
-    """Write each {name: text} to a temporary file in directory, named for
+def _write_files(directory: str, files: dict[str, list[str]]) -> None:
+    """Write each {name: chunks} to a temporary file in directory, named for
     this process, and only then rename them all into place, so they have
     the caller's umask and a reader never sees one half written. On any
     failure the temporaries and the files already renamed are removed."""
@@ -369,10 +381,10 @@ def _write_files(directory: str, files: dict[str, str]) -> None:
                    for name in files]
     made = []
     try:
-        for tmp, text in zip(temporaries, files.values()):
+        for tmp, chunks in zip(temporaries, files.values()):
             made.append(tmp)
             with open(tmp, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         for tmp, name in zip(temporaries, files):
             os.replace(tmp, path := os.path.join(directory, name))
             made.append(path)
@@ -409,32 +421,28 @@ def _decay_fit_slope(times: np.ndarray, cov: np.ndarray) -> float | None:
     return float(u @ (y - y.mean())) / float(u @ u) / span
 
 
-def _engine_deviation(a, f) -> np.ndarray:
-    """Per-time max over the (T, 4) means and (T, 4, 4) covariances of the
-    relative distance |a - f| / (1 + |a|), so it reads the same at every
-    hbar; a is the analytic trajectory."""
+def _engine_deviation(a, f, system: TwoModeSystem) -> np.ndarray:
+    """Per-time max over the (T, 4) means and (T, 4, 4) covariances of
+    |a - f| in vacuum units, over s_i for mean i and s_i s_j for cov ij, s
+    the vacuum standard deviations; a is the analytic trajectory."""
     import numpy as np
+    s = np.sqrt(np.diag(vacuum_state(system).cov))
     return np.maximum(
-        np.max(np.abs(a.mean - f.mean) / (1.0 + np.abs(a.mean)), axis=1),
-        np.max(np.abs(a.cov - f.cov) / (1.0 + np.abs(a.cov)), axis=(1, 2)))
+        np.max(np.abs(a.mean - f.mean) / s, axis=1),
+        np.max(np.abs(a.cov - f.cov) / np.outer(s, s), axis=(1, 2)))
 
 
-def run_evolve(scenario: Scenario) -> dict[str, str]:
-    import numpy as np
+def run_evolve(scenario: Scenario) -> dict[str, list[str]]:
     from . import analytic
     system, times = scenario.system, scenario.times
-    rho0 = (initial_density(scenario) if scenario.engine in ("fock", "both")
-            else None)
-    trajectories = {}
-    if scenario.engine in ("analytic", "both"):
-        trajectories["analytic"] = analytic.evolve_trajectory(
-            initial_moment_state(scenario), system, times)
-    if rho0 is not None:
+    if scenario.engine == "fock":
         from . import fock
-        oracle = fock.moment_trajectory(rho0, system, times, scenario.fock_dim)
-        trajectories["fock"] = MomentState(mean=oracle.mean, cov=oracle.cov)
-
-    state = trajectories.get("analytic", trajectories.get("fock"))
+        oracle = fock.moment_trajectory(initial_density(scenario), system,
+                                        times, scenario.fock_dim)
+        state = MomentState(mean=oracle.mean, cov=oracle.cov)
+    else:
+        state = analytic.evolve_trajectory(initial_moment_state(scenario),
+                                           system, times)
     csv = _trajectory_csv(times, state, scenario.lct)
     summary = [f"engine: {scenario.engine}",
                f"samples: {len(times)}",
@@ -444,25 +452,22 @@ def run_evolve(scenario: Scenario) -> dict[str, str]:
     if system.mode1.kappa > 0 and system.mode2.kappa > 0:
         asym = analytic.asymptotic_state(system)
         summary.append("asymptotic cov diagonal: "
-                       + _fmt_all(np.diag(asym.cov)))
+                       + _fmt_all(asym.cov.diagonal()))
     slope = _decay_fit_slope(times, state.cov)
     summary.append("covariance decay fit slope (x1,x2): "
                    + (_fmt(slope) if slope is not None else "n/a"))
-    if scenario.engine == "both":
-        dev = _engine_deviation(trajectories["analytic"], trajectories["fock"])
-        summary.append(f"max analytic-vs-fock deviation: {_fmt(dev.max())}")
-    if rho0 is not None:
+    if scenario.engine == "fock":
         summary.append(f"max fock_tail: {_fmt(oracle.fock_tail.max())}")
-    return {"trajectory.csv": csv, "summary.txt": "\n".join(summary) + "\n"}
+    return {"trajectory.csv": csv, "summary.txt": _text(summary)}
 
 
-def run_oracle(scenario: Scenario) -> dict[str, str]:
+def run_oracle(scenario: Scenario) -> dict[str, list[str]]:
     from . import analytic, fock
     system, dim, times = scenario.system, scenario.fock_dim, scenario.times
     oracle = fock.moment_trajectory(initial_density(scenario), system, times,
                                     dim)
     dev = _engine_deviation(analytic.evolve_trajectory(
-        initial_moment_state(scenario), system, times), oracle)
+        initial_moment_state(scenario), system, times), oracle, system)
     lines = [f"fock_dim: {dim}"]
     lines += [f"t={_fmt(t)} completeness={_fmt(c)} "
               f"bh_residual={_fmt(b)} engine_deviation={_fmt(d)} "
@@ -471,7 +476,7 @@ def run_oracle(scenario: Scenario) -> dict[str, str]:
                                        oracle.bh_residual, dev,
                                        oracle.fock_tail)]
     lines.append(f"max engine deviation: {_fmt(dev.max())}")
-    return {"oracle_report.txt": "\n".join(lines) + "\n"}
+    return {"oracle_report.txt": _text(lines)}
 
 
 def _report_lines(report: StructureReport, *names: str) -> list[str]:
@@ -481,7 +486,7 @@ def _report_lines(report: StructureReport, *names: str) -> list[str]:
             for name in ("product_A", "product_B", "cov_xx", "cov_pp") + names]
 
 
-def run_structure(scenario: Scenario) -> dict[str, str]:
+def run_structure(scenario: Scenario) -> dict[str, list[str]]:
     from . import structures
     if scenario.lct is None:
         raise ValueError("the structure command needs an 'lct' entry "
@@ -491,10 +496,10 @@ def run_structure(scenario: Scenario) -> dict[str, str]:
     lines = (["position block M: " + _fmt_all(m[0] + m[1]),
               "momentum block N: " + _fmt_all(n[0] + n[1])]
              + _report_lines(report, "residual", "family_distance"))
-    return {"structure.txt": "\n".join(lines) + "\n"}
+    return {"structure.txt": _text(lines)}
 
 
-def run_classicality(scenario: Scenario) -> dict[str, str]:
+def run_classicality(scenario: Scenario) -> dict[str, list[str]]:
     from . import structures
     config = structures.SearchConfig(seed=scenario.seed)
     report, trace = structures.search_classical_structure(scenario.system,
@@ -508,8 +513,7 @@ def run_classicality(scenario: Scenario) -> dict[str, str]:
     rows = ["restart,residual,iterations,trivial"]
     rows += [f"{r.index},{_fmt(r.residual)},{r.iterations},"
              f"{int(r.trivial)}" for r in trace]
-    return {"classicality.txt": "\n".join(lines) + "\n",
-            "search_trace.csv": "\n".join(rows) + "\n"}
+    return {"classicality.txt": _text(lines), "search_trace.csv": _text(rows)}
 
 
 _COMMANDS = {"evolve": run_evolve, "oracle": run_oracle,

@@ -92,12 +92,22 @@ def overflowing_lct_scenario(v):
     return base_scenario(lct={"M": [[v, v], [v, -v]]})
 
 
-def extreme_hbar_scenario(hbar):
-    """The vacuum at hbar, both engines at a small cutoff."""
-    scenario = base_scenario(engine="both", fock_dim=4,
+def extreme_hbar_scenario(hbar, engine="fock"):
+    """The vacuum at hbar, at a small cutoff."""
+    scenario = base_scenario(engine=engine, fock_dim=4,
                              initial={"type": "vacuum"})
     scenario["system"]["hbar"] = hbar
     return scenario
+
+
+def max_engine_deviation(tmp_path, scenario):
+    """The last line of oracle_report.txt for scenario, as a float."""
+    config = write_scenario(tmp_path, scenario)
+    assert main(["oracle", "--config", config,
+                 "--output", str(tmp_path)]) == 0
+    line = (tmp_path / "oracle_report.txt").read_text().splitlines()[-1]
+    assert line.startswith("max engine deviation: ")
+    return float(line.split(": ")[1])
 
 
 def read_csv(path):
@@ -202,6 +212,27 @@ class TestExitCodes:
                 assert err == f"error: unknown scenario key: {path!r}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("first, second, key", [
+        ('"seed": 11', '"seed": 3', "seed"),
+        ('"engine": "analytic"', '"engine": "both"', "engine"),
+        ('"kappa": 0.5', '"kappa": 0.25', "kappa"),
+    ])
+    def test_duplicate_key_exits_1(self, tmp_path, capsys, first, second,
+                                   key):
+        # json.load would keep the last value; a scenario says each thing
+        # once, so a repeat at any depth fails before anything runs
+        text = json.dumps(base_scenario()).replace(first,
+                                                   f"{first}, {second}", 1)
+        assert f"{first}, {second}" in text
+        config = tmp_path / "scenario.json"
+        config.write_text(text)
+        for command in cli._COMMANDS:
+            assert main([command, "--config", str(config),
+                         "--output", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == (
+                f"error: duplicate scenario key: {key!r}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_kappa_exits_2(self, tmp_path, capsys):
         for kappa in ("-0.5", "1e400"):
             text = json.dumps(base_scenario()).replace('"kappa": 0.5',
@@ -251,7 +282,7 @@ class TestExitCodes:
         for alpha in ([1e300, 0.0], [1.7e308, 1.7e308]):
             scenario = base_scenario(initial={"type": "coherent",
                                               "alpha1": alpha})
-            for engine, command in (("fock", "evolve"), ("both", "evolve"),
+            for engine, command in (("fock", "evolve"),
                                     ("analytic", "oracle")):
                 scenario["engine"] = engine
                 config = write_scenario(tmp_path, scenario)
@@ -265,7 +296,7 @@ class TestExitCodes:
     def test_coherent_guard_names_the_squared_displacement(
             self, tmp_path, capsys, alpha, square):
         # |alpha|^2 is reported as it is, inf only past float range
-        scenario = base_scenario(engine="both", fock_dim=32,
+        scenario = base_scenario(engine="fock", fock_dim=32,
                                  initial={"type": "coherent",
                                           "alpha1": alpha})
         config = write_scenario(tmp_path, scenario)
@@ -328,11 +359,13 @@ class TestExitCodes:
     def test_uncertainty_products_past_float_range_exit_0(self, tmp_path,
                                                           capsys):
         # var_x var_p = (hbar/2)^2 overflows at hbar 1e300 and underflows
-        # at 1e-300, but its root hbar/2 is a float
-        for hbar, want in ((1e300, "5.0000000000000003e+299"),
-                           (1e-300, "5.0000000000000001e-301")):
-            config = write_scenario(tmp_path, extreme_hbar_scenario(hbar))
-            out = tmp_path / f"out{hbar:g}"
+        # at 1e-300, but its root hbar/2 is a float, on either engine
+        for (hbar, want), engine in itertools.product(
+                ((1e300, "5.0000000000000003e+299"),
+                 (1e-300, "5.0000000000000001e-301")), ("analytic", "fock")):
+            config = write_scenario(tmp_path,
+                                    extreme_hbar_scenario(hbar, engine))
+            out = tmp_path / f"{engine}{hbar:g}"
             assert main(["evolve", "--config", config,
                          "--output", str(out)]) == 0
             assert capsys.readouterr().err == ""
@@ -488,14 +521,21 @@ class TestEvolve:
         assert values["cov_x1_x1"] == 0.5
         assert values["mean_x1"] == 0.0
 
-    def test_engine_both_reports_small_deviation(self, tmp_path):
+    def test_engine_both_exits_2_and_oracle_compares_the_engines(
+            self, tmp_path, capsys):
+        # evolve runs one engine, and no command takes "both"; oracle is
+        # the one place the engines are compared, whatever the engine key
+        out = tmp_path / "out"
         config = write_scenario(tmp_path, base_scenario(engine="both"))
-        assert main(["evolve", "--config", config,
-                     "--output", str(tmp_path)]) == 0
-        summary = (tmp_path / "summary.txt").read_text()
-        line = [l for l in summary.splitlines()
-                if l.startswith("max analytic-vs-fock deviation")][0]
-        assert float(line.split(":")[1]) <= 1e-8
+        for command in cli._COMMANDS:
+            assert main([command, "--config", config,
+                         "--output", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "error: unknown engine 'both': evolve runs 'analytic' or "
+                "'fock', and the oracle command compares them\n")
+        assert not out.exists()
+        scenario = base_scenario(engine="fock")
+        assert max_engine_deviation(tmp_path, scenario) <= 1e-8
 
     def test_summary_reports_fock_tail(self, tmp_path):
         # |alpha|^2 = 1.96 at D = 8: ~3e-3 on |7> at t = 0
@@ -513,7 +553,7 @@ class TestEvolve:
                  if field.startswith("fock_tail=")]
         tail = max(tails, key=float)
         assert float(tail) > 1e-6
-        for engine in ("analytic", "fock", "both"):
+        for engine in ("analytic", "fock"):
             config = write_scenario(tmp_path, dict(scenario, engine=engine))
             assert main(["evolve", "--config", config,
                          "--output", str(tmp_path)]) == 0
@@ -572,7 +612,7 @@ class TestEvolve:
         # oracle reads as rounding noise; no engine fits a decay to that
         with open(os.path.join(DATA_DIR, "golden_scenario.json")) as fh:
             scenario = json.load(fh)
-        for engine in ("analytic", "fock", "both"):
+        for engine in ("analytic", "fock"):
             config = write_scenario(tmp_path, dict(scenario, engine=engine))
             assert main(["evolve", "--config", config,
                          "--output", str(tmp_path)]) == 0
@@ -580,7 +620,7 @@ class TestEvolve:
             assert "covariance decay fit slope (x1,x2): n/a" in summary
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
-        config = write_scenario(tmp_path, base_scenario(engine="both"))
+        config = write_scenario(tmp_path, base_scenario(engine="fock"))
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["evolve", "--config", config, "--output", str(out1)]) == 0
         assert main(["evolve", "--config", config, "--output", str(out2)]) == 0
@@ -616,17 +656,31 @@ class TestOtherCommands:
         assert "bh_residual=" in report
 
     def test_engine_deviation_is_relative(self, tmp_path):
-        # at hbar 1e300 the moments are ~1e300 and the engines agree to
-        # ~1e-16 of them; an absolute deviation would read ~1e284
-        config = write_scenario(tmp_path, extreme_hbar_scenario(1e300))
-        for command, name, prefix in (
-                ("oracle", "oracle_report.txt", "max engine deviation"),
-                ("evolve", "summary.txt", "max analytic-vs-fock deviation")):
-            assert main([command, "--config", config,
-                         "--output", str(tmp_path)]) == 0
-            lines = (tmp_path / name).read_text().splitlines()
-            line = [l for l in lines if l.startswith(prefix)][0]
-            assert float(line.split(":")[1]) <= 1e-8
+        # in vacuum units the engines agree to rounding at every hbar: at
+        # 1e300 an absolute deviation would read ~1e134 on the coherent
+        # means (~1e150) and ~1e284 on the covariances, and at 1e-300 it
+        # would read ~1e-166 and see nothing
+        for hbar in (1e-300, 1.0, 1e300):
+            coherent = base_scenario()
+            coherent["system"]["hbar"] = hbar
+            for scenario in (coherent, extreme_hbar_scenario(hbar)):
+                assert max_engine_deviation(tmp_path, scenario) <= 1e-14
+
+    def test_engine_deviation_sees_a_covariance_error_at_any_hbar(
+            self, tmp_path, monkeypatch):
+        # an oracle whose covariances are off by 1e-6 of themselves reads
+        # about 1e-6 at hbar 1e-300, where every covariance is ~1e-300
+        moment_trajectory = fock.moment_trajectory
+
+        def scaled(*args):
+            oracle = moment_trajectory(*args)
+            oracle.cov[...] *= 1 + 1e-6
+            return oracle
+
+        monkeypatch.setattr(fock, "moment_trajectory", scaled)
+        scenario = base_scenario()
+        scenario["system"]["hbar"] = 1e-300
+        assert max_engine_deviation(tmp_path, scenario) >= 1e-7
 
     def test_oracle_builds_each_kraus_set_once_per_chunk(self, tmp_path,
                                                          monkeypatch):
@@ -769,21 +823,25 @@ class TestOtherCommands:
         # 1.7e308, -2 kappa overflows, so -2 kappa t is NaN at t = 0
         src = os.path.dirname(os.path.dirname(dampsim.__file__))
         for kappa, t_end in ((1e200, 1e200), (1e200, 1e108), (1.7e308, 1.0)):
-            scenario = base_scenario(engine="both", fock_dim=8,
-                                     time_grid={"t_start": 0.0,
-                                                "t_end": t_end, "n_steps": 5})
-            for label in ("mode1", "mode2"):
-                scenario["system"][label]["kappa"] = kappa
-            config = write_scenario(tmp_path, scenario)
-            for command in ("oracle", "evolve"):
+            for engine, command in (("fock", "oracle"), ("analytic", "evolve"),
+                                    ("fock", "evolve")):
+                scenario = base_scenario(engine=engine, fock_dim=8,
+                                         time_grid={"t_start": 0.0,
+                                                    "t_end": t_end,
+                                                    "n_steps": 5})
+                for label in ("mode1", "mode2"):
+                    scenario["system"][label]["kappa"] = kappa
+                config = write_scenario(tmp_path, scenario)
                 out = subprocess.run(
                     [sys.executable, "-m", "dampsim.cli", command, "--config",
-                     config, "--output", str(tmp_path)],
+                     config, "--output", str(tmp_path / engine)],
                     env={**os.environ, "PYTHONPATH": src},
                     capture_output=True, text=True)
                 assert (out.returncode, out.stderr) == (0, "")
-            assert "nan" not in (tmp_path / "summary.txt").read_text()
-            report = (tmp_path / "oracle_report.txt").read_text()
+            for engine in ("analytic", "fock"):
+                summary = (tmp_path / engine / "summary.txt").read_text()
+                assert "nan" not in summary
+            report = (tmp_path / "fock" / "oracle_report.txt").read_text()
             assert "nan" not in report
             residuals = [field for field in report.split()
                          if field.startswith("bh_residual=")]
@@ -867,7 +925,7 @@ class TestInitialStates:
         rho = np.kron(fock.coherent_density(0.5, dim),
                       fock.coherent_density(0.3j, dim))
         for command, engine in (("evolve", "analytic"), ("evolve", "fock"),
-                                ("evolve", "both"), ("oracle", "analytic"),
+                                ("oracle", "analytic"),
                                 ("structure", "analytic"),
                                 ("classicality", "analytic")):
             scenario = base_scenario(engine=engine, fock_dim=dim,
@@ -995,7 +1053,7 @@ class TestInitialStates:
         system = base_scenario()["system"]
         system["mode1"]["mass"] = 0.3
         vx = 1.0 / (2 * 0.3)
-        for engine in ("analytic", "fock", "both"):
+        for engine in ("analytic", "fock"):
             config = write_scenario(tmp_path, base_scenario(
                 system=system, engine=engine, fock_dim=2,
                 initial={"type": "density",
@@ -1011,7 +1069,7 @@ class TestInitialStates:
 
     def test_vacuum_is_the_zero_displacement(self, tmp_path):
         zero = {"type": "coherent", "alpha1": 0, "alpha2": [0, 0.0]}
-        for engine in ("analytic", "fock", "both"):
+        for engine in ("analytic", "fock"):
             outputs = []
             for initial in ({"type": "vacuum"}, zero, None):
                 scenario = base_scenario(
@@ -1094,7 +1152,7 @@ def fuzz_bases():
     command finishes in milliseconds."""
     from dampsim.fock import coherent_density
     rho = np.kron(coherent_density(0.3, 2), coherent_density(0.2j, 2))
-    small = dict(engine="both", seed=3,
+    small = dict(engine="fock", seed=3,
                  time_grid={"t_start": 0.0, "t_end": 2.0, "n_steps": 3},
                  lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
     initials = [{"type": "coherent", "alpha1": [0.5, 0.1], "alpha2": 0.3},
@@ -1184,7 +1242,7 @@ def test_only_an_lct_command_loads_structures(tmp_path):
     # loading a scenario, oracle and an evolve without an LCT frame have
     # no use for the structures module
     src = os.path.dirname(os.path.dirname(dampsim.__file__))
-    plain = write_scenario(tmp_path, base_scenario(engine="both"))
+    plain = write_scenario(tmp_path, base_scenario(engine="fock"))
     framed = write_scenario(tmp_path, base_scenario(
         lct={"M": [[0.5, 0.5], [1.0, -1.0]]}), "framed.json")
     steps = [f"cli.load_scenario({framed!r})"]
@@ -1255,6 +1313,16 @@ TRACE_CHILD = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                            "perfbench", "trace_child.py")
 
 
+def test_benchmark_selftest_passes():
+    # the benchmark's checks accept every command's real output and reject
+    # each corrupted copy, so an output change that blinds one fails here
+    selftest = os.path.join(os.path.dirname(TRACE_CHILD), "selftest.py")
+    out = subprocess.run([sys.executable, selftest], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[-1] == "selftest: passed"
+
+
 @pytest.mark.parametrize("command, spans", [
     ("evolve", ["model.moment_state"]),
     ("oracle", ["cli.initial_density", "model.moment_state"]),
@@ -1268,7 +1336,7 @@ def test_traced_benchmark_harness_runs_every_command(tmp_path, command,
     # still run under it and leave the spans the layer metrics read
     src = os.path.dirname(os.path.dirname(dampsim.__file__))
     config = write_scenario(tmp_path, base_scenario(
-        engine="both", fock_dim=4, lct={"M": [[0.5, 0.5], [1.0, -1.0]]}))
+        engine="fock", fock_dim=4, lct={"M": [[0.5, 0.5], [1.0, -1.0]]}))
     trace = tmp_path / "spans.json"
     out = subprocess.run(
         [sys.executable, TRACE_CHILD, str(trace), "tiny", "0", "cli",

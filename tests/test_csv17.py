@@ -20,6 +20,11 @@ def percent_rows(table):
                    for row in table.tolist())
 
 
+def formatted(table):
+    """The text of format_rows' blocks, joined."""
+    return "".join(format_rows(table))
+
+
 def any_float():
     """Any float64, nan, inf and subnormals included: its 64 bits."""
     return st.integers(0, 2 ** 64 - 1).map(
@@ -41,7 +46,7 @@ def tables(elements):
 @given(tables(exact_range_float()) | tables(any_float())
        | tables(exact_range_float() | any_float()))
 def test_any_table_formats_as_percent(table):
-    assert format_rows(table) == percent_rows(table)
+    assert formatted(table) == percent_rows(table)
 
 
 @pytest.fixture
@@ -94,12 +99,12 @@ def test_sweep_of_edge_values(exact_blocks):
         for table in (column[:, None], column[None, :],
                       column[:column.size // 7 * 7].reshape(-1, 7)):
             exact_blocks.clear()
-            assert format_rows(table) == percent_rows(table)
+            assert formatted(table) == percent_rows(table)
             assert all(exact_blocks) == (column is inside)
     exact_blocks.clear()
     for value in values:
         table = np.array([[value]])
-        assert format_rows(table) == percent_rows(table)
+        assert formatted(table) == percent_rows(table)
     assert sum(exact_blocks) == inside.size
 
 
@@ -111,7 +116,7 @@ def test_log10_one_off_either_way(monkeypatch, exact_blocks, error):
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
     for table in [inside[:, None]] + [np.array([[v]]) for v in inside]:
-        assert format_rows(table) == percent_rows(table)
+        assert formatted(table) == percent_rows(table)
     assert all(exact_blocks)
 
 
@@ -121,7 +126,10 @@ def test_only_the_block_with_an_outside_cell_falls_back(exact_blocks):
     table = 10.0 ** rng.uniform(-10.0, 15.0, (2 * _csv17._BLOCK_ROWS + 9, 3))
     table *= rng.choice([-1.0, 1.0], table.shape)
     table[_csv17._BLOCK_ROWS + 5, 1] = np.inf
-    assert format_rows(table) == percent_rows(table)
+    blocks = format_rows(table)
+    rows = [block.count("\n") for block in blocks]
+    assert rows == [_csv17._BLOCK_ROWS, _csv17._BLOCK_ROWS, 9]
+    assert "".join(blocks) == percent_rows(table)
     assert exact_blocks == [True, False, True]
 
 
@@ -142,7 +150,7 @@ def test_trajectory_csv_is_the_percent_formatted_one(tmp_path, monkeypatch):
         config.write_text(json.dumps(scenario))
         files = {}
         for label, formatter in (("vectorized", format_rows),
-                                 ("percent", percent_rows)):
+                                 ("percent", lambda t: [percent_rows(t)])):
             monkeypatch.setattr(_csv17, "format_rows", formatter)
             out = tmp_path / f"{label}{hbar:g}"
             assert main(["evolve", "--config", str(config),

@@ -11,6 +11,8 @@ import pkgutil
 import re
 import tokenize
 
+import pytest
+
 import dampsim
 from dampsim import cli
 
@@ -82,7 +84,25 @@ def test_scenario_example_loads(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(readme_block("### Scenario format (JSON)", "json"))
     scenario = cli.load_scenario(str(path))
-    assert scenario.engine == "both" and scenario.lct is not None
+    assert scenario.engine == "fock" and scenario.lct is not None
+
+
+def test_engine_values_are_the_accepted_ones(tmp_path):
+    # the engine values README's scenario format lists, up to the first
+    # comma of the `engine` bullet, are the ones load_scenario accepts and
+    # the ones its error for any other value names
+    bullet = readme_text().split("\n- `engine`: ", 1)[1].split(",", 1)[0]
+    listed = re.findall(r"`(\w+)`", bullet)
+    assert listed
+    example = json.loads(readme_block("### Scenario format (JSON)", "json"))
+    path = tmp_path / "scenario.json"
+    for engine in listed:
+        path.write_text(json.dumps(dict(example, engine=engine)))
+        assert cli.load_scenario(str(path)).engine == engine
+    path.write_text(json.dumps(dict(example, engine="both")))
+    with pytest.raises(ValueError) as exc:
+        cli.load_scenario(str(path))
+    assert re.findall(r"'(\w+)'", str(exc.value)) == ["both", *listed]
 
 
 def test_module_names_resolve():
