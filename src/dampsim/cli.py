@@ -8,8 +8,10 @@ Each value is checked once, where it enters; the engines trust what they
 get. load_scenario, for every command, parses one scenario entry at a time
 (ParseError, exit 1) and checks its values (ValueError, exit 2) before it
 reads the next, so the first bad entry in README's order sets the exit
-code. Every trajectory the CSV writer reads is a model.MomentState,
-checked when it was built.
+code. It reads every key one of two ways, and each error names the key's
+path: _get for a value of one JSON type, _array for a numeric array, whose
+shape it checks as soon as the array is parsed. Every trajectory the CSV
+writer reads is a model.MomentState, checked when it was built.
 
 Each module is imported where it is used: numpy by evolve, oracle and
 the parsing of moments or a density; analytic by evolve and oracle; fock
@@ -17,7 +19,7 @@ by a density or a fock engine, oracle's too; structures by structure,
 classicality and an LCT frame of evolve; _csv17, the exact "%.17g" of
 trajectory.csv, by _trajectory_csv. So structure and classicality on a
 vacuum or coherent scenario run on the standard library, and check the
-arrays they read without numpy (_float_shape).
+arrays they read without numpy (_array).
 
 main puts each run together and is the one writer: it loads the
 scenario, runs the command, which returns {file name: list of text},
@@ -158,12 +160,17 @@ def _float_shape(value, what: str, dims: int = _MAX_DIMS) -> tuple[int, ...]:
     return (len(value),) + shapes.pop()
 
 
-def _parse_lct(d: dict) -> Lct:
-    if not isinstance(d, dict) or "M" not in d:
-        raise ParseError("lct spec must be an object with key 'M'")
-    _known(d, "lct.", "M")
-    _float_shape(d["M"], "lct position block")
-    return Lct(d["M"])
+def _array(d: dict, prefix: str, key: str, shape: tuple[int, ...],
+           default=_MISSING):
+    """d[key] as nested lists of numbers of the given shape, or default;
+    a ParseError (not a numeric array) or a ValueError (another shape)
+    names prefix + key."""
+    value = _get(d, prefix, key, list, default)
+    what = f"scenario key {prefix + key!r}"
+    if value is not default and (got := _float_shape(value, what)) != shape:
+        raise ValueError(f"{what} has wrong shape: expected {shape}, "
+                         f"got {got}")
+    return value
 
 
 def _reject_constant(name: str):
@@ -237,7 +244,10 @@ def load_scenario(path: str) -> Scenario:
 
     initial = _parse_initial(_get(raw, "", "initial", dict,
                                   {"type": "vacuum"}), system, fock_dim)
-    lct = _parse_lct(raw["lct"]) if "lct" in raw else None
+    lct = _get(raw, "", "lct", dict, None)
+    if lct is not None:
+        _known(lct, "lct.", "M")
+        lct = Lct(_array(lct, "lct.", "M", (2, 2)))
     seed = _get(raw, "", "seed", int, 0)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -254,27 +264,19 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
         return 0j, 0j
     if kind == "coherent":
         _known(d, "initial.", "type", "alpha1", "alpha2")
-        pair = []
-        for key in ("alpha1", "alpha2"):
-            v = d.get(key, 0.0)
-            parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
-            if not all(map(_is_number, parts)):
-                raise ParseError(f"{key} must be a number or [re, im] pair")
-            pair.append(complex(*parts))
+        pair = [complex(*_array(d, "initial.", key, (2,)))
+                if isinstance(d.get(key), list)
+                else complex(_get(d, "initial.", key, float, 0.0))
+                for key in ("alpha1", "alpha2")]
         for key, alpha in zip(("alpha1", "alpha2"), pair):
             if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
                 raise ValueError(f"initial.{key} must be finite, got {alpha}")
         return tuple(pair)
     if kind == "moments":
         _known(d, "initial.", "type", "mean", "cov")
-        mean = _get(d, "initial.", "mean", list)
-        shape = _float_shape(mean, "initial mean")
-        cov = _get(d, "initial.", "cov", list)
-        _float_shape(cov, "initial cov")
+        mean = _array(d, "initial.", "mean", (4,))
+        cov = _array(d, "initial.", "cov", (4, 4))
         try:
-            if shape != (4,):  # a MomentState may also be a stack
-                raise ValueError(f"mean must be a 4-vector, got shape "
-                                 f"{shape}")
             state = MomentState(mean=mean, cov=cov)
             assert_physical(state, system.constants.hbar)
         except ValueError as exc:
@@ -285,19 +287,11 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
         _check_fock_budget(dim)
         import numpy as np
         from . import fock
-        real = _get(d, "initial.", "real", list)
-        shape = _float_shape(real, "density matrix")
-        rho = np.asarray(real, dtype=float).astype(complex)
-        if d.get("imag") is not None:
-            imag_shape = _float_shape(d["imag"], "density matrix")
-            if imag_shape != shape:
-                raise ValueError(f"density imag shape {imag_shape} does not "
-                                 f"match real shape {shape}")
-            rho = rho + 1j * np.asarray(d["imag"], dtype=float)
-        if shape != (dim * dim, dim * dim):
-            raise ValueError(
-                f"density matrix shape {shape} does not match "
-                f"fock_dim^2 = {dim * dim}")
+        shape = (dim * dim, dim * dim)
+        rho = np.asarray(_array(d, "initial.", "real", shape), dtype=complex)
+        if (imag := _array(d, "initial.", "imag", shape, None)) is not None:
+            with np.errstate(invalid="ignore"):  # 1j * inf, rejected below
+                rho = rho + 1j * np.asarray(imag, dtype=float)
         fock.check_density(rho)
         return rho
     raise ValueError(f"unknown initial state type {kind!r}")
@@ -322,11 +316,16 @@ def initial_moment_state(scenario: Scenario) -> MomentState:
 def _check_fock_budget(dim: int) -> None:
     """Raise ValueError if a two-mode density at cutoff dim would pass
     _FOCK_BUDGET_BYTES; the message holds whether or not one is built."""
-    if dim ** 4 * 16 > _FOCK_BUDGET_BYTES:
+    if (size := dim ** 4 * 16) > _FOCK_BUDGET_BYTES:
+        try:
+            gib = f"{size / 2 ** 30:.3g}"
+        except OverflowError:  # past float range, from fock_dim ~1e79
+            from decimal import Decimal
+            gib = f"{Decimal(size) / 2 ** 30:.3g}"
         raise ValueError(
             f"fock_dim {dim} is past the fock engine's cutoff limit: a "
-            f"two-mode density there takes {dim ** 4 * 16 / 2 ** 30:.3g} "
-            f"GiB, over {_FOCK_BUDGET_BYTES / 2 ** 30:.3g} GiB (fock_dim <= "
+            f"two-mode density there takes {gib} GiB, over "
+            f"{_FOCK_BUDGET_BYTES / 2 ** 30:.3g} GiB (fock_dim <= "
             f"{math.isqrt(math.isqrt(_FOCK_BUDGET_BYTES // 16))})")
 
 

@@ -1,4 +1,5 @@
 import ast
+import copy
 import decimal
 import gc
 import itertools
@@ -334,6 +335,27 @@ class TestExitCodes:
         config = write_scenario(tmp_path, base_scenario(fock_dim=1000))
         assert main(["evolve", "--config", config,
                      "--output", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("dim", [10 ** 80, 10 ** 300],
+                             ids=["1e80", "1e300"])
+    def test_cutoff_limit_past_float_range_exits_2(self, tmp_path, capsys,
+                                                   dim):
+        # the limit's message gives the density's size in GiB, past float
+        # range from fock_dim ~1e79 on; every fock run and every command
+        # on a density state checks it
+        density = {"type": "density", "real": (np.eye(4) / 4).tolist()}
+        runs = [("evolve", base_scenario(engine="fock", fock_dim=dim)),
+                ("oracle", base_scenario(fock_dim=dim))]
+        runs += [(command, base_scenario(fock_dim=dim, initial=density,
+                                         lct={"M": [[1.0, 0.0], [0.0, 1.0]]}))
+                 for command in cli._COMMANDS]
+        for command, scenario in runs:
+            config = write_scenario(tmp_path, scenario)
+            assert main([command, "--config", config,
+                         "--output", str(tmp_path / "out")]) == 2, command
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].endswith("(fock_dim <= 90)")
+            assert err[0].startswith(f"error: fock_dim {dim} is past")
 
     def test_computation_failure_exits_4(self, tmp_path, capsys,
                                          monkeypatch):
@@ -776,11 +798,12 @@ class TestOtherCommands:
 
     def test_invalid_lct_exits_2(self, tmp_path, capsys):
         # ill-conditioned (cond ~ 4e10, det 1e-10); a numeric block that
-        # is not 2x2
+        # is not 2x2, named by its key
         for lct, message in (
                 ({"M": [[1.0, 1.0], [1.0, 1.0 + 1e-10]]}, "cond(M)"),
                 ({"M": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]},
-                 "position block must be a finite 2x2 matrix")):
+                 "error: scenario key 'lct.M' has wrong shape: expected "
+                 "(2, 2), got (3, 2)\n")):
             config = write_scenario(tmp_path, base_scenario(lct=lct))
             assert main(["structure", "--config", config,
                          "--output", str(tmp_path)]) == 2
@@ -1002,8 +1025,11 @@ class TestInitialStates:
                    {"type": "density", "real": asymmetric.tolist()},
                    {"type": "density", "real": (2 * rho).tolist()},
                    {"type": "squeezed"}]
-        # an imag part of another shape than real is not broadcast
-        for imag in (0.0, [0.0] * 4, np.zeros((3, 3)).tolist()):
+        # an imag part is an array of real's shape: a number is no array,
+        # and an array of another shape is not broadcast
+        malformed.append({"type": "density", "real": rho.tolist(),
+                          "imag": 0.0})
+        for imag in ([0.0] * 4, np.zeros((3, 3)).tolist()):
             invalid.append({"type": "density", "real": rho.tolist(),
                             "imag": imag})
         for code, initials in ((1, malformed), (2, invalid)):
@@ -1042,8 +1068,8 @@ class TestInitialStates:
         assert main(["evolve", "--config", config,
                      "--output", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "error: density imag shape (3, 3) does not match real shape "
-            "(4, 4)\n")
+            "error: scenario key 'initial.imag' has wrong shape: expected "
+            "(4, 4), got (3, 3)\n")
 
     def test_density_on_the_top_level_exits_0(self, tmp_path):
         # (|0> + |1>)/sqrt2 x |0> at fock_dim 2 lives on mode 1's top level:
@@ -1103,26 +1129,31 @@ class TestInitialStates:
             assert not np.signbit(mean).any()
 
     def test_non_finite_density_exits_2(self, tmp_path):
+        # an infinite entry in either part, with no warning on stderr
         dim = 2
         rho = np.kron(np.eye(dim) / dim, np.eye(dim) / dim).tolist()
-        rho[0][1] = rho[1][0] = "OVERFLOW"
-        scenario = base_scenario(engine="fock", fock_dim=dim,
-                                 initial={"type": "density", "real": rho})
-        # 1e400 is valid JSON and parses to inf
-        text = json.dumps(scenario).replace('"OVERFLOW"', "1e400")
-        config = tmp_path / "scenario.json"
-        config.write_text(text)
-        src = os.path.dirname(os.path.dirname(dampsim.__file__))
-        out = subprocess.run(
-            [sys.executable, "-m", "dampsim.cli", "evolve", "--config",
-             str(config), "--output", str(tmp_path / "out")],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-            text=True)
-        assert out.returncode == 2
-        errors = [line for line in out.stderr.splitlines()
-                  if line.startswith("error:")]
-        assert len(errors) == 1 and "finite" in errors[0]
-        assert "Warning" not in out.stderr
+        for part, entries in (("real", rho),
+                              ("imag", np.zeros((4, 4)).tolist())):
+            initial = {"type": "density", "real": rho,
+                       part: [row[:] for row in entries]}
+            initial[part][0][1] = initial[part][1][0] = "OVERFLOW"
+            scenario = base_scenario(engine="fock", fock_dim=dim,
+                                     initial=initial)
+            # 1e400 is valid JSON and parses to inf
+            text = json.dumps(scenario).replace('"OVERFLOW"', "1e400")
+            config = tmp_path / "scenario.json"
+            config.write_text(text)
+            src = os.path.dirname(os.path.dirname(dampsim.__file__))
+            out = subprocess.run(
+                [sys.executable, "-m", "dampsim.cli", "evolve", "--config",
+                 str(config), "--output", str(tmp_path / "out")],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                text=True)
+            assert out.returncode == 2, part
+            errors = [line for line in out.stderr.splitlines()
+                      if line.startswith("error:")]
+            assert len(errors) == 1 and "finite" in errors[0]
+            assert "Warning" not in out.stderr, part
 
 
 def json_paths(value, prefix=()):
@@ -1196,6 +1227,54 @@ def test_any_scenario_exits_with_a_documented_code(scenario):
             code = main([command, "--config", config,
                          "--output", os.path.join(tmp, "out")])
             assert code in (0, 1, 2, 3, 4)
+
+
+#: Every key of the scenario format, as its path: the keys of fuzz_bases.
+SCENARIO_KEYS = sorted({".".join(path) for base in fuzz_bases()
+                        for path in json_paths(base)
+                        if path and all(isinstance(k, str) for k in path)})
+
+#: A value of each JSON type.
+JSON_TYPE_VALUES = [None, True, 2, 0.5, "0.5", [0.5], {"x": 0.5}]
+
+
+@pytest.mark.parametrize("path", SCENARIO_KEYS)
+def test_every_key_is_read_one_way(tmp_path, capsys, path):
+    # null or a value of a type the key does not take is a parse error
+    # (exit 1), and so is a non-numeric array; a numeric array of another
+    # shape is a validation error (exit 2); each error names the key's
+    # path, for every command
+    *parents, key = path.split(".")
+
+    def holder(scenario):
+        for name in parents:
+            scenario = scenario.get(name, {})
+        return scenario
+
+    base = next(base for base in fuzz_bases() if key in holder(base))
+    value = holder(base)[key]
+    displacement = key in ("alpha1", "alpha2")  # a number or [re, im]
+    takes = ({int, float, list} if displacement
+             else {int, float} if type(value) is float else {type(value)})
+    cases = [(wrong, 1, "has wrong type") for wrong in JSON_TYPE_VALUES
+             if type(wrong) not in takes]
+    if list in takes:
+        cases += [(["0.5", 0.5], 1, "is not numeric"),
+                  ([0.0] * 3 if displacement else value + value[:1], 2,
+                   "has wrong shape")]
+    assert len(cases) >= 5
+    config = tmp_path / "scenario.json"
+    for wrong, code, what in cases:
+        scenario = copy.deepcopy(base)
+        holder(scenario)[key] = wrong
+        config.write_text(json.dumps(scenario))
+        for command in cli._COMMANDS:
+            assert main([command, "--config", str(config),
+                         "--output", str(tmp_path / "out")]) == code, \
+                (command, wrong)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: scenario key {path!r} {what}: ")
+            assert len(err.splitlines()) == 1
 
 
 def test_cli_leaves_numpy_and_scipy_unloaded(tmp_path):

@@ -200,3 +200,37 @@ def test_scenario_keys_resolve(tmp_path):
                if not any(accepts(key_path, initial)
                           for initial in initials(key_path))]
     assert unknown == []
+
+
+def test_quoted_scenario_errors_are_raised(tmp_path):
+    # each scenario error README quotes is exactly the one load_scenario
+    # raises on README's scenario example changed at the key it names, so
+    # a reworded message cannot drift from the contract
+    example = json.loads(readme_block("### Scenario format (JSON)", "json"))
+    quoted = re.findall(r"`([^`]*scenario key[^`]*)`", readme_text())
+    assert len(quoted) >= 5
+    path = tmp_path / "scenario.json"
+    for message in quoted:
+        scenario = copy.deepcopy(example)
+        *parents, key = re.search(r"'([\w.]+)'", message).group(1).split(".")
+        parent = scenario
+        for name in parents:
+            parent = parent[name]
+        value = parent.get(key)
+        if message.startswith("missing "):
+            del parent[key]
+        elif message.startswith("unknown "):
+            parent[key] = 0.0
+        elif message.startswith("duplicate "):
+            parent[key] = "<twice>"
+        else:  # has wrong shape: ..., got (n, ...)
+            shape = re.fullmatch(r".* has wrong shape: .*, got (\(.*\))",
+                                 message).group(1)
+            parent[key] = 0.0
+            for n in reversed(ast.literal_eval(shape)):
+                parent[key] = [parent[key]] * n
+        twice = f"{json.dumps(value)}, {json.dumps(key)}: {json.dumps(value)}"
+        path.write_text(json.dumps(scenario).replace('"<twice>"', twice))
+        with pytest.raises((cli.ParseError, ValueError)) as exc:
+            cli.load_scenario(str(path))
+        assert str(exc.value) == message
