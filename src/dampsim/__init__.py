@@ -18,8 +18,8 @@ _EXPORTS = {
              "two_mode_moments"),
     "structures": ("SearchConfig", "StructureReport",
                    "asymptotic_cross_covariances", "asymptotic_products",
-                   "center_of_mass_lct", "classicality_residual",
-                   "search_classical_structure", "transform_state"),
+                   "center_of_mass_lct", "search_classical_structure",
+                   "transform_state"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -1,8 +1,8 @@
 """Batch command line front end: reads a JSON scenario file, runs one
-command, on one engine or, for oracle, on both, and writes its CSV and
-plain-text files. README states the contract: the commands and their
-files, the scenario format and its limits, the exit codes and the
-validation table.
+command, and writes its CSV and plain-text files. evolve runs the exact
+analytic engine; the Fock engine is oracle's, which compares the two.
+README states the contract: the commands and their files, the scenario
+format and its limits, the exit codes and the validation table.
 
 Each value is checked once, where it enters; the engines trust what they
 get. load_scenario, for every command, parses one scenario entry at a time
@@ -15,7 +15,7 @@ writer reads is a model.MomentState, checked when it was built.
 
 Each module is imported where it is used: numpy by evolve, oracle and
 the parsing of moments or a density; analytic by evolve and oracle; fock
-by a density or a fock engine, oracle's too; structures by structure,
+by oracle and by a density state; structures by structure,
 classicality and an LCT frame of evolve; _csv17, the exact "%.17g" of
 trajectory.csv, by _trajectory_csv. So structure and classicality on a
 vacuum or coherent scenario run on the standard library, and check the
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 
 from .model import (QUADRATURES, Lct, ModeParams, MomentState,
                     PhysicalConstants, Record, TwoModeSystem,
-                    assert_physical, vacuum_state)
+                    assert_physical, vacuum_state, vacuum_variances)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,7 +51,7 @@ class ParseError(Exception):
     """Malformed scenario file (bad JSON, missing/unknown keys, bad types)."""
 
 
-#: Largest two-mode density matrix at the cutoff of a fock run or an
+#: Largest two-mode density matrix at the cutoff of an oracle run or an
 #: explicit density: fock_dim^4 complex entries of 16 bytes each, so
 #: fock_dim <= 90.
 _FOCK_BUDGET_BYTES = 2 ** 30
@@ -87,7 +87,7 @@ class Scenario(Record):
     samples from t_start to t_end. load_scenario builds it."""
 
     __slots__ = ("system", "initial", "t_start", "t_end", "n_steps",
-                 "engine", "fock_dim", "lct", "seed")
+                 "fock_dim", "lct", "seed")
 
     @property
     def times(self) -> np.ndarray:
@@ -102,18 +102,26 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _get(d: dict, prefix: str, key: str, kind, default=_MISSING):
-    """d[key] as kind, or default; a ParseError names prefix + key."""
+#: The JSON name of each type json.load returns.
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
+def _get(d: dict, prefix: str, key: str, kinds, default=_MISSING):
+    """d[key] as one of kinds, a type or a tuple of them, float taking any
+    number, or default; a ParseError names prefix + key and JSON types."""
     if key not in d:
         if default is _MISSING:
             raise ParseError(f"missing scenario key: {prefix + key!r}")
         return default
-    value = d[key]
-    if kind is float and _is_number(value):
+    value, kinds = d[key], kinds if isinstance(kinds, tuple) else (kinds,)
+    if float in kinds and _is_number(value):
         return float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if type(value) not in kinds:
+        expected = " or ".join(_JSON_TYPES[kind] for kind in kinds)
+        got = _JSON_TYPES[type(value)]
         raise ParseError(f"scenario key {prefix + key!r} has wrong type: "
-                         f"expected {kind.__name__}, got {type(value).__name__}")
+                         f"expected {expected}, got {got}")
     return value
 
 
@@ -148,7 +156,7 @@ def _float_shape(value, what: str, dims: int = _MAX_DIMS) -> tuple[int, ...]:
         return ()
     if not isinstance(value, list):
         raise ParseError(f"{what} is not numeric: got "
-                         f"{type(value).__name__}")
+                         f"{_JSON_TYPES[type(value)]}")
     if not dims:
         raise ParseError(f"{what} is not numeric: nested deeper than "
                          f"{_MAX_DIMS} lists")
@@ -235,9 +243,9 @@ def load_scenario(path: str) -> Scenario:
             f"{_GRID_BUDGET_BYTES / 2 ** 20:.3g} MiB "
             f"(n_steps <= {_GRID_BUDGET_BYTES // (4 * 4 * 8)})")
     engine = _get(raw, "", "engine", str, "analytic")
-    if engine not in ("analytic", "fock"):
-        raise ValueError(f"unknown engine {engine!r}: evolve runs 'analytic' "
-                         "or 'fock', and the oracle command compares them")
+    if engine != "analytic":
+        raise ValueError(f"unknown engine {engine!r}: evolve runs 'analytic', "
+                         "and the oracle command runs the Fock engine")
     fock_dim = _get(raw, "", "fock_dim", int, 32)
     if fock_dim < 2:
         raise ValueError(f"fock_dim must be >= 2, got {fock_dim}")
@@ -252,8 +260,8 @@ def load_scenario(path: str) -> Scenario:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return Scenario(system=system, initial=initial, t_start=t_start,
-                    t_end=t_end, n_steps=n_steps, engine=engine,
-                    fock_dim=fock_dim, lct=lct, seed=seed)
+                    t_end=t_end, n_steps=n_steps, fock_dim=fock_dim, lct=lct,
+                    seed=seed)
 
 
 def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
@@ -264,13 +272,20 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
         return 0j, 0j
     if kind == "coherent":
         _known(d, "initial.", "type", "alpha1", "alpha2")
-        pair = [complex(*_array(d, "initial.", key, (2,)))
-                if isinstance(d.get(key), list)
-                else complex(_get(d, "initial.", key, float, 0.0))
-                for key in ("alpha1", "alpha2")]
-        for key, alpha in zip(("alpha1", "alpha2"), pair):
+        pair = []
+        for key in ("alpha1", "alpha2"):  # a number, or [re, im]
+            alpha = _get(d, "initial.", key, (float, list), 0.0)
+            pair.append(complex(*_array(d, "initial.", key, (2,)))
+                        if isinstance(alpha, list) else complex(alpha))
+        mean = _coherent_mean(pair, system)
+        for key, alpha, mode_mean in zip(("alpha1", "alpha2"), pair,
+                                         (mean[:2], mean[2:])):
             if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
                 raise ValueError(f"initial.{key} must be finite, got {alpha}")
+            if not all(map(math.isfinite, mode_mean)):
+                raise ValueError(
+                    f"initial.{key} = {alpha} puts the mode's mean "
+                    "2 sqrt(v) alpha, v its vacuum variance, past float range")
         return tuple(pair)
     if kind == "moments":
         _known(d, "initial.", "type", "mean", "cov")
@@ -306,11 +321,18 @@ def initial_moment_state(scenario: Scenario) -> MomentState:
     if isinstance(initial, np.ndarray):
         from . import fock
         return fock.two_mode_moments(initial, system, 0.0, scenario.fock_dim)
-    # coherent: <x> = 2 sqrt(vx) Re(alpha), <p> = 2 sqrt(vp) Im(alpha)
-    (a1, a2), vacuum = initial, vacuum_state(system)
-    parts = [a1.real, a1.imag, a2.real, a2.imag]
-    return MomentState(mean=2.0 * np.sqrt(np.diag(vacuum.cov)) * parts,
-                       cov=vacuum.cov)
+    return MomentState(mean=_coherent_mean(initial, system),
+                       cov=vacuum_state(system).cov)
+
+
+def _coherent_mean(pair, system: TwoModeSystem) -> list[float]:
+    """The (x1, p1, x2, p2) mean of the displacements pair, inf or nan past
+    float range: <x> = 2 sqrt(vx) Re(alpha), <p> = 2 sqrt(vp) Im(alpha)."""
+    hbar = system.constants.hbar
+    return [2.0 * math.sqrt(v) * part
+            for mode, alpha in zip(system.modes, pair)
+            for v, part in zip(vacuum_variances(mode, hbar),
+                               (alpha.real, alpha.imag))]
 
 
 def _check_fock_budget(dim: int) -> None:
@@ -395,11 +417,10 @@ def _write_files(directory: str, files: dict[str, list[str]]) -> None:
 
 
 #: The largest |cov(x1,x2)| / sqrt(var_x1 var_x2) that counts as zero in the
-#: decay fit. On a product state, where it is exactly 0,
-#: fock.moment_trajectory reads rounding noise of at most 5.9e-14 of it
-#: (160 random systems, D = 2 to 90, |alpha|^2 up to D/4): about eps times
-#: the raw moment |<x1><x2>|, which reaches D sqrt(var_x1 var_x2). The
-#: floor keeps a margin of 17 over that.
+#: decay fit. A product state's is exactly 0 but for a density state, whose
+#: t = 0 moments fock.two_mode_moments reads with noise of up to ~D eps:
+#: measured, at most 6.1e-17 on 60 random product densities (D = 4 to 19)
+#: and 1.5e-14 on coherent ones near |alpha|^2 = D/4 (D = 16 to 40).
 _CROSS_COV_FLOOR = 1e-12
 
 
@@ -434,16 +455,10 @@ def _engine_deviation(a, f, system: TwoModeSystem) -> np.ndarray:
 def run_evolve(scenario: Scenario) -> dict[str, list[str]]:
     from . import analytic
     system, times = scenario.system, scenario.times
-    if scenario.engine == "fock":
-        from . import fock
-        oracle = fock.moment_trajectory(initial_density(scenario), system,
-                                        times, scenario.fock_dim)
-        state = MomentState(mean=oracle.mean, cov=oracle.cov)
-    else:
-        state = analytic.evolve_trajectory(initial_moment_state(scenario),
-                                           system, times)
+    state = analytic.evolve_trajectory(initial_moment_state(scenario), system,
+                                       times)
     csv = _trajectory_csv(times, state, scenario.lct)
-    summary = [f"engine: {scenario.engine}",
+    summary = ["engine: analytic",
                f"samples: {len(times)}",
                f"t_final: {_fmt(times[-1])}",
                "final uncertainty products: "
@@ -455,8 +470,6 @@ def run_evolve(scenario: Scenario) -> dict[str, list[str]]:
     slope = _decay_fit_slope(times, state.cov)
     summary.append("covariance decay fit slope (x1,x2): "
                    + (_fmt(slope) if slope is not None else "n/a"))
-    if scenario.engine == "fock":
-        summary.append(f"max fock_tail: {_fmt(oracle.fock_tail.max())}")
     return {"trajectory.csv": csv, "summary.txt": _text(summary)}
 
 

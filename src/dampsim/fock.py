@@ -262,15 +262,6 @@ def coherent_density(displacement: complex, dim: int) -> np.ndarray:
     return np.outer(amps, amps.conj())
 
 
-def fock_density(level: int, dim: int) -> np.ndarray:
-    """Number eigenstate |level><level|."""
-    if not 0 <= level < dim:
-        raise ValueError(f"level {level} outside cutoff {dim}")
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[level, level] = 1.0
-    return rho
-
-
 #: Bytes the oracle's working set per chunk of times may take. Per time it
 #: holds both modes' real Kraus bands and their ladder images: 2.0 complex
 #: (D, D) arrays at D = 32, 2.2 at D = 16 and 3.4 at D = 64 by tracemalloc,

@@ -128,13 +128,6 @@ def asymptotic_cross_covariances(lct: Lct,
     return report.cov_xx, report.cov_pp
 
 
-def classicality_residual(lct: Lct, system: TwoModeSystem) -> float:
-    """Scalar defect of the classicality criterion, ((prod_A - hbar/2)^2 +
-    (prod_B - hbar/2)^2 + cov_xx^2 + cov_pp^2) / (hbar/2)^2: zero iff both
-    products sit at hbar/2 and both cross covariances vanish."""
-    return evaluate_structure(lct.M, system).residual
-
-
 def classical_family(system: TwoModeSystem, theta: float,
                      scales: tuple[float, float]) -> Block:
     """Position block diag(scales) R(theta) diag(sqrt(m_i omega_i)).

@@ -93,10 +93,9 @@ def overflowing_lct_scenario(v):
     return base_scenario(lct={"M": [[v, v], [v, -v]]})
 
 
-def extreme_hbar_scenario(hbar, engine="fock"):
+def extreme_hbar_scenario(hbar):
     """The vacuum at hbar, at a small cutoff."""
-    scenario = base_scenario(engine=engine, fock_dim=4,
-                             initial={"type": "vacuum"})
+    scenario = base_scenario(fock_dim=4, initial={"type": "vacuum"})
     scenario["system"]["hbar"] = hbar
     return scenario
 
@@ -171,7 +170,7 @@ class TestExitCodes:
                 (base_scenario(initial={"type": "moments", "mean": [0] * 4}),
                  "missing scenario key: 'initial.cov'"),
                 (text_steps, "scenario key 'time_grid.n_steps' has wrong "
-                             "type: expected int, got str")):
+                             "type: expected integer, got string")):
             config = write_scenario(tmp_path, scenario)
             assert main(["evolve", "--config", config,
                          "--output", str(tmp_path)]) == 1
@@ -279,41 +278,62 @@ class TestExitCodes:
 
     def test_coherent_displacement_past_float_range_exits_2(self, tmp_path,
                                                             capsys):
-        # |alpha|^2 overflows a float; the cutoff guard still rejects it
-        for alpha in ([1e300, 0.0], [1.7e308, 1.7e308]):
+        # |alpha|^2 overflows a float; the cutoff guard still rejects it,
+        # and load_scenario first where the mean 2 sqrt(v) alpha overflows
+        for alpha, message in (([1e300, 0.0], "increase the cutoff"),
+                               ([1.7e308, 1.7e308], "initial.alpha1 = ")):
             scenario = base_scenario(initial={"type": "coherent",
                                               "alpha1": alpha})
-            for engine, command in (("fock", "evolve"),
-                                    ("analytic", "oracle")):
-                scenario["engine"] = engine
-                config = write_scenario(tmp_path, scenario)
-                assert main([command, "--config", config,
-                             "--output", str(tmp_path)]) == 2
-                err = capsys.readouterr().err.splitlines()
-                assert len(err) == 1 and "increase the cutoff" in err[0]
+            config = write_scenario(tmp_path, scenario)
+            assert main(["oracle", "--config", config,
+                         "--output", str(tmp_path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and message in err[0]
+
+    @pytest.mark.parametrize("key, alpha, text", [
+        ("alpha1", [1e160, 0.0], "(1e+160+0j)"),
+        ("alpha2", [0.0, -1e160], "-1e+160j"),
+        ("alpha2", 1e160, "(1e+160+0j)")])
+    def test_overflowing_coherent_mean_exits_2(self, tmp_path, capsys, key,
+                                               alpha, text):
+        # a finite displacement whose mean <x> = 2 sqrt(vx) Re(alpha), or
+        # <p>, is past float range at hbar 1e300 (vx = vp = 5e299): every
+        # command rejects it while loading, naming the key, and writes
+        # nothing else to stderr
+        scenario = base_scenario(initial={"type": "coherent", key: alpha},
+                                 lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
+        scenario["system"]["hbar"] = 1e300
+        config = write_scenario(tmp_path, scenario)
+        for command in cli._COMMANDS:
+            assert main([command, "--config", config,
+                         "--output", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == (
+                f"error: initial.{key} = {text} puts the mode's mean "
+                "2 sqrt(v) alpha, v its vacuum variance, past float range\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("alpha, square", [(40, "1600"),
                                                ([1e300, 0.0], "inf")])
     def test_coherent_guard_names_the_squared_displacement(
             self, tmp_path, capsys, alpha, square):
         # |alpha|^2 is reported as it is, inf only past float range
-        scenario = base_scenario(engine="fock", fock_dim=32,
+        scenario = base_scenario(fock_dim=32,
                                  initial={"type": "coherent",
                                           "alpha1": alpha})
         config = write_scenario(tmp_path, scenario)
-        assert main(["evolve", "--config", config,
+        assert main(["oracle", "--config", config,
                      "--output", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: |displacement|^2 = {square} exceeds dim/4 = "
                        "8; increase the cutoff"]
 
     def test_moments_initial_with_fock_engine_exits_2(self, tmp_path):
-        scenario = base_scenario(engine="fock",
-                                 initial={"type": "moments",
+        # oracle runs the Fock engine, which needs a density
+        scenario = base_scenario(initial={"type": "moments",
                                           "mean": [0, 0, 0, 0],
                                           "cov": np.diag([0.5] * 4).tolist()})
         config = write_scenario(tmp_path, scenario)
-        assert main(["evolve", "--config", config,
+        assert main(["oracle", "--config", config,
                      "--output", str(tmp_path)]) == 2
 
     def test_oversized_fock_dim_exits_2(self, tmp_path, capsys):
@@ -326,12 +346,12 @@ class TestExitCodes:
                 assert main([command, "--config", config,
                              "--output", str(tmp_path)]) == 2
                 assert message in capsys.readouterr().err
-        config = write_scenario(tmp_path, base_scenario(engine="fock",
-                                                        fock_dim=1000))
-        assert main(["evolve", "--config", config,
+        config = write_scenario(tmp_path, base_scenario(fock_dim=1000))
+        assert main(["oracle", "--config", config,
                      "--output", str(tmp_path)]) == 2
         assert "fock_dim <= 90" in capsys.readouterr().err
-        # analytic-only runs never allocate a density, so no limit applies
+        # evolve never allocates a density for a coherent state, so no
+        # limit applies
         config = write_scenario(tmp_path, base_scenario(fock_dim=1000))
         assert main(["evolve", "--config", config,
                      "--output", str(tmp_path)]) == 0
@@ -341,11 +361,10 @@ class TestExitCodes:
     def test_cutoff_limit_past_float_range_exits_2(self, tmp_path, capsys,
                                                    dim):
         # the limit's message gives the density's size in GiB, past float
-        # range from fock_dim ~1e79 on; every fock run and every command
-        # on a density state checks it
+        # range from fock_dim ~1e79 on; oracle and every command on a
+        # density state check it
         density = {"type": "density", "real": (np.eye(4) / 4).tolist()}
-        runs = [("evolve", base_scenario(engine="fock", fock_dim=dim)),
-                ("oracle", base_scenario(fock_dim=dim))]
+        runs = [("oracle", base_scenario(fock_dim=dim))]
         runs += [(command, base_scenario(fock_dim=dim, initial=density,
                                          lct={"M": [[1.0, 0.0], [0.0, 1.0]]}))
                  for command in cli._COMMANDS]
@@ -381,16 +400,16 @@ class TestExitCodes:
     def test_uncertainty_products_past_float_range_exit_0(self, tmp_path,
                                                           capsys):
         # var_x var_p = (hbar/2)^2 overflows at hbar 1e300 and underflows
-        # at 1e-300, but its root hbar/2 is a float, on either engine
-        for (hbar, want), engine in itertools.product(
-                ((1e300, "5.0000000000000003e+299"),
-                 (1e-300, "5.0000000000000001e-301")), ("analytic", "fock")):
-            config = write_scenario(tmp_path,
-                                    extreme_hbar_scenario(hbar, engine))
-            out = tmp_path / f"{engine}{hbar:g}"
-            assert main(["evolve", "--config", config,
-                         "--output", str(out)]) == 0
-            assert capsys.readouterr().err == ""
+        # at 1e-300, but its root hbar/2 is a float; the Fock engine, which
+        # oracle runs, raises no float warning there either
+        for hbar, want in ((1e300, "5.0000000000000003e+299"),
+                           (1e-300, "5.0000000000000001e-301")):
+            config = write_scenario(tmp_path, extreme_hbar_scenario(hbar))
+            out = tmp_path / f"{hbar:g}"
+            for command in ("oracle", "evolve"):
+                assert main([command, "--config", config,
+                             "--output", str(out)]) == 0
+                assert capsys.readouterr().err == ""
             header, rows = read_csv(out / "trajectory.csv")
             columns = [header.index(f"uncertainty_mode{i}") for i in (1, 2)]
             assert [rows[0][i] for i in columns] == [want, want]
@@ -545,45 +564,21 @@ class TestEvolve:
 
     def test_engine_both_exits_2_and_oracle_compares_the_engines(
             self, tmp_path, capsys):
-        # evolve runs one engine, and no command takes "both"; oracle is
-        # the one place the engines are compared, whatever the engine key
+        # evolve runs the analytic engine, and the Fock engine is oracle's,
+        # the one place the engines are compared: every other engine value
+        # fails every command before any work
         out = tmp_path / "out"
-        config = write_scenario(tmp_path, base_scenario(engine="both"))
-        for command in cli._COMMANDS:
-            assert main([command, "--config", config,
-                         "--output", str(out)]) == 2
-            assert capsys.readouterr().err == (
-                "error: unknown engine 'both': evolve runs 'analytic' or "
-                "'fock', and the oracle command compares them\n")
+        for engine in ("both", "fock"):
+            config = write_scenario(tmp_path, base_scenario(engine=engine))
+            for command in cli._COMMANDS:
+                assert main([command, "--config", config,
+                             "--output", str(out)]) == 2
+                assert capsys.readouterr().err == (
+                    f"error: unknown engine {engine!r}: evolve runs "
+                    "'analytic', and the oracle command runs the Fock "
+                    "engine\n")
         assert not out.exists()
-        scenario = base_scenario(engine="fock")
-        assert max_engine_deviation(tmp_path, scenario) <= 1e-8
-
-    def test_summary_reports_fock_tail(self, tmp_path):
-        # |alpha|^2 = 1.96 at D = 8: ~3e-3 on |7> at t = 0
-        scenario = base_scenario(fock_dim=8,
-                                 initial={"type": "coherent",
-                                          "alpha1": [1.4, 0.0],
-                                          "alpha2": [0.0, 0.3]},
-                                 time_grid={"t_start": 0.0, "t_end": 1.0,
-                                            "n_steps": 3})
-        config = write_scenario(tmp_path, scenario)
-        assert main(["oracle", "--config", config,
-                     "--output", str(tmp_path)]) == 0
-        report = (tmp_path / "oracle_report.txt").read_text().split()
-        tails = [field.split("=")[1] for field in report
-                 if field.startswith("fock_tail=")]
-        tail = max(tails, key=float)
-        assert float(tail) > 1e-6
-        for engine in ("analytic", "fock"):
-            config = write_scenario(tmp_path, dict(scenario, engine=engine))
-            assert main(["evolve", "--config", config,
-                         "--output", str(tmp_path)]) == 0
-            summary = (tmp_path / "summary.txt").read_text().splitlines()
-            if engine == "analytic":
-                assert not any("fock_tail" in line for line in summary)
-            else:
-                assert summary[-1] == f"max fock_tail: {tail}"
+        assert max_engine_deviation(tmp_path, base_scenario()) <= 1e-8
 
     def test_lct_columns_present(self, tmp_path):
         # a non-dyadic LCT, so the columns carry rounding; they are the
@@ -629,25 +624,39 @@ class TestEvolve:
                      if line.startswith("covariance decay fit slope")]
             assert math.isfinite(float(slope[0]))
 
-    def test_product_state_has_no_fit_slope_on_any_engine(self, tmp_path):
-        # the cross covariance of a product state is exactly 0, which the
-        # oracle reads as rounding noise; no engine fits a decay to that
+    def test_product_state_has_no_fit_slope(self, tmp_path):
+        # the cross covariance of a product state is exactly 0: a coherent
+        # pair's from the analytic engine, and an explicit product
+        # density's up to the rounding noise of its t = 0 moments, which
+        # the Fock engine reads; evolve fits no decay to either
         with open(os.path.join(DATA_DIR, "golden_scenario.json")) as fh:
             scenario = json.load(fh)
-        for engine in ("analytic", "fock"):
-            config = write_scenario(tmp_path, dict(scenario, engine=engine))
+        dim = 6
+        # its t = 0 cross covariance reads 1.1e-15 of sqrt(var_x1 var_x2)
+        rho = np.kron(fock.coherent_density(1.1 + 0.4j, dim),
+                      fock.coherent_density(-0.7 + 0.6j, dim))
+        density = {"type": "density", "real": rho.real.tolist(),
+                   "imag": rho.imag.tolist()}
+        for initial in (scenario["initial"], density):
+            config = write_scenario(tmp_path, dict(scenario, fock_dim=dim,
+                                                   initial=initial))
             assert main(["evolve", "--config", config,
                          "--output", str(tmp_path)]) == 0
             summary = (tmp_path / "summary.txt").read_text().splitlines()
             assert "covariance decay fit slope (x1,x2): n/a" in summary
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
-        config = write_scenario(tmp_path, base_scenario(engine="fock"))
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["evolve", "--config", config, "--output", str(out1)]) == 0
-        assert main(["evolve", "--config", config, "--output", str(out2)]) == 0
-        assert (out1 / "trajectory.csv").read_bytes() == \
-            (out2 / "trajectory.csv").read_bytes()
+        config = write_scenario(tmp_path, base_scenario())
+        for command in ("evolve", "oracle"):
+            out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+            for out in (out1, out2):
+                assert main([command, "--config", config,
+                             "--output", str(out)]) == 0
+            files = sorted(os.listdir(out1))
+            assert files and files == sorted(os.listdir(out2))
+            for name in files:
+                assert (out1 / name).read_bytes() == \
+                    (out2 / name).read_bytes()
 
     @pytest.mark.parametrize("scenario, csv", [
         ("golden_scenario", "golden_trajectory"),
@@ -846,25 +855,22 @@ class TestOtherCommands:
         # 1.7e308, -2 kappa overflows, so -2 kappa t is NaN at t = 0
         src = os.path.dirname(os.path.dirname(dampsim.__file__))
         for kappa, t_end in ((1e200, 1e200), (1e200, 1e108), (1.7e308, 1.0)):
-            for engine, command in (("fock", "oracle"), ("analytic", "evolve"),
-                                    ("fock", "evolve")):
-                scenario = base_scenario(engine=engine, fock_dim=8,
-                                         time_grid={"t_start": 0.0,
-                                                    "t_end": t_end,
-                                                    "n_steps": 5})
-                for label in ("mode1", "mode2"):
-                    scenario["system"][label]["kappa"] = kappa
-                config = write_scenario(tmp_path, scenario)
+            scenario = base_scenario(fock_dim=8,
+                                     time_grid={"t_start": 0.0,
+                                                "t_end": t_end, "n_steps": 5})
+            for label in ("mode1", "mode2"):
+                scenario["system"][label]["kappa"] = kappa
+            config = write_scenario(tmp_path, scenario)
+            for command in ("oracle", "evolve"):
                 out = subprocess.run(
                     [sys.executable, "-m", "dampsim.cli", command, "--config",
-                     config, "--output", str(tmp_path / engine)],
+                     config, "--output", str(tmp_path)],
                     env={**os.environ, "PYTHONPATH": src},
                     capture_output=True, text=True)
                 assert (out.returncode, out.stderr) == (0, "")
-            for engine in ("analytic", "fock"):
-                summary = (tmp_path / engine / "summary.txt").read_text()
-                assert "nan" not in summary
-            report = (tmp_path / "fock" / "oracle_report.txt").read_text()
+            summary = (tmp_path / "summary.txt").read_text()
+            assert "nan" not in summary
+            report = (tmp_path / "oracle_report.txt").read_text()
             assert "nan" not in report
             residuals = [field for field in report.split()
                          if field.startswith("bh_residual=")]
@@ -924,7 +930,7 @@ class TestInitialStates:
         from dampsim.fock import coherent_density
         dim = 6
         rho = np.kron(coherent_density(0.5, dim), coherent_density(0.0, dim))
-        scenario = base_scenario(engine="fock", fock_dim=dim,
+        scenario = base_scenario(fock_dim=dim,
                                  time_grid={"t_start": 0.0, "t_end": 1.0,
                                             "n_steps": 3},
                                  initial={"type": "density",
@@ -947,20 +953,17 @@ class TestInitialStates:
         dim = 4
         rho = np.kron(fock.coherent_density(0.5, dim),
                       fock.coherent_density(0.3j, dim))
-        for command, engine in (("evolve", "analytic"), ("evolve", "fock"),
-                                ("oracle", "analytic"),
-                                ("structure", "analytic"),
-                                ("classicality", "analytic")):
-            scenario = base_scenario(engine=engine, fock_dim=dim,
-                                     initial={"type": "density",
-                                              "real": rho.real.tolist(),
-                                              "imag": rho.imag.tolist()},
-                                     lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
-            config = write_scenario(tmp_path, scenario)
+        scenario = base_scenario(fock_dim=dim,
+                                 initial={"type": "density",
+                                          "real": rho.real.tolist(),
+                                          "imag": rho.imag.tolist()},
+                                 lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
+        config = write_scenario(tmp_path, scenario)
+        for command in cli._COMMANDS:
             calls.clear()
             assert main([command, "--config", config,
                          "--output", str(tmp_path)]) == 0
-            assert len(calls) == 1, (command, engine)
+            assert len(calls) == 1, command
 
     @pytest.mark.parametrize("command", ["evolve", "oracle", "structure",
                                          "classicality"])
@@ -1079,40 +1082,34 @@ class TestInitialStates:
         system = base_scenario()["system"]
         system["mode1"]["mass"] = 0.3
         vx = 1.0 / (2 * 0.3)
-        for engine in ("analytic", "fock"):
-            config = write_scenario(tmp_path, base_scenario(
-                system=system, engine=engine, fock_dim=2,
-                initial={"type": "density",
-                         "real": np.outer(psi, psi).tolist()}))
-            out = tmp_path / engine
-            for command in ("evolve", "oracle"):
-                assert main([command, "--config", config,
-                             "--output", str(out)]) == 0, (engine, command)
-            header, rows = read_csv(out / "trajectory.csv")
-            assert float(rows[0][0]) == 0.0
-            cov = float(rows[0][header.index("cov_x1_x1")])
-            assert abs(cov - vx) <= 1e-15, engine
+        config = write_scenario(tmp_path, base_scenario(
+            system=system, fock_dim=2,
+            initial={"type": "density", "real": np.outer(psi, psi).tolist()}))
+        for command in ("evolve", "oracle"):
+            assert main([command, "--config", config,
+                         "--output", str(tmp_path)]) == 0, command
+        header, rows = read_csv(tmp_path / "trajectory.csv")
+        assert float(rows[0][0]) == 0.0
+        cov = float(rows[0][header.index("cov_x1_x1")])
+        assert abs(cov - vx) <= 1e-15
 
     def test_vacuum_is_the_zero_displacement(self, tmp_path):
         zero = {"type": "coherent", "alpha1": 0, "alpha2": [0, 0.0]}
-        for engine in ("analytic", "fock"):
-            outputs = []
-            for initial in ({"type": "vacuum"}, zero, None):
-                scenario = base_scenario(
-                    engine=engine, fock_dim=4, initial=initial,
-                    lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
-                if initial is None:
-                    del scenario["initial"]
-                config = write_scenario(tmp_path, scenario)
-                out = tmp_path / f"{engine}-{len(outputs)}"
-                for command in ("evolve", "oracle", "structure",
-                                "classicality"):
-                    assert main([command, "--config", config,
-                                 "--output", str(out)]) == 0
-                outputs.append({name: (out / name).read_bytes()
-                                for name in sorted(os.listdir(out))})
-            assert len(outputs[0]) == 6
-            assert outputs[0] == outputs[1] == outputs[2], engine
+        outputs = []
+        for initial in ({"type": "vacuum"}, zero, None):
+            scenario = base_scenario(fock_dim=4, initial=initial,
+                                     lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
+            if initial is None:
+                del scenario["initial"]
+            config = write_scenario(tmp_path, scenario)
+            out = tmp_path / f"out-{len(outputs)}"
+            for command in cli._COMMANDS:
+                assert main([command, "--config", config,
+                             "--output", str(out)]) == 0
+            outputs.append({name: (out / name).read_bytes()
+                            for name in sorted(os.listdir(out))})
+        assert len(outputs[0]) == 6
+        assert outputs[0] == outputs[1] == outputs[2]
         # the folded vacuum is the number state |0> in each mode, bit for
         # bit, and its mean is +0.0
         for dim in (2, 4, 32):
@@ -1122,7 +1119,7 @@ class TestInitialStates:
             factors = cli.initial_density(scenario)
             assert isinstance(factors, tuple) and len(factors) == 2
             for rho in factors:
-                assert np.array_equal(rho, fock.fock_density(0, dim))
+                assert np.array_equal(rho, np.diag(np.eye(dim)[0] + 0j))
                 assert not np.signbit(rho.view(float)).any()
             mean = cli.initial_moment_state(scenario).mean
             assert np.array_equal(mean, np.zeros(4))
@@ -1137,8 +1134,7 @@ class TestInitialStates:
             initial = {"type": "density", "real": rho,
                        part: [row[:] for row in entries]}
             initial[part][0][1] = initial[part][1][0] = "OVERFLOW"
-            scenario = base_scenario(engine="fock", fock_dim=dim,
-                                     initial=initial)
+            scenario = base_scenario(fock_dim=dim, initial=initial)
             # 1e400 is valid JSON and parses to inf
             text = json.dumps(scenario).replace('"OVERFLOW"', "1e400")
             config = tmp_path / "scenario.json"
@@ -1183,7 +1179,7 @@ def fuzz_bases():
     command finishes in milliseconds."""
     from dampsim.fock import coherent_density
     rho = np.kron(coherent_density(0.3, 2), coherent_density(0.2j, 2))
-    small = dict(engine="fock", seed=3,
+    small = dict(seed=3,
                  time_grid={"t_start": 0.0, "t_end": 2.0, "n_steps": 3},
                  lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
     initials = [{"type": "coherent", "alpha1": [0.5, 0.1], "alpha2": 0.3},
@@ -1237,13 +1233,18 @@ SCENARIO_KEYS = sorted({".".join(path) for base in fuzz_bases()
 #: A value of each JSON type.
 JSON_TYPE_VALUES = [None, True, 2, 0.5, "0.5", [0.5], {"x": 0.5}]
 
+#: The JSON name of each value's type, as parse errors give it.
+JSON_TYPE_NAMES = {type(None): "null", bool: "boolean", int: "integer",
+                   float: "number", str: "string", list: "array",
+                   dict: "object"}
+
 
 @pytest.mark.parametrize("path", SCENARIO_KEYS)
 def test_every_key_is_read_one_way(tmp_path, capsys, path):
     # null or a value of a type the key does not take is a parse error
-    # (exit 1), and so is a non-numeric array; a numeric array of another
-    # shape is a validation error (exit 2); each error names the key's
-    # path, for every command
+    # (exit 1) that names the JSON types, and so is a non-numeric array; a
+    # numeric array of another shape is a validation error (exit 2); each
+    # error names the key's path, for every command
     *parents, key = path.split(".")
 
     def holder(scenario):
@@ -1256,12 +1257,15 @@ def test_every_key_is_read_one_way(tmp_path, capsys, path):
     displacement = key in ("alpha1", "alpha2")  # a number or [re, im]
     takes = ({int, float, list} if displacement
              else {int, float} if type(value) is float else {type(value)})
-    cases = [(wrong, 1, "has wrong type") for wrong in JSON_TYPE_VALUES
-             if type(wrong) not in takes]
+    expected = ("number or array" if displacement
+                else JSON_TYPE_NAMES[type(value)])
+    cases = [(wrong, 1, f"has wrong type: expected {expected}, got "
+                        f"{JSON_TYPE_NAMES[type(wrong)]}\n")
+             for wrong in JSON_TYPE_VALUES if type(wrong) not in takes]
     if list in takes:
-        cases += [(["0.5", 0.5], 1, "is not numeric"),
+        cases += [(["0.5", 0.5], 1, "is not numeric: "),
                   ([0.0] * 3 if displacement else value + value[:1], 2,
-                   "has wrong shape")]
+                   "has wrong shape: ")]
     assert len(cases) >= 5
     config = tmp_path / "scenario.json"
     for wrong, code, what in cases:
@@ -1273,7 +1277,7 @@ def test_every_key_is_read_one_way(tmp_path, capsys, path):
                          "--output", str(tmp_path / "out")]) == code, \
                 (command, wrong)
             err = capsys.readouterr().err
-            assert err.startswith(f"error: scenario key {path!r} {what}: ")
+            assert err.startswith(f"error: scenario key {path!r} {what}")
             assert len(err.splitlines()) == 1
 
 
@@ -1303,25 +1307,37 @@ def test_cli_leaves_numpy_and_scipy_unloaded(tmp_path):
 
 
 def test_only_a_density_or_a_fock_engine_loads_fock(tmp_path):
-    # an analytic evolve has no use for the Fock engine's module
+    # evolve loads the Fock engine's module only for a density state's
+    # t = 0 moments, and oracle, which runs that engine, always
     src = os.path.dirname(os.path.dirname(dampsim.__file__))
-    config = write_scenario(tmp_path, base_scenario())
-    code = ("import sys\nfrom dampsim.cli import main\n"
-            "for command in ('evolve', 'oracle'):\n"
-            f"    assert main([command, '--config', {config!r}, "
-            f"'--output', {str(tmp_path)!r}]) == 0\n"
-            "    print('dampsim.fock' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={**os.environ, "PYTHONPATH": src}, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.splitlines() == ["False", "True"]
+    rho = (np.eye(4) / 4).tolist()
+    initials = [{"type": "vacuum"}, base_scenario()["initial"],
+                {"type": "moments", "mean": [0.0] * 4,
+                 "cov": np.diag([0.5] * 4).tolist()}]
+    runs = [[("evolve", initial) for initial in initials]
+            + [("oracle", {"type": "vacuum"})],
+            [("evolve", {"type": "density", "real": rho})]]
+    loaded = []
+    for i, steps in enumerate(runs):  # one process each
+        code = "import sys\nfrom dampsim.cli import main\n"
+        for j, (command, initial) in enumerate(steps):
+            config = write_scenario(tmp_path, base_scenario(
+                fock_dim=2, initial=initial), f"s{i}{j}.json")
+            code += (f"assert main([{command!r}, '--config', {config!r}, "
+                     f"'--output', {str(tmp_path)!r}]) == 0\n"
+                     "print('dampsim.fock' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env={**os.environ, "PYTHONPATH": src},
+                             check=True, capture_output=True, text=True)
+        loaded += out.stdout.splitlines()
+    assert loaded == ["False", "False", "False", "True", "True"]
 
 
 def test_only_an_lct_command_loads_structures(tmp_path):
     # loading a scenario, oracle and an evolve without an LCT frame have
     # no use for the structures module
     src = os.path.dirname(os.path.dirname(dampsim.__file__))
-    plain = write_scenario(tmp_path, base_scenario(engine="fock"))
+    plain = write_scenario(tmp_path, base_scenario())
     framed = write_scenario(tmp_path, base_scenario(
         lct={"M": [[0.5, 0.5], [1.0, -1.0]]}), "framed.json")
     steps = [f"cli.load_scenario({framed!r})"]
@@ -1415,7 +1431,7 @@ def test_traced_benchmark_harness_runs_every_command(tmp_path, command,
     # still run under it and leave the spans the layer metrics read
     src = os.path.dirname(os.path.dirname(dampsim.__file__))
     config = write_scenario(tmp_path, base_scenario(
-        engine="fock", fock_dim=4, lct={"M": [[0.5, 0.5], [1.0, -1.0]]}))
+        fock_dim=4, lct={"M": [[0.5, 0.5], [1.0, -1.0]]}))
     trace = tmp_path / "spans.json"
     out = subprocess.run(
         [sys.executable, TRACE_CHILD, str(trace), "tiny", "0", "cli",

@@ -113,8 +113,8 @@ class TestRecords:
         built = [PhysicalConstants(), ModeParams(1.0, 1.0, 0.5), system,
                  vacuum_state(system),
                  cli.Scenario(system=system, initial=(0j, 0j), t_start=0.0,
-                              t_end=1.0, n_steps=3, engine="analytic",
-                              fock_dim=8, lct=None, seed=0),
+                              t_end=1.0, n_steps=3, fock_dim=8, lct=None,
+                              seed=0),
                  structures.SearchConfig(), report, trace[0],
                  Lct(M=((0.5, 0.5), (1.0, -1.0)))]
         assert len({type(record) for record in built}) == 9

@@ -10,7 +10,7 @@ from dampsim.analytic import asymptotic_state, evolve_state, evolve_trajectory
 from dampsim.model import Lct, MomentState, vacuum_state
 from dampsim.structures import (SearchConfig, asymptotic_cross_covariances,
                                 asymptotic_products, center_of_mass_lct,
-                                classical_family, classicality_residual,
+                                classical_family,
                                 evaluate_structure,
                                 search_classical_structure, transform_state,
                                 trivial_mixing_distance)
@@ -181,9 +181,11 @@ class TestAsymptoticQuantities:
         (np.eye(2), 2.0 * np.eye(2)),        # M N^T = 2 I
         (np.ones((2, 2)), np.ones((2, 2))),  # singular M
     ])
-    @pytest.mark.parametrize("quantity", [asymptotic_products,
-                                          asymptotic_cross_covariances,
-                                          classicality_residual])
+    @pytest.mark.parametrize("quantity", [
+        asymptotic_products, asymptotic_cross_covariances,
+        pytest.param(lambda lct, system:
+                     evaluate_structure(lct.M, system).residual,
+                     id="classicality_residual")])
     def test_invalid_lct_rejected(self, quantity, bad):
         # as transform_state does: read as M alone, M = I, N = 2I has the
         # products (0.5, 0.5) and residual 0, and a singular M divides by
@@ -248,13 +250,13 @@ class TestAsymptoticQuantities:
 
 class TestClassicalityResidual:
     def test_resonant_center_of_mass_is_zero(self):
-        assert classicality_residual(center_of_mass_lct(),
-                                     make_system()) < 1e-12
+        report = evaluate_structure(center_of_mass_lct().M, make_system())
+        assert report.residual < 1e-12
 
     def test_identity_structure_is_zero(self):
         ident = Lct(M=np.eye(2), N=np.eye(2))
         for system in (make_system(), make_system(m1=0.7, w2=2.2)):
-            assert classicality_residual(ident, system) < 1e-12
+            assert evaluate_structure(ident.M, system).residual < 1e-12
 
     def test_unequal_mass_center_of_mass_is_positive(self):
         system = make_system(m2=2.0)
@@ -263,7 +265,7 @@ class TestClassicalityResidual:
         cxx, cpp = asymptotic_cross_covariances(lct, system)
         expected = ((pa - 0.5) ** 2 + (pb - 0.5) ** 2
                     + cxx ** 2 + cpp ** 2) / 0.25
-        value = classicality_residual(lct, system)
+        value = evaluate_structure(lct.M, system).residual
         assert value == pytest.approx(expected, rel=1e-12)
         assert value > 1e-2
         # rescaled rows (1/2, 1/(2 sqrt2)) and (1, -1/sqrt2): cosine 1/3
@@ -274,7 +276,7 @@ class TestClassicalityResidual:
         system = make_system()
         for c in (0.5, 2.0):
             lct = Lct(c * np.array(center_of_mass_lct().M))
-            assert classicality_residual(lct, system) < 1e-12
+            assert evaluate_structure(lct.M, system).residual < 1e-12
 
     def test_nontrivial_zero_exists_even_for_unequal_masses(self):
         # The residual vanishes on the whole family classical_family, for
@@ -288,7 +290,7 @@ class TestClassicalityResidual:
         assert np.allclose(m, [[1.0, 1.0], [1.0, -2.0]], rtol=0, atol=1e-15)
         lct = Lct(np.array([[1.0, 1.0], [1.0, -2.0]]))
         assert trivial_mixing_distance(lct.M) > 0.1
-        assert classicality_residual(lct, system) < 1e-28
+        assert evaluate_structure(lct.M, system).residual < 1e-28
         assert evaluate_structure(lct.M, system).family_distance < 1e-15
 
 
@@ -322,7 +324,7 @@ class TestClosedFormObjective:
             system = random_system(rng)
             lct = Lct(m)
             expected = composed_residual(lct, system)
-            value = classicality_residual(lct, system)
+            value = evaluate_structure(lct.M, system).residual
             assert abs(value - expected) <= 1e-12 * (1.0 + abs(expected))
             count += 1
 
