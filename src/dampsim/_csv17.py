@@ -145,12 +145,10 @@ def _digit_words(halves):
     return groups.reshape(len(halves), -1).view(np.uint64)
 
 
-def _block_text(x: np.ndarray, separators: np.ndarray, frames: np.ndarray,
-                words: np.ndarray) -> str | None:
+def _block_text(x: np.ndarray, separators: np.ndarray) -> str | None:
     """The CSV text of the flat cells x of whole rows, or None if a cell is
     off the exact range. separators holds each cell's separator as word 3
-    of its frame; frames (9, m) and words (m, 4) are buffers for m >= x.size
-    cells, allocated once a table."""
+    of its frame, for at least x.size cells."""
     n = x.size
     a = np.abs(x)
     zero = a == 0
@@ -179,10 +177,9 @@ def _block_text(x: np.ndarray, separators: np.ndarray, frames: np.ndarray,
 
     tens = q // 10
     last = q - tens * 10
-    halves = np.empty((2, n), np.uint32)
-    halves[0] = tens // 10 ** 8
-    halves[1] = tens - halves[0] * np.uint64(10 ** 8)
-    first, second = digits = _digit_words(halves)
+    high = tens // 10 ** 8
+    first, second = digits = _digit_words(
+        np.array([high, tens - high * 10 ** 8], np.uint32))
     # The index of the last nonzero digit is the number kept less one. A
     # digit word's float exponent gives its highest nonzero byte: its
     # bytes are at most 9, so it rounds below the next power of two.
@@ -194,10 +191,8 @@ def _block_text(x: np.ndarray, separators: np.ndarray, frames: np.ndarray,
     row *= _DIGITS
     plan += row
     plan = np.where(zero, _ZERO, plan)
-    frames = frames[:, :n]
-    _FRAMES.take(plan, axis=1, out=frames, mode="clip")  # no copy: in range
-    a1, a2, b1, b2, b3, c0, c1, c2, c3 = frames
-    words = words[:n]
+    a1, a2, b1, b2, b3, c0, c1, c2, c3 = _FRAMES.take(plan, axis=1)
+    words = np.empty((n, 4), np.uint64)
     # in place: the frame rows and the digit words are this block's own
     sign = (x.view(np.int64) >> 63).view(np.uint64)  # all ones if negative
     sign &= ord("-")
@@ -228,11 +223,9 @@ def format_rows(table: np.ndarray) -> list[str]:
     separators = np.array([ord(",")] * (cols - 1) + [ord("\n")], np.uint64)
     separators = np.tile(separators << (8 * (_SEP_AT - 24)),
                          min(rows, _BLOCK_ROWS))
-    frames = np.empty((len(_FRAMES), len(separators)), np.uint64)
-    words = np.empty((len(separators), 4), np.uint64)
     blocks = [table[start:start + _BLOCK_ROWS]
               for start in range(0, rows, _BLOCK_ROWS)]
     # a block's text is never empty, so None alone falls back to "%"
-    return [_block_text(block.reshape(-1), separators, frames, words)
+    return [_block_text(block.reshape(-1), separators)
             or "".join([fmt % row for row in map(tuple, block.tolist())])
             for block in blocks]

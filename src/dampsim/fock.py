@@ -96,11 +96,13 @@ def kraus_operators(kappa: float, t: float | np.ndarray,
         raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
     if dim < 2:
         raise ValueError(f"Fock cutoff must be >= 2, got {dim}")
-    # per time in Python floats, so each batch row is bit for bit the
-    # one-time set. e^{-kt} is 0.0 from kt ~ 745 on, so the cap at 1e3
-    # changes no value but keeps kt, kt i and -2 kt finite; math.expm1
-    # gives 1 - e^{-2kt} without cancellation for small kt
-    kt = np.minimum([kappa * s for s in np.atleast_1d(times).tolist()], 1e3)
+    # each batch row is bit for bit the one-time set: kappa t is one IEEE
+    # multiply either way. e^{-kt} is 0.0 from kt ~ 745 on, so the cap at
+    # 1e3 changes no value but keeps kt, kt i and -2 kt finite. math.expm1
+    # gives 1 - e^{-2kt} without cancellation for small kt; it runs per
+    # time because np.expm1 differs from it in the last bit on some times
+    with np.errstate(over="ignore"):  # kappa t past float range: capped
+        kt = np.minimum(kappa * np.atleast_1d(times), 1e3)
     loss = np.array([-math.expm1(-2.0 * s) for s in kt.tolist()])
     i = np.arange(dim)
     bands = np.zeros(kt.shape + (dim, dim))

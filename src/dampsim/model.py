@@ -4,7 +4,7 @@ linear canonical transformations (LCTs) of the two-mode phase space.
 The parameter types and the LCT, whose blocks are 2x2 float tuples
 checked in closed form, need only the standard library. numpy is
 imported by the array code alone: MomentState, the symplectic form and
-defect, vacuum_state, checked_times, and the N of an LCT given by M.
+defect, vacuum_state and checked_times.
 
 Every record of the package is a read-only __slots__ class on Record. A
 frozen dataclass would cost the import of dataclasses and inspect,
@@ -37,10 +37,8 @@ QUADRATURES = ("x1", "p1", "x2", "p2")
 def symplectic_form() -> np.ndarray:
     """The 4x4 symplectic form for the (x1, p1, x2, p2) ordering."""
     import numpy as np
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((4, 4))
-    out[:2, :2] = j
-    out[2:, 2:] = j
+    out[[0, 2], [1, 3]], out[[1, 3], [0, 2]] = 1.0, -1.0  # [[0, 1], [-1, 0]]
     return out
 
 
@@ -236,13 +234,13 @@ class Lct(Record):
     M @ N.T == I, i.e. N = inv(M.T). Construction is the one check: a
     given N must meet M N^T = I within STRUCTURAL_TOL ("invalid LCT: ..."
     with each residual); M alone must pass condition_violation, and N is
-    then numpy's inv(M.T), computed where it is read. The cond(M) bound is
-    no invariant of an Lct given both blocks: the structure that
-    structures.search_classical_structure reports for masses 1e-150 and
-    1e200 has cond(M) ~1e175 and is canonical to 2.2e-16.
+    then _inverse_transpose(M). The cond(M) bound is no invariant of an Lct
+    given both blocks: the structure that structures.search_classical_structure
+    reports for masses 1e-150 and 1e200 has cond(M) ~1e175 and is canonical
+    to 2.2e-16.
     """
 
-    __slots__ = ("M", "_N")
+    __slots__ = ("M", "N")
 
     def __init__(self, M, N=None):
         m, n = _block(M), None if N is None else _block(N)
@@ -263,27 +261,37 @@ class Lct(Record):
             raise ValueError("position block must be a finite 2x2 matrix")
         elif conditioning := condition_violation(m):
             raise ValueError(f"position block: {conditioning}")
-        super().__init__(M=m, _N=n)
-
-    @property
-    def N(self) -> Block:
-        """The given N, or numpy's inv(M.T). A closed-form adjugate differs
-        in the last bits and would change every row of
-        golden_general_lct_trajectory.csv, so those bits are LAPACK's. With
-        numpy 2.4.6 on OpenBLAS 0.3.31 they matched a scalar replay on
-        40001 of 40001 blocks (40000 uniform draws in [-3, 3] and the
-        golden M): a partial-pivot LU with reciprocal pivots, whose update
-        u11 = a11 - l10 u01 rounds twice, then back substitution
-        x1 = y1 * (1/u11), x0 = fma(-u01, x1, b0) * (1/u00), with the
-        fused multiply-add emulated exactly through fractions.Fraction.
-        No code or test depends on the replay."""
-        if self._N is not None:
-            return self._N
-        import numpy as np
-        return tuple(map(tuple, np.linalg.inv(np.array(self.M).T).tolist()))
+        super().__init__(M=m, N=_inverse_transpose(m) if n is None else n)
 
     def __repr__(self) -> str:
         return f"Lct(M={self.M}, N={self.N})"
+
+
+def _inverse_transpose(m: Block) -> Block:
+    """inv(M^T) by the steps of LAPACK's dgesv on A = M^T, B = I, bit for
+    bit numpy's inv under OpenBLAS's FMA kernels: partial pivoting, the
+    multiplier by the reciprocal pivot (by the pivot if it is subnormal, as
+    dgetf2), u11 = a11 - l10 u01 rounded twice, and per column b of P I
+    x1 = y1 (1/u11) and x0 = fma(-u01, x1, b0) (1/u00), the fma exact."""
+    (a00, a10), (a01, a11) = m  # the rows of A are the columns of M
+    b0 = (1.0, 0.0)  # the first entry of each column of P I
+    if abs(a10) > abs(a00):
+        (a00, a01), (a10, a11), b0 = (a10, a11), (a00, a01), (0.0, 1.0)
+    r0 = 1.0 / a00
+    l10 = a10 * r0 if abs(a00) >= sys.float_info.min else a10 / a00
+    u11 = a11 - l10 * a01  # rounding can cancel it to 0 on subnormals
+    r1 = 1.0 / u11 if u11 else math.copysign(math.inf, u11)
+    # y1 = b1 - l10 b0 is 1, or 0.0 - l10: +0.0 where l10 is 0, as LAPACK's
+    x1 = [(0.0 - l10) * r1 if b else r1 for b in b0]
+    return (tuple(_fma(-a01, v, b) * r0 for b, v in zip(b0, x1)), tuple(x1))
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a b + c, c an integer, rounded once (int / int) where a b is finite."""
+    if not math.isfinite(a * b):
+        return a * b + c
+    (p, q), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()
+    return (p * r + int(c) * q * s) / (q * s)
 
 
 def condition_violation(m: Block) -> str | None:

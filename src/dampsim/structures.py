@@ -46,7 +46,7 @@ EXCLUSION_MARGIN = 1e-3
 def center_of_mass_lct() -> Lct:
     """The center-of-mass / relative-coordinate transform: X_A is the mean
     position, xi_B the position difference."""
-    return Lct(M=((0.5, 0.5), (1.0, -1.0)), N=((1.0, 1.0), (0.5, -0.5)))
+    return Lct(M=((0.5, 0.5), (1.0, -1.0)))  # N = ((1, 1), (0.5, -0.5))
 
 
 def lct_matrix(lct: Lct) -> np.ndarray:

@@ -110,6 +110,15 @@ def max_engine_deviation(tmp_path, scenario):
     return float(line.split(": ")[1])
 
 
+#: evolve on each golden scenario against its committed trajectory.csv
+GOLDEN = pytest.mark.parametrize("scenario, csv", [
+    ("golden_scenario", "golden_trajectory"),
+    # unequal masses, squeezed correlated moments and a non-dyadic LCT,
+    # where the summation order of the LCT transform shows in the digits
+    ("golden_general_lct_scenario", "golden_general_lct_trajectory"),
+], ids=["center_of_mass", "general_lct"])
+
+
 def read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -397,6 +406,32 @@ class TestExitCodes:
             assert "Traceback" not in err
             assert not (tmp_path / output).exists()
 
+    def test_position_block_whose_inverse_leaves_float_range(self, tmp_path,
+                                                             capsys):
+        # subnormal blocks that pass the cond(M) check, whose N = inv(M.T)
+        # is not finite: [[v, v], [v, -v]] at v = 1e-310, N of 5e309, and
+        # one of 5e-324 times [[3, 2], [1, 1]], where the LU's u11 rounds to
+        # 0. Building the Lct raises nothing: structure fails on the
+        # rescaled block, evolve on the frame's moments, and the commands
+        # that read no lct run
+        tiny = 5e-324
+        for m in ([[1e-310, 1e-310], [1e-310, -1e-310]],
+                  [[3 * tiny, 2 * tiny], [tiny, tiny]]):
+            config = write_scenario(tmp_path, base_scenario(lct={"M": m}))
+            out = tmp_path / "out"
+            for command, code, cause in (
+                    ("structure", 4, "math range error"),
+                    ("evolve", 4, "invalid value encountered in matmul"),
+                    ("classicality", 0, None), ("oracle", 0, None)):
+                assert main([command, "--config", config,
+                             "--output", str(out / command)]) == code
+                err = capsys.readouterr().err
+                if cause is None:
+                    assert err == ""
+                else:
+                    assert err == f"error: computation failed: {cause}\n"
+                    assert not (out / command).exists()
+
     def test_uncertainty_products_past_float_range_exit_0(self, tmp_path,
                                                           capsys):
         # var_x var_p = (hbar/2)^2 overflows at hbar 1e300 and underflows
@@ -658,12 +693,7 @@ class TestEvolve:
                 assert (out1 / name).read_bytes() == \
                     (out2 / name).read_bytes()
 
-    @pytest.mark.parametrize("scenario, csv", [
-        ("golden_scenario", "golden_trajectory"),
-        # unequal masses, squeezed correlated moments and a non-dyadic LCT,
-        # where the summation order of the LCT transform shows in the digits
-        ("golden_general_lct_scenario", "golden_general_lct_trajectory"),
-    ], ids=["center_of_mass", "general_lct"])
+    @GOLDEN
     def test_golden_trajectory(self, tmp_path, scenario, csv):
         config = os.path.join(DATA_DIR, f"{scenario}.json")
         assert main(["evolve", "--config", config,
@@ -672,6 +702,26 @@ class TestEvolve:
         with open(golden, "rb") as fh:
             expected = fh.read()
         assert (tmp_path / "trajectory.csv").read_bytes() == expected
+
+    @GOLDEN
+    @pytest.mark.parametrize("core", ["Haswell", "Zen"])
+    def test_golden_trajectory_under_other_blas_kernels(self, tmp_path,
+                                                        scenario, csv, core):
+        # OpenBLAS picks its kernels for the CPU, and OPENBLAS_CORETYPE, set
+        # in the child alone, forces others. N = inv(M.T) is computed
+        # without BLAS, so these FMA kernels give the golden bytes too;
+        # Sandybridge's, without FMA, changes transform_state's matmul
+        # (CHANGES.md). Without OpenBLAS the variable does nothing.
+        src = os.path.dirname(os.path.dirname(dampsim.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "dampsim.cli", "evolve", "--config",
+             os.path.join(DATA_DIR, f"{scenario}.json"),
+             "--output", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": core},
+            capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        with open(os.path.join(DATA_DIR, f"{csv}.csv"), "rb") as fh:
+            assert (tmp_path / "trajectory.csv").read_bytes() == fh.read()
 
 
 class TestOtherCommands:
