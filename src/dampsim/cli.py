@@ -28,7 +28,6 @@ and only then makes the output directory and writes them (_write_files).
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
@@ -42,6 +41,8 @@ from .model import (QUADRATURES, Lct, ModeParams, MomentState,
                     assert_physical, vacuum_state, vacuum_variances)
 
 if TYPE_CHECKING:
+    import argparse
+
     import numpy as np
 
     from .structures import StructureReport
@@ -533,6 +534,7 @@ _COMMANDS = {"evolve": run_evolve, "oracle": run_oracle,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # with gettext, 2 ms that load_scenario has no use for
     parser = argparse.ArgumentParser(
         prog="dampsim",
         description="Two-mode amplitude damping simulator")

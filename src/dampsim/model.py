@@ -234,10 +234,10 @@ class Lct(Record):
     M @ N.T == I, i.e. N = inv(M.T). Construction is the one check: a
     given N must meet M N^T = I within STRUCTURAL_TOL ("invalid LCT: ..."
     with each residual); M alone must pass condition_violation, and N is
-    then _inverse_transpose(M). The cond(M) bound is no invariant of an Lct
-    given both blocks: the structure that structures.search_classical_structure
-    reports for masses 1e-150 and 1e200 has cond(M) ~1e175 and is canonical
-    to 2.2e-16.
+    then _inverse_transpose(M), which must be finite. That is the package's
+    one inverse of a block: structures.evaluate_structure gives it as N to
+    blocks past the cond(M) bound too, such as the structure it reports for
+    masses 1e-150 and 1e200, of cond(M) ~1e175 and canonical to 2.2e-16.
     """
 
     __slots__ = ("M", "N")
@@ -261,7 +261,9 @@ class Lct(Record):
             raise ValueError("position block must be a finite 2x2 matrix")
         elif conditioning := condition_violation(m):
             raise ValueError(f"position block: {conditioning}")
-        super().__init__(M=m, N=_inverse_transpose(m) if n is None else n)
+        elif (n := _block(_inverse_transpose(m))) is None:
+            raise ValueError("position block: N = inv(M^T) leaves float range")
+        super().__init__(M=m, N=n)
 
     def __repr__(self) -> str:
         return f"Lct(M={self.M}, N={self.N})"

@@ -4,7 +4,7 @@ structures in closed form.
 
 At the vacuum asymptote all of these are functions of the rescaled block
 M' = M diag(1/s), s_i = sqrt(m_i omega_i), acting on an isotropic vacuum
-of variances hbar/2 (N' = N diag(s) = inv(M'.T) for a canonical LCT).
+of variances hbar/2 (N' = N diag(s) = inv(M'.T) enters through d alone).
 With rows alpha', beta' and d = det M', ``_rescaled`` is the one
 definition of ratio = |alpha'||beta'|/|d|, dot = alpha'.beta' and the
 hbar-free classicality residual 2 (ratio - 1)^2 + dot^2 + (dot/d^2)^2:
@@ -34,7 +34,7 @@ import random
 from typing import TYPE_CHECKING
 
 from .model import (Block, Lct, MomentState, Record, TwoModeSystem,
-                    check_damped)
+                    _block, _inverse_transpose, check_damped)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -188,19 +188,16 @@ def trivial_mixing_distance(M) -> float:
 
 def evaluate_structure(M, system: TwoModeSystem) -> StructureReport:
     """Full report for the canonical LCT with position block M, read from
-    ``_rescaled`` of M' = M diag(1/s). M is taken as checked: the momentum
-    block is N = N' diag(1/s), N' = inv(M'.T) = adj(M')^T / d, and the
-    report's Lct checks M N^T = I."""
+    ``_rescaled`` of M' = M diag(1/s). M is taken as checked: the report's
+    Lct has the N = inv(M.T) that Lct(M) gives and checks M N^T = I, which
+    holds for the search's family members past Lct(M)'s cond(M) bound."""
     s1, s2 = _mode_scales(system)
-    (a, b), (c, e) = ((float(v) for v in row) for row in M)
-    a, b, c, e = a / s1, b / s2, c / s1, e / s2
-    k, d, dot, ratio, distance, residual = _rescaled(a, b, c, e)
-    a, b, c, e = (math.ldexp(v, k) for v in (a, b, c, e))
+    (a, b), (c, e) = m = _block(M)
+    k, d, dot, ratio, distance, residual = _rescaled(a / s1, b / s2,
+                                                     c / s1, e / s2)
     half = system.constants.hbar / 2.0
-    n = [[math.ldexp(v / d, k) for v in row]
-         for row in ((e / s1, -c / s2), (-b / s1, a / s2))]
-    return StructureReport(lct=Lct(M=M, N=n), product_A=half * ratio,
-                           product_B=half * ratio,
+    return StructureReport(lct=Lct(M=m, N=_inverse_transpose(m)),
+                           product_A=half * ratio, product_B=half * ratio,
                            cov_xx=math.ldexp(half * dot, -2 * k),
                            cov_pp=math.ldexp(-(half * dot) / d / d, 2 * k),
                            residual=residual, family_distance=distance)
