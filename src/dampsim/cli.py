@@ -52,11 +52,6 @@ class ParseError(Exception):
     """Malformed scenario file (bad JSON, missing/unknown keys, bad types)."""
 
 
-#: Largest two-mode density matrix at the cutoff of an oracle run or an
-#: explicit density: fock_dim^4 complex entries of 16 bytes each, so
-#: fock_dim <= 90.
-_FOCK_BUDGET_BYTES = 2 ** 30
-
 #: Largest covariance trajectory a time grid may ask for: n_steps 4x4
 #: float64 matrices, so n_steps <= 2^20. A whole evolve run with an LCT
 #: frame, CSV text included, peaks at about 8 times this per row, 1.0 KB
@@ -300,9 +295,9 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
         return state
     if kind == "density":
         _known(d, "initial.", "type", "real", "imag")
-        _check_fock_budget(dim)
         import numpy as np
         from . import fock
+        _check_cutoff(dim, fock.MAX_DENSITY_DIM, "a two-mode density")
         shape = (dim * dim, dim * dim)
         rho = np.asarray(_array(d, "initial.", "real", shape), dtype=complex)
         if (imag := _array(d, "initial.", "imag", shape, None)) is not None:
@@ -336,20 +331,11 @@ def _coherent_mean(pair, system: TwoModeSystem) -> list[float]:
                                (alpha.real, alpha.imag))]
 
 
-def _check_fock_budget(dim: int) -> None:
-    """Raise ValueError if a two-mode density at cutoff dim would pass
-    _FOCK_BUDGET_BYTES; the message holds whether or not one is built."""
-    if (size := dim ** 4 * 16) > _FOCK_BUDGET_BYTES:
-        try:
-            gib = f"{size / 2 ** 30:.3g}"
-        except OverflowError:  # past float range, from fock_dim ~1e79
-            from decimal import Decimal
-            gib = f"{Decimal(size) / 2 ** 30:.3g}"
-        raise ValueError(
-            f"fock_dim {dim} is past the fock engine's cutoff limit: a "
-            f"two-mode density there takes {gib} GiB, over "
-            f"{_FOCK_BUDGET_BYTES / 2 ** 30:.3g} GiB (fock_dim <= "
-            f"{math.isqrt(math.isqrt(_FOCK_BUDGET_BYTES // 16))})")
+def _check_cutoff(dim: int, limit: int, what: str) -> None:
+    """Raise ValueError if dim is past fock's cutoff limit for what."""
+    if dim > limit:
+        raise ValueError(f"fock_dim {dim} is past the fock engine's cutoff "
+                         f"limit for {what} (fock_dim <= {limit})")
 
 
 def initial_density(scenario: Scenario) -> np.ndarray | tuple:
@@ -358,13 +344,13 @@ def initial_density(scenario: Scenario) -> np.ndarray | tuple:
     import numpy as np
     from . import fock
     initial, dim = scenario.initial, scenario.fock_dim
-    _check_fock_budget(dim)
     if isinstance(initial, np.ndarray):
-        return initial
+        return initial  # its cutoff was checked at load
     if isinstance(initial, MomentState):
         raise ValueError(
             "the fock engine needs an initial state expressible as a "
             "density matrix; 'moments' is not")
+    _check_cutoff(dim, fock.MAX_PRODUCT_DIM, "a product state")
     a1, a2 = initial
     return fock.coherent_density(a1, dim), fock.coherent_density(a2, dim)
 
@@ -396,7 +382,8 @@ def _trajectory_csv(times: np.ndarray, state: MomentState,
 
 def _write_files(directory: str, files: dict[str, list[str]]) -> None:
     """Write each {name: chunks} to a temporary file in directory, named for
-    this process, and only then rename them all into place, so they have
+    this process, as UTF-8 with "\n" line ends whatever the host's text
+    mode, and only then rename them all into place, so they have
     the caller's umask and a reader never sees one half written. On any
     failure the temporaries and the files already renamed are removed."""
     temporaries = [os.path.join(directory, f".tmp-{os.getpid()}-{name}")
@@ -405,7 +392,7 @@ def _write_files(directory: str, files: dict[str, list[str]]) -> None:
     try:
         for tmp, chunks in zip(temporaries, files.values()):
             made.append(tmp)
-            with open(tmp, "w") as fh:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)
         for tmp, name in zip(temporaries, files):
             os.replace(tmp, path := os.path.join(directory, name))

@@ -422,35 +422,65 @@ class TestExitCodes:
                 assert main([command, "--config", config,
                              "--output", str(tmp_path)]) == 2
                 assert message in capsys.readouterr().err
-        config = write_scenario(tmp_path, base_scenario(fock_dim=1000))
+        # oracle builds a coherent state's (D, D) pair only within the
+        # product-state limit; evolve builds no Fock array for it, so no
+        # limit applies
+        config = write_scenario(tmp_path, base_scenario(fock_dim=2590))
         assert main(["oracle", "--config", config,
                      "--output", str(tmp_path)]) == 2
-        assert "fock_dim <= 90" in capsys.readouterr().err
-        # evolve never allocates a density for a coherent state, so no
-        # limit applies
-        config = write_scenario(tmp_path, base_scenario(fock_dim=1000))
+        assert "a product state (fock_dim <= 2589)" in capsys.readouterr().err
         assert main(["evolve", "--config", config,
                      "--output", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("initial", [{"type": "vacuum"},
+                                         base_scenario()["initial"]])
+    def test_product_state_past_its_cutoff_limit_exits_2(self, tmp_path,
+                                                         capsys, initial):
+        # refused before the pair is built, with the limit it passes
+        dim = fock.MAX_PRODUCT_DIM + 1
+        config = write_scenario(tmp_path, base_scenario(fock_dim=dim,
+                                                        initial=initial))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", config, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: fock_dim {dim} is past the fock engine's cutoff limit "
+            f"for a product state (fock_dim <= {fock.MAX_PRODUCT_DIM})"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("dim", [10 ** 80, 10 ** 300],
                              ids=["1e80", "1e300"])
     def test_cutoff_limit_past_float_range_exits_2(self, tmp_path, capsys,
                                                    dim):
-        # the limit's message gives the density's size in GiB, past float
-        # range from fock_dim ~1e79 on; oracle and every command on a
-        # density state check it
+        # a cutoff past float range is compared as an integer; oracle on
+        # a product state and every command on a density state check it,
+        # each against its own limit
         density = {"type": "density", "real": (np.eye(4) / 4).tolist()}
-        runs = [("oracle", base_scenario(fock_dim=dim))]
+        runs = [("oracle", base_scenario(fock_dim=dim), 2589)]
         runs += [(command, base_scenario(fock_dim=dim, initial=density,
-                                         lct={"M": [[1.0, 0.0], [0.0, 1.0]]}))
+                                         lct={"M": [[1.0, 0.0], [0.0, 1.0]]}),
+                  90)
                  for command in cli._COMMANDS]
-        for command, scenario in runs:
+        for command, scenario, limit in runs:
             config = write_scenario(tmp_path, scenario)
             assert main([command, "--config", config,
                          "--output", str(tmp_path / "out")]) == 2, command
             err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].endswith("(fock_dim <= 90)")
+            assert len(err) == 1 and err[0].endswith(f"(fock_dim <= {limit})")
             assert err[0].startswith(f"error: fock_dim {dim} is past")
+
+    def test_non_finite_position_block_exits_2(self, tmp_path, capsys):
+        # 1e400 parses to inf, which no LCT has; every command refuses it
+        # at load and writes nothing
+        scenario = base_scenario(lct={"M": [[1.0, 0.0], [0.0, "inf"]]})
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(scenario).replace('"inf"', "1e400"))
+        out = tmp_path / "out"
+        for command in cli._COMMANDS:
+            assert main([command, "--config", str(config),
+                         "--output", str(out / command)]) == 2
+            assert capsys.readouterr().err == (
+                "error: position block must be a finite 2x2 matrix\n")
+            assert not (out / command).exists()
 
     def test_computation_failure_exits_4(self, tmp_path, capsys,
                                          monkeypatch):
@@ -914,6 +944,22 @@ class TestOtherCommands:
         assert all(0.0 <= v for v in tails)
         assert low < max(tails) < high
 
+    def test_oracle_runs_a_product_state_past_the_density_limit(self,
+                                                                tmp_path):
+        # a coherent pair at fock_dim 128 forms no D^4 density, so only the
+        # product-state limit applies; the engines agree to rounding
+        scenario = base_scenario(fock_dim=128,
+                                 time_grid={"t_start": 0.0, "t_end": 2.0,
+                                            "n_steps": 3})
+        config = write_scenario(tmp_path, scenario)
+        assert main(["oracle", "--config", config,
+                     "--output", str(tmp_path)]) == 0
+        lines = (tmp_path / "oracle_report.txt").read_text().splitlines()
+        assert len(lines) == 3 + 2 and lines[0] == "fock_dim: 128"
+        deviations = [float(line.split("engine_deviation=")[1].split()[0])
+                      for line in lines[1:-1]]
+        assert max(deviations) < 1e-8
+
     def test_structure_command(self, tmp_path):
         scenario = base_scenario(lct={"M": [[0.5, 0.5], [1.0, -1.0]]})
         config = write_scenario(tmp_path, scenario)
@@ -1131,8 +1177,9 @@ class TestInitialStates:
                                          "classicality"])
     def test_density_budget_is_checked_before_the_density(
             self, tmp_path, capsys, monkeypatch, command):
-        # a 1 KiB budget puts the limit between fock_dim 2 and 3
-        monkeypatch.setattr(cli, "_FOCK_BUDGET_BYTES", 2 ** 10)
+        # a density limit of 2 refuses fock_dim 3 before its density is
+        # read
+        monkeypatch.setattr(fock, "MAX_DENSITY_DIM", 2)
         check, calls = fock.check_density, []
         monkeypatch.setattr(fock, "check_density",
                             lambda rho: calls.append(1) or check(rho))
@@ -1548,6 +1595,31 @@ def test_cli_runs_blas_on_one_thread_by_default(tmp_path, prelude, action,
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == repr(want)
+
+
+def test_output_files_are_utf8_with_newline_line_ends(tmp_path,
+                                                     monkeypatch):
+    # every temporary is opened so that no host's text mode or locale
+    # changes an output byte
+    calls = []
+
+    def recording_open(file, *args, **kwargs):
+        calls.append((os.path.basename(file), args, kwargs))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    config = write_scenario(tmp_path, base_scenario(
+        lct={"M": [[0.5, 0.5], [1.0, -1.0]]}))
+    for command in cli._COMMANDS:
+        assert main([command, "--config", config,
+                     "--output", str(tmp_path / "out")]) == 0
+    temporaries = [call for call in calls if call[0].startswith(".tmp-")]
+    assert sorted(name.split("-", 2)[2] for name, _, _ in temporaries) == [
+        "classicality.txt", "oracle_report.txt", "search_trace.csv",
+        "structure.txt", "summary.txt", "trajectory.csv"]
+    assert all(args == ("w",)
+               and kwargs == {"encoding": "utf-8", "newline": "\n"}
+               for _, args, kwargs in temporaries)
 
 
 def test_output_files_have_the_callers_umask(tmp_path):

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from dampsim.fock import (bh_identity_residual, build_mode_operators,
                           check_density, coherent_density,
                           completeness_defect, evolve_density,
                           kraus_operators, moment_trajectory,
-                          two_mode_moments)
+                          reduced_densities, two_mode_moments)
 from dampsim.fock import _heisenberg_diagonal as heisenberg_diagonal
 from dampsim.fock import _quadrature_diagonals as quadrature_diagonals
 from dampsim.model import MomentState, PhysicalConstants, vacuum_variances
@@ -554,6 +555,15 @@ class TestEvolveDensity:
         with pytest.raises(ValueError, match="shape"):
             evolve_density(np.diag(np.eye(4)[0] + 0j),
                            kraus_operators(1.0, 1.0, 6))
+
+    def test_two_mode_shape_mismatch_names_the_cutoffs(self):
+        rho, bands = np.eye(15) / 15, kraus_operators(1.0, 1.0, 4)
+        message = re.escape("two-mode density shape (15, 15) does not match "
+                            "cutoffs (4, 4)")
+        for call in (lambda: evolve_density(rho, bands, bands),
+                     lambda: reduced_densities(rho, 4)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestHeisenbergMoment:

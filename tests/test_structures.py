@@ -426,6 +426,7 @@ class TestClassicalFamily:
 class TestTrivialMixingDistance:
     def test_scaled_permutations_are_trivial(self):
         assert trivial_mixing_distance(np.diag([2.0, -0.3])) == 0.0
+        assert trivial_mixing_distance(np.zeros((2, 2))) == 0.0
         assert trivial_mixing_distance(np.array([[0.0, 1.5],
                                                  [0.7, 0.0]])) == 0.0
 
