@@ -351,8 +351,7 @@ def initial_density(scenario: Scenario) -> np.ndarray | tuple:
             "the fock engine needs an initial state expressible as a "
             "density matrix; 'moments' is not")
     _check_cutoff(dim, fock.MAX_PRODUCT_DIM, "a product state")
-    a1, a2 = initial
-    return fock.coherent_density(a1, dim), fock.coherent_density(a2, dim)
+    return tuple(fock.coherent_density(alpha, dim) for alpha in initial)
 
 
 def _trajectory_csv(times: np.ndarray, state: MomentState,
@@ -381,11 +380,10 @@ def _trajectory_csv(times: np.ndarray, state: MomentState,
 
 
 def _write_files(directory: str, files: dict[str, list[str]]) -> None:
-    """Write each {name: chunks} to a temporary file in directory, named for
-    this process, as UTF-8 with "\n" line ends whatever the host's text
-    mode, and only then rename them all into place, so they have
-    the caller's umask and a reader never sees one half written. On any
-    failure the temporaries and the files already renamed are removed."""
+    r"""Write each {name: chunks} to a temporary file in directory, named for
+    this process, as UTF-8 with \n line ends on any host, then rename them
+    all into place: they get the caller's umask and no reader sees one half
+    written. On failure the temporaries and renamed files are removed."""
     temporaries = [os.path.join(directory, f".tmp-{os.getpid()}-{name}")
                    for name in files]
     made = []

@@ -244,11 +244,9 @@ def bh_identity_residual(kappa: float, t: float | np.ndarray,
 
 
 def coherent_density(displacement: complex, dim: int) -> np.ndarray:
-    """Truncated coherent state |alpha><alpha|, renormalized.
-
-    Rejects displacements whose Poisson tail would leak past the cutoff
-    (|alpha|^2 > dim/4).
-    """
+    """Truncated coherent state |alpha><alpha|, renormalized; rejects a
+    displacement whose Poisson tail leaks past the cutoff, |alpha|^2 > dim/4.
+    Where alpha^n is past float range, the amplitudes come from log space."""
     alpha = complex(displacement)
     try:
         norm2 = abs(alpha) ** 2
@@ -260,7 +258,10 @@ def coherent_density(displacement: complex, dim: int) -> np.ndarray:
             f"{dim / 4.0:g}; increase the cutoff")
     n = np.arange(dim)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1.0, dim)))))
-    amps = np.exp(-0.5 * norm2 - 0.5 * log_fact) * alpha ** n
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = np.exp(-0.5 * norm2 - 0.5 * log_fact) * alpha ** n
+    if not np.isfinite(amps).all():
+        amps = np.exp(n * np.log(alpha) - 0.5 * (norm2 + log_fact))
     amps /= np.linalg.norm(amps)
     return np.outer(amps, amps.conj())
 
@@ -282,8 +283,8 @@ _TIME_ARRAYS = 7
 #: and its stacked copy, the 4 (D-1)^2 cross entries and one time's bands
 #: and images. On a shared 2-vCPU Xeon, the tracemalloc peak of a coherent
 #: pair and moment_trajectory on 16 times, over 16 D^2 bytes, reads 14.36 at
-#: D = 64 (3 times a chunk), 10.08, 10.03 and 10.01 at D = 128, 256 and 512,
-#: where the 16 times take 0.20, 1.30, 1.69 and 3.12 s.
+#: D = 64 (3 times a chunk), 10.08, 10.03, 10.01 and 10.00 at D = 128, 256,
+#: 512 and 2589, where the 16 times take 0.20, 1.30, 1.69, 3.12 and 27 s.
 MAX_DENSITY_DIM = 90
 MAX_PRODUCT_DIM = 2589
 

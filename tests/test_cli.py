@@ -944,18 +944,24 @@ class TestOtherCommands:
         assert all(0.0 <= v for v in tails)
         assert low < max(tails) < high
 
-    def test_oracle_runs_a_product_state_past_the_density_limit(self,
-                                                                tmp_path):
-        # a coherent pair at fock_dim 128 forms no D^4 density, so only the
-        # product-state limit applies; the engines agree to rounding
-        scenario = base_scenario(fock_dim=128,
+    @pytest.mark.parametrize("dim, alpha1", [(128, [1.0, 0.0]),
+                                             (400, [9.0, 0.0])])
+    def test_oracle_runs_a_product_state_past_the_density_limit(
+            self, tmp_path, dim, alpha1):
+        # a coherent pair past fock_dim 90 forms no D^4 density, so only the
+        # product-state limit applies; the engines agree to rounding, also
+        # at |alpha1|^2 near dim/4, where alpha1^n is past float range
+        scenario = base_scenario(fock_dim=dim,
+                                 initial={"type": "coherent",
+                                          "alpha1": alpha1,
+                                          "alpha2": [0.5, 0.5]},
                                  time_grid={"t_start": 0.0, "t_end": 2.0,
                                             "n_steps": 3})
         config = write_scenario(tmp_path, scenario)
         assert main(["oracle", "--config", config,
                      "--output", str(tmp_path)]) == 0
         lines = (tmp_path / "oracle_report.txt").read_text().splitlines()
-        assert len(lines) == 3 + 2 and lines[0] == "fock_dim: 128"
+        assert len(lines) == 3 + 2 and lines[0] == f"fock_dim: {dim}"
         deviations = [float(line.split("engine_deviation=")[1].split()[0])
                       for line in lines[1:-1]]
         assert max(deviations) < 1e-8

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -450,6 +451,22 @@ class TestCoherentDensity:
         assert np.trace(coherent_density(1.0, 4)).real == pytest.approx(1.0)
         with pytest.raises(ValueError, match="cutoff"):
             coherent_density(math.nextafter(1.0, 2.0), 4)
+
+    @pytest.mark.parametrize("alpha, dim", [(9.0, 400), (1.5j, 2000),
+                                            (complex(-9.0, 12.0), 1000)])
+    def test_alpha_power_past_float_range(self, alpha, dim):
+        # alpha^(dim-1) overflows and e^{-|alpha|^2/2} / sqrt(n!) underflows
+        # at the top levels; the state stays finite, quiet and Poissonian
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = coherent_density(alpha, dim)
+        n = np.arange(dim)
+        poisson = np.exp(n * math.log(abs(alpha) ** 2) - abs(alpha) ** 2
+                         - np.array([math.lgamma(k + 1.0) for k in n]))
+        assert np.isfinite(rho).all()
+        assert np.abs(np.diag(rho).real - poisson).max() < 1e-13
+        assert np.sum(np.sqrt(n[1:]) * np.diag(rho, -1)) == pytest.approx(
+            alpha, rel=1e-13)
 
 
 class TestEvolveDensity:
