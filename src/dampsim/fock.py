@@ -279,14 +279,14 @@ _TIME_ARRAYS = 7
 
 #: The largest cutoffs, each keeping what the oracle builds within 1 GiB:
 #: a two-mode density's D^4 complex entries, and for a product state about
-#: ten complex (D, D) arrays once a chunk holds one time (D >= 84), the pair
-#: and its stacked copy, the 4 (D-1)^2 cross entries and one time's bands
-#: and images. On a shared 2-vCPU Xeon, the tracemalloc peak of a coherent
-#: pair and moment_trajectory on 16 times, over 16 D^2 bytes, reads 14.36 at
-#: D = 64 (3 times a chunk), 10.08, 10.03, 10.01 and 10.00 at D = 128, 256,
-#: 512 and 2589, where the 16 times take 0.20, 1.30, 1.69, 3.12 and 27 s.
+#: eight complex (D, D) arrays once a chunk holds one time (D >= 84), the
+#: pair as given, the 4 (D-1)^2 cross entries and one time's bands and
+#: images. On a shared 2-vCPU Xeon, the tracemalloc peak of a coherent pair
+#: and moment_trajectory on 16 times, over 16 D^2 bytes, reads 12.35 at
+#: D = 64 (3 times a chunk), 8.08, 8.03, 8.01 and 8.00 at D = 128, 256, 512
+#: and 2894, where the 16 times take 0.17, 1.25, 1.20, 2.68 and 26 s.
 MAX_DENSITY_DIM = 90
-MAX_PRODUCT_DIM = 2589
+MAX_PRODUCT_DIM = 2894
 
 
 def _chunk_size(dim: int) -> int:
@@ -355,11 +355,12 @@ def moment_trajectory(rho0: np.ndarray | tuple, system: TwoModeSystem,
     # rho1 otimes rho2, rho4[j, k, i, l] = rho1[j, i] rho2[k, l]
     i, j = np.r_[1:dim, :dim - 1], np.r_[:dim - 1, 1:dim]
     if isinstance(rho0, tuple):  # rho1 otimes rho2: read off its factors
-        densities = np.asarray(rho0, dtype=complex)
-        if densities.shape != (2, dim, dim):
-            raise ValueError(f"density pair shape {densities.shape} does "
-                             f"not match cutoff {dim}")
-        rho_xp = np.outer(densities[0, j, i], densities[1, j, i])
+        shapes = [np.shape(r) for r in rho0]
+        if shapes != [(dim, dim)] * 2:
+            raise ValueError(f"density pair shapes {shapes} do not match "
+                             f"cutoff {dim}")
+        densities = [np.asarray(r, dtype=complex) for r in rho0]
+        rho_xp = np.outer(densities[0][j, i], densities[1][j, i])
     else:
         densities = reduced_densities(rho0, dim)
         rho_xp = _two_mode_tensor(rho0, dim, dim)[j[:, None], j, i[:, None], i]

@@ -348,9 +348,10 @@ class TestExitCodes:
             assert main([command, "--config", config,
                          "--output", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith("error: ")
-            assert err[0].endswith("the limit is 128 MiB "
-                                   "(n_steps <= 1048576)")
+            assert err == [
+                "error: time grid requires finite 0 <= t_start < t_end and "
+                "1 <= n_steps <= 1048576; got t_start=0.0, t_end=4.0, "
+                "n_steps=10000000000000"]
 
     def test_coherent_displacement_past_float_range_exits_2(self, tmp_path,
                                                             capsys):
@@ -425,10 +426,12 @@ class TestExitCodes:
         # oracle builds a coherent state's (D, D) pair only within the
         # product-state limit; evolve builds no Fock array for it, so no
         # limit applies
-        config = write_scenario(tmp_path, base_scenario(fock_dim=2590))
+        limit = fock.MAX_PRODUCT_DIM
+        config = write_scenario(tmp_path, base_scenario(fock_dim=limit + 1))
         assert main(["oracle", "--config", config,
                      "--output", str(tmp_path)]) == 2
-        assert "a product state (fock_dim <= 2589)" in capsys.readouterr().err
+        assert (f"a product state (fock_dim <= {limit})"
+                in capsys.readouterr().err)
         assert main(["evolve", "--config", config,
                      "--output", str(tmp_path)]) == 0
 
@@ -455,7 +458,7 @@ class TestExitCodes:
         # a product state and every command on a density state check it,
         # each against its own limit
         density = {"type": "density", "real": (np.eye(4) / 4).tolist()}
-        runs = [("oracle", base_scenario(fock_dim=dim), 2589)]
+        runs = [("oracle", base_scenario(fock_dim=dim), fock.MAX_PRODUCT_DIM)]
         runs += [(command, base_scenario(fock_dim=dim, initial=density,
                                          lct={"M": [[1.0, 0.0], [0.0, 1.0]]}),
                   90)
@@ -729,16 +732,23 @@ class TestEvolve:
             assert np.array_equal(values[:, header.index(col)], column)
 
     def test_degenerate_fit_grid_writes_nothing_to_stderr(self, tmp_path):
-        # two grids on which a fitted slope is ill-posed: 1e-15 wide at
-        # t = 1, and 1e-310 wide, where squares of centered times underflow
+        # grids on which a fitted slope is ill-posed: 1e-15 wide at t = 1,
+        # 1e-310 wide, where squares of centered times underflow, and
+        # 1.7e308 wide, where the sum of the times is past float range, on
+        # a decay too slow to read off the grid
         src = os.path.dirname(os.path.dirname(dampsim.__file__))
         with open(os.path.join(DATA_DIR,
                                "golden_general_lct_scenario.json")) as fh:
             scenario = json.load(fh)
-        for t_start, t_end in ((1.0, 1.0 + 1e-15), (0.0, 1e-310)):
-            scenario["time_grid"] = {"t_start": t_start, "t_end": t_end,
-                                     "n_steps": 9}
-            config = write_scenario(tmp_path, scenario)
+        slow = copy.deepcopy(scenario)
+        for mode in ("mode1", "mode2"):
+            slow["system"][mode]["kappa"] = 1e-310
+        for raw, t_start, t_end in ((scenario, 1.0, 1.0 + 1e-15),
+                                    (scenario, 0.0, 1e-310),
+                                    (slow, 0.0, 1.7e308)):
+            raw["time_grid"] = {"t_start": t_start, "t_end": t_end,
+                                "n_steps": 9}
+            config = write_scenario(tmp_path, raw)
             out = subprocess.run(
                 [sys.executable, "-m", "dampsim.cli", "evolve", "--config",
                  config, "--output", str(tmp_path)],

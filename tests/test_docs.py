@@ -14,7 +14,7 @@ import tokenize
 import pytest
 
 import dampsim
-from dampsim import cli
+from dampsim import cli, fock
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 README = os.path.join(ROOT, "README.md")
@@ -106,6 +106,16 @@ def test_engine_values_are_the_accepted_ones(tmp_path):
             cli.load_scenario(str(path))
         assert re.findall(r"'(\w+)'", str(exc.value)) == [engine, *listed]
         assert "oracle" in str(exc.value)
+
+
+def test_quoted_limits_are_the_constants():
+    # every `fock_dim <= N` and `n_steps <= N` README quotes is the limit
+    # the package enforces, and each limit is quoted
+    for key, limits in (("fock_dim", {fock.MAX_DENSITY_DIM,
+                                      fock.MAX_PRODUCT_DIM}),
+                        ("n_steps", {cli._MAX_STEPS})):
+        quoted = re.findall(rf"\b{key} <= (\d+)", readme_text())
+        assert set(map(int, quoted)) == limits, key
 
 
 def test_module_names_resolve():

@@ -927,9 +927,9 @@ class TestOracleMoments:
                      (ground[:, :-1], ground[:, :-1]),
                      (ground, ground, ground), (ground,),
                      (np.diag(np.eye(dim + 1)[0] + 0j),) * 2):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"match cutoff {dim}$"):
                 moment_trajectory(pair, system, times, dim)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"match cutoff {dim}$"):
                 two_mode_moments(pair, system, 1.0, dim)
 
     def test_pair_working_set_is_no_two_mode_density(self):
@@ -944,6 +944,21 @@ class TestOracleMoments:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+    def test_pair_working_set_is_eight_one_mode_arrays(self):
+        # the memory model fock.MAX_PRODUCT_DIM is sized on: past D = 84 a
+        # chunk holds one time, and the peak is about eight complex (D, D)
+        # arrays, the pair read in place among them (8.08 measured)
+        dim = 128
+        times = np.linspace(0.0, 4.0, 16)
+        tracemalloc.start()
+        try:
+            pair = coherent_density(1.5 - 2j, dim), coherent_density(3.0, dim)
+            moment_trajectory(pair, make_system(k1=0.4, k2=0.9), times, dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * 16 * dim ** 2
 
     def test_cutoff_convergence(self):
         system = make_system(k1=0.3, k2=0.7)
