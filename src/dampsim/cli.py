@@ -295,8 +295,7 @@ def _parse_initial(d: dict, system: TwoModeSystem, dim: int):
         shape = (dim * dim, dim * dim)
         rho = np.asarray(_array(d, "initial.", "real", shape), dtype=complex)
         if (imag := _array(d, "initial.", "imag", shape, None)) is not None:
-            with np.errstate(invalid="ignore"):  # 1j * inf, rejected below
-                rho = rho + 1j * np.asarray(imag, dtype=float)
+            rho.imag = imag
         fock.check_density(rho)
         return rho
     raise ValueError(f"unknown initial state type {kind!r}")

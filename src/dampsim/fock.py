@@ -124,10 +124,12 @@ def completeness_defect(bands: np.ndarray) -> float | np.ndarray:
 
 
 def check_density(rho: np.ndarray) -> None:
-    """Raise ValueError unless rho is a finite, Hermitian, unit-trace,
-    positive semidefinite matrix, each within 1e-10."""
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("density matrix is not finite")
+    """Raise ValueError unless rho is a Hermitian, unit-trace, positive
+    semidefinite matrix, each within 1e-10, with |Re|, |Im| <= 2 in each
+    entry. The other tests bound an (n, n) density's parts by 1 + (n + 2)
+    1e-10 < 2; under the bound no test overflows or takes a NaN factor."""
+    if not (np.all(abs(rho.real) <= 2) and np.all(abs(rho.imag) <= 2)):
+        raise ValueError("density matrix is not finite with |Re|, |Im| <= 2")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-10:

@@ -142,7 +142,8 @@ class MomentState(Record):
                              f"and {cov.shape}")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("mean and cov must be finite")
-        asymmetry = np.abs(cov - np.swapaxes(cov, -1, -2))
+        with np.errstate(over="ignore"):  # a difference past range is inf
+            asymmetry = np.abs(cov - np.swapaxes(cov, -1, -2))
         if np.max(asymmetry, initial=0.0) > SYMMETRY_TOL:  # T = 0 passes
             raise ValueError("cov is not symmetric within 1e-12")
         if np.any(np.diagonal(cov, axis1=-2, axis2=-1) <= 0):

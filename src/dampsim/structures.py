@@ -92,6 +92,14 @@ def _mode_scales(system: TwoModeSystem) -> tuple[float, float]:
 _UNSCALED_TOP = 2.0 ** 256
 
 
+def _ldexp(x: float, k: int) -> float:
+    """x 2^k, as math.ldexp gives it, or inf of x's sign past float range."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _rescaled(a: float, b: float, c: float, e: float) -> tuple[float, ...]:
     """k, d, dot, ratio, family distance and residual of the rescaled block
     M' = [[a, b], [c, e]] (module docstring), for d != 0. d and dot are
@@ -107,7 +115,7 @@ def _rescaled(a: float, b: float, c: float, e: float) -> tuple[float, ...]:
     dot = a * c + b * e
     norms = math.hypot(a, b) * math.hypot(c, e)
     ratio = norms / abs(d)
-    p, q = math.ldexp(dot, -2 * k), math.ldexp(dot / d / d, 2 * k)
+    p, q = _ldexp(dot, -2 * k), _ldexp(dot / d / d, 2 * k)
     residual = 2.0 * (ratio - 1.0) * (ratio - 1.0) + p * p + q * q
     return k, d, dot, ratio, abs(dot) / norms, residual
 
@@ -198,8 +206,8 @@ def evaluate_structure(M, system: TwoModeSystem) -> StructureReport:
     half = system.constants.hbar / 2.0
     return StructureReport(lct=Lct(M=m, N=_inverse_transpose(m)),
                            product_A=half * ratio, product_B=half * ratio,
-                           cov_xx=math.ldexp(half * dot, -2 * k),
-                           cov_pp=math.ldexp(-(half * dot) / d / d, 2 * k),
+                           cov_xx=_ldexp(half * dot, -2 * k),
+                           cov_pp=_ldexp(-(half * dot) / d / d, 2 * k),
                            residual=residual, family_distance=distance)
 
 

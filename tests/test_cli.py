@@ -1,7 +1,9 @@
 import ast
+import contextlib
 import copy
 import decimal
 import gc
+import io
 import itertools
 import json
 import math
@@ -11,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -157,6 +160,34 @@ def extreme_hbar_scenario(hbar):
     """The vacuum at hbar, at a small cutoff."""
     scenario = base_scenario(fock_dim=4, initial={"type": "vacuum"})
     scenario["system"]["hbar"] = hbar
+    return scenario
+
+
+def density_scenario(real):
+    """The density scenario of fuzz_bases with real as its real
+    part; fock_dim 2, so real is 4 x 4."""
+    scenario = fuzz_bases()[3]
+    scenario["initial"] = {"type": "density", "real": real}
+    return scenario
+
+
+#: Hermitian and of unit trace, but with eigenvalue -1.7e308
+INDEFINITE_DENSITY = [[0.5, -1.7e308, 0, 0], [-1.7e308, 0, 0, 0],
+                      [0, 0, 0, 0], [0, 0, 0, 0.5]]
+#: Off-diagonals of +1.7e308 and -1.7e308, whose difference overflows
+MIRRORED_DENSITY = [[0.5, 1.7e308, 0, 0], [-1.7e308, 0, 0, 0],
+                    [0, 0, 0, 0], [0, 0, 0, 0.5]]
+#: Well-conditioned position blocks whose structure leaves float range
+HUGE_BLOCKS = [[[0.5, -1.7e308], [1.7e308, -1.0]],
+               [[1e200, 1e300], [1e300, -1.0]]]
+
+
+def mirrored_cov_scenario():
+    """The moments base of fuzz_bases with cov[0][1] = 1.7e308 and
+    cov[1][0] = -1.7e308."""
+    scenario = fuzz_bases()[2]
+    cov = scenario["initial"]["cov"]
+    cov[0][1], cov[1][0] = 1.7e308, -1.7e308
     return scenario
 
 
@@ -1004,6 +1035,30 @@ class TestOtherCommands:
             "product_A: 0.5", "product_B: 0.5", "cov_xx: 0", "cov_pp: -0",
             "residual: 0", "family_distance: 0"]
 
+    @pytest.mark.parametrize("m", HUGE_BLOCKS, ids=["1.7e308", "1e300"])
+    def test_structure_past_float_range_reads_inf(self, tmp_path, capsys, m):
+        # well-conditioned blocks whose alpha'.beta' leaves float range, and
+        # with it the residual (and cov_xx at 1e300): structure reads inf
+        # there and the exact value elsewhere; evolve's frame overflows
+        scenario = base_scenario(lct={"M": m})
+        config = write_scenario(tmp_path, scenario)
+        out = tmp_path / "out"
+        assert main(["structure", "--config", config,
+                     "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        got = report_values(out / "structure.txt")
+        assert got["residual"] == math.inf
+        for key, value in decimal_structure(scenario).items():
+            if abs(value) > sys.float_info.max:
+                assert got[key] == math.copysign(math.inf, value), key
+            else:
+                assert abs(got[key] - float(value)) <= \
+                    1e-12 * abs(float(value)), key
+        assert main(["evolve", "--config", config,
+                     "--output", str(out / "evolve")]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: computation failed: overflow")
+
     @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5], ids=lambda seed:
                              f"seed{seed}" if seed else "general_lct")
     def test_structure_reports_the_frames_momentum_block(self, tmp_path,
@@ -1376,6 +1431,29 @@ class TestInitialStates:
             assert len(errors) == 1 and "finite" in errors[0]
             assert "Warning" not in out.stderr, part
 
+    @pytest.mark.parametrize("real", [INDEFINITE_DENSITY, MIRRORED_DENSITY],
+                             ids=["indefinite", "mirrored"])
+    def test_density_past_the_bound_exits_2(self, tmp_path, capsys, real):
+        # entries of 1.7e308, whose Cholesky factor is NaN or whose
+        # Hermitian test overflows: the bound refuses both first, in every
+        # command, in process and where a float warning is an error
+        config = write_scenario(tmp_path, density_scenario(real))
+        want = "error: density matrix is not finite with |Re|, |Im| <= 2\n"
+        src = os.path.dirname(os.path.dirname(dampsim.__file__))
+        procs = {command: subprocess.Popen(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "dampsim.cli", command, "--config", config, "--output",
+             str(tmp_path / command)], env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for command in cli._COMMANDS}
+        for command, proc in procs.items():
+            assert main([command, "--config", config,
+                         "--output", str(tmp_path / command)]) == 2
+            assert capsys.readouterr().err == want
+            err = proc.communicate()[1]
+            assert (proc.returncode, err) == (2, want), command
+            assert not (tmp_path / command).exists()
+
 
 def json_paths(value, prefix=()):
     """Every path (a tuple of keys and indices) into a JSON value, the root
@@ -1429,25 +1507,94 @@ def mutated_scenarios(draw):
         if not path:
             scenario = value
             continue
-        parent = scenario
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
+        json_value(scenario, path[:-1])[path[-1]] = value
     return scenario
+
+
+#: The extreme numbers extreme_scenarios puts into a scenario: zeros of
+#: both signs, subnormals, and finite values up to the edge of float range
+EXTREME_VALUES = [0, -0.0, 5e-324, -5e-324, 1e-310, 1e-200, 1e30, 1e200,
+                  1e300, 1.7e308, -1.7e308, -1e300]
+
+
+@st.composite
+def extreme_scenarios(draw):
+    """A valid base scenario with one to three of its numbers replaced by
+    extreme ones; an entry [i][j] of cov, real or imag may take its mirror
+    [j][i] along, at the same value or its negative."""
+    scenario = draw(st.sampled_from(fuzz_bases()))
+    numbers = [path for path in json_paths(scenario)
+               if type(json_value(scenario, path)) in (int, float)]
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = path = draw(st.sampled_from(numbers))
+        value = draw(st.sampled_from(EXTREME_VALUES))
+        json_value(scenario, parents)[key] = value
+        if (len(path) == 4 and path[1] in ("cov", "real", "imag")
+                and draw(st.booleans())):
+            mirror = json_value(scenario, path[:-2] + (key,))
+            mirror[path[-2]] = draw(st.sampled_from([value, -value]))
+    return scenario
+
+
+def json_value(value, path):
+    """The value at path (a tuple of keys and indices) into a JSON value."""
+    for key in path:
+        value = value[key]
+    return value
+
+
+def assert_documented_outcome(scenario):
+    """README's promise for every command on scenario: an exit code in
+    0-4; nothing on stderr on 0, and otherwise exactly one `error: ` line,
+    with no warning raised or printed and no traceback; no output directory
+    after a nonzero exit; and exit 4 only from evolve's LCT frame, so that
+    evolve without the frame exits 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "scenario.json")
+        with open(config, "w") as fh:
+            json.dump(scenario, fh)
+        for command in ("evolve", "oracle", "structure", "classicality"):
+            out = os.path.join(tmp, command)
+            with (warnings.catch_warnings(record=True) as caught,
+                  contextlib.redirect_stderr(io.StringIO()) as err):
+                warnings.simplefilter("always")
+                code = main([command, "--config", config, "--output", out])
+            assert code in (0, 1, 2, 3, 4), command
+            assert not caught, (command, [str(w.message) for w in caught])
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                assert lines == [], command
+                continue
+            assert len(lines) == 1 and lines[0].startswith("error: "), \
+                (command, lines)
+            assert "Warning" not in lines[0] and "Traceback" not in lines[0]
+            assert not os.path.exists(out), command
+            if code == 4:
+                assert command == "evolve" and "lct" in scenario, lines
+                frameless = {k: v for k, v in scenario.items() if k != "lct"}
+                with open(config, "w") as fh:
+                    json.dump(frameless, fh)
+                assert main([command, "--config", config,
+                             "--output", out]) == 0, lines
+                with open(config, "w") as fh:
+                    json.dump(scenario, fh)
 
 
 @given(mutated_scenarios())
 @example(extreme_hbar_scenario(1e300))
 @example(overflowing_lct_scenario(1e200))
 def test_any_scenario_exits_with_a_documented_code(scenario):
-    with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "scenario.json")
-        with open(config, "w") as fh:
-            json.dump(scenario, fh)
-        for command in ("evolve", "oracle", "structure", "classicality"):
-            code = main([command, "--config", config,
-                         "--output", os.path.join(tmp, "out")])
-            assert code in (0, 1, 2, 3, 4)
+    assert_documented_outcome(scenario)
+
+
+@given(extreme_scenarios())
+@example(density_scenario(INDEFINITE_DENSITY))
+@example(density_scenario(MIRRORED_DENSITY))
+@example(mirrored_cov_scenario())
+@example(base_scenario(lct={"M": HUGE_BLOCKS[0]}))
+@example(base_scenario(lct={"M": HUGE_BLOCKS[1]}))
+def test_extreme_numbers_exit_with_a_documented_outcome(scenario):
+    assert_documented_outcome(scenario)
 
 
 #: Every key of the scenario format, as its path: the keys of fuzz_bases.

@@ -88,10 +88,7 @@ def openblas_core() -> str:
 
 
 def host() -> str:
-    from numpy._core._multiarray_umath import (__cpu_dispatch__,
-                                               __cpu_features__)
-    dispatch = [name for name in __cpu_dispatch__
-                if __cpu_features__.get(name)]
+    dispatch = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
     return (f"numpy {np.__version__}, SIMD dispatch {dispatch}, "
             f"OpenBLAS core {openblas_core()}")
 

@@ -70,6 +70,10 @@ class TestMomentState:
         # every time of a stack is checked
         with pytest.raises(ValueError, match="symmetric"):
             MomentState(mean=np.zeros((2, 4)), cov=np.stack([np.eye(4), cov]))
+        # a difference past float range is refused with no overflow warning
+        cov[0, 1], cov[1, 0] = 1.7e308, -1.7e308
+        with pytest.raises(ValueError, match="symmetric"):
+            MomentState(mean=np.zeros(4), cov=cov)
 
     def test_nonpositive_diagonal_rejected(self):
         cov = np.diag([1.0, 1.0, 0.0, 1.0])
